@@ -39,8 +39,9 @@ def _write_output(text: str, path) -> None:
 
 def _parse_face(text: str):
     parts = text.split(",")
-    if len(parts) != 3:
-        raise MalformedDocument(f"--face wants three comma-separated labels, got {text!r}")
+    if len(parts) != 3 or len(set(parts)) != 3:
+        raise MalformedDocument(
+            f"--face wants three distinct comma-separated labels, got {text!r}")
     return make_face(*parts)
 
 

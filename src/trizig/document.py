@@ -29,12 +29,17 @@ def serialize(tri: Triangulation,
     return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
+def load_json(text: str):
+    """Decode JSON text; invalid or too deeply nested text is MalformedDocument."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise MalformedDocument(f"not valid JSON: {exc}") from None
+
+
 def parse_document(text: str) -> dict:
     """Decode and shape-check document text without building the triangulation."""
-    try:
-        doc = json.loads(text)
-    except ValueError as exc:
-        raise MalformedDocument(f"not valid JSON: {exc}") from None
+    doc = load_json(text)
     if not isinstance(doc, dict):
         raise MalformedDocument("document must be a JSON object")
     tag = doc.get("format")

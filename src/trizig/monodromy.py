@@ -129,18 +129,11 @@ class MonodromyType:
             return DartPermutation(face, rotation.as_dict())
         if self.tag == "M5":
             return rotation.inverse()
+        if self.tag not in _PATTERNS:
+            raise ValueError(f"unknown monodromy tag {self.tag!r}")
         if self.witness is None:
             raise ValueError(f"type {self.tag} requires a witness")
-        e1, e2, e3 = self.witness
-        if self.tag in ("M3", "M6"):
-            mapping = _three_cycle_pair_pattern(e1, e2, e3)
-        elif self.tag == "M4":
-            mapping = _crossed_transposition_pattern(e1, e2, e3)
-        elif self.tag == "M7":
-            mapping = _straight_transposition_pattern(e1, e2, e3)
-        else:
-            raise ValueError(f"unknown monodromy tag {self.tag!r}")
-        return DartPermutation(face, mapping)
+        return DartPermutation(face, _PATTERNS[self.tag](*self.witness))
 
 
 def _three_cycle_pair_pattern(e1, e2, e3):
@@ -158,9 +151,64 @@ def _straight_transposition_pattern(e1, e2, e3):
     return {e1: e2, e2: e1, -e1: -e2, -e2: -e1, e3: e3, -e3: -e3}
 
 
-def _rotations(cycle: typing.Tuple[Dart, ...]) -> typing.List[Witness]:
-    a, b, c = cycle
-    return [(a, b, c), (b, c, a), (c, a, b)]
+_PATTERNS = {"M3": _three_cycle_pair_pattern, "M6": _three_cycle_pair_pattern,
+             "M4": _crossed_transposition_pattern,
+             "M7": _straight_transposition_pattern}
+
+
+def _shape_table():
+    """Every valid monodromy as a 6-tuple of local dart indices -> (tag, witness).
+
+    In ``omega`` order D is the same permutation for every face, so one table
+    serves all faces.  Shapes are entered in the order M1, M2, M5, then M3,
+    M6, M4, M7 over the cycles of D (of D^-1 for M6) and their rotations;
+    the first witness entered for a monodromy is the one kept.
+    """
+    face = ("a", "b", "c")
+    darts = omega(face)
+    rotation = DartPermutation.rotation(face)
+    candidates = [("M1", None), ("M2", None), ("M5", None)]
+    for tag, source in (("M3", rotation), ("M6", rotation.inverse()),
+                        ("M4", rotation), ("M7", rotation)):
+        for a, b, c in source.cycles():
+            candidates += [(tag, (a, b, c)), (tag, (b, c, a)), (tag, (c, a, b))]
+    table = {}
+    for tag, witness in candidates:
+        image = MonodromyType(tag, witness).expand(rotation)
+        table.setdefault(tuple(darts.index(image(dart)) for dart in darts),
+                         (tag, witness and tuple(map(darts.index, witness))))
+    return table
+
+
+_SHAPES = _shape_table()
+
+
+def _monodromy_type(face: Face, image: typing.Tuple[int, ...]) -> MonodromyType:
+    if image not in _SHAPES:
+        raise UnclassifiableMonodromy(
+            f"monodromy {image} of face {face} (local dart indices) matches no shape")
+    tag, witness = _SHAPES[image]
+    return MonodromyType(tag, witness and tuple(_zz._dart(face, k) for k in witness))
+
+
+def _build_monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]]:
+    """The z-monodromy of every face, as a 6-tuple of local dart indices.
+
+    The position just before the zigzag through seed (e, F) next returns to
+    F, at dart e', reads D^-1(e') on an edge of F, and no earlier position
+    after the seed lies on one; so M(e) = D^-1(e').  Walking each orbit
+    backwards twice, each position of the second lap meets the next visit
+    to its face; the first lap primes ``following``, its images overwritten.
+    """
+    kernel = _zz._kernel(tri)
+    image = [0] * len(kernel.orbit_of)
+    following = list(range(0, len(image), 6))
+    for orbit in kernel.orbits:
+        for p in reversed(orbit + orbit):
+            f = p // 6
+            image[p] = _zz._ROTATION_INVERSE[following[f] - 6 * f]
+            following[f] = p
+    return [tuple(image[base:base + 6]) for base in range(0, len(image), 6)]
 
 
 def z_monodromy(tri: Triangulation, face: Face) -> DartPermutation:
@@ -172,75 +220,24 @@ def z_monodromy(tri: Triangulation, face: Face) -> DartPermutation:
     face = make_face(*face)
     if not tri.has_face(face):
         raise FaceNotFound(f"face {face!r} not in triangulation")
-    return DartPermutation(face, _monodromy_maps(tri)[face])
-
-
-def _monodromy_maps(tri: Triangulation) -> typing.Dict[Face, typing.Dict[Dart, Dart]]:
-    """Monodromy mappings for every face, computed from the orbit tables.
-
-    For a seed position (e, F) the monodromy image is the dart of the next
-    position in the same orbit (cyclically) that lies on an edge of F; the
-    per-face hit lists make that a lookup instead of a walk.
-    """
-    maps = tri._cache.get("monodromy_maps")
-    if maps is not None:
-        return maps
-    tables = _zz._tables(tri)
-    hits = _zz._face_hits(tri)
-    maps = {}
-    for face in tri.faces:
-        entries = hits[face]  # sorted (orbit, slot, dart)
-        by_orbit: typing.Dict[int, list] = {}
-        for orbit_id, slot, dart in entries:
-            by_orbit.setdefault(orbit_id, []).append((slot, dart))
-        mapping = {}
-        for dart in omega(face):
-            i = tables.index[_zz.Position(dart, face)]
-            orbit_id = tables.orbit_of[i]
-            slot = tables.slot_of[i]
-            slots = by_orbit[orbit_id]
-            following = [entry for entry in slots if entry[0] > slot]
-            mapping[dart] = (following[0] if following else slots[0])[1]
-        maps[face] = mapping
-    tri._cache["monodromy_maps"] = maps
-    return maps
+    image = _zz._cached(tri, "monodromies", _build_monodromies)[_zz._face_index(tri, face)]
+    darts = omega(face)
+    return DartPermutation(face, {dart: darts[k] for dart, k in zip(darts, image)})
 
 
 def classify(monodromy: DartPermutation,
              rotation: DartPermutation) -> MonodromyType:
-    """Match a z-monodromy against the seven shapes.
+    """Match a z-monodromy against the seven shapes by table lookup.
 
-    Tags are tried in the order M1, M2, M5, M3, M6, M4, M7, searching witness
-    cycles over the rotation's two 3-cycles and their rotations; the shapes
-    are mutually exclusive, so the order only fixes the witness choice.
+    ``rotation`` must be the face rotation D of the monodromy's face; the
+    shapes are mutually exclusive, and ``_SHAPES`` fixes the witness.
     """
-    if monodromy.face != rotation.face:
-        raise ValueError("monodromy and rotation belong to different faces")
-    if rotation.cycle_type() != (3, 3):
-        raise ValueError("rotation argument is not a face rotation")
-    if monodromy.is_identity:
-        return MonodromyType("M1")
-    if monodromy == rotation:
-        return MonodromyType("M2")
-    if monodromy == rotation.inverse():
-        return MonodromyType("M5")
-
-    mapping = monodromy.as_dict()
-    rotation_cycles = rotation.cycles()
-    inverse_cycles = rotation.inverse().cycles()
-    searches = (
-        ("M3", rotation_cycles, _three_cycle_pair_pattern),
-        ("M6", inverse_cycles, _three_cycle_pair_pattern),
-        ("M4", rotation_cycles, _crossed_transposition_pattern),
-        ("M7", rotation_cycles, _straight_transposition_pattern),
-    )
-    for tag, cycles, pattern in searches:
-        for cycle in cycles:
-            for witness in _rotations(cycle):
-                if pattern(*witness) == mapping:
-                    return MonodromyType(tag, witness)
-    raise UnclassifiableMonodromy(
-        f"permutation {monodromy!r} of face {monodromy.face} matches no shape")
+    if rotation != DartPermutation.rotation(monodromy.face):
+        raise ValueError("rotation is not the face rotation of the "
+                         "monodromy's face")
+    darts = monodromy.domain
+    return _monodromy_type(monodromy.face,
+                           tuple(darts.index(monodromy(dart)) for dart in darts))
 
 
 def is_two_disjoint_3cycles(permutation: DartPermutation) -> bool:
@@ -260,9 +257,5 @@ def locally_z_knotted_via_monodromy(tri: Triangulation, face: Face) -> bool:
 
 def face_types(tri: Triangulation) -> typing.Dict[Face, MonodromyType]:
     """Classified z-monodromy for every face, keyed in face order."""
-    maps = _monodromy_maps(tri)
-    out = {}
-    for face in tri.faces:
-        monodromy = DartPermutation(face, maps[face])
-        out[face] = classify(monodromy, DartPermutation.rotation(face))
-    return out
+    return {face: _monodromy_type(face, image)
+            for face, image in zip(tri.faces, _zz._cached(tri, "monodromies", _build_monodromies))}

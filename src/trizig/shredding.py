@@ -21,11 +21,11 @@ import typing
 from dataclasses import dataclass
 
 from .core import Face, Triangulation, euler_characteristic, make_face
-from .document import serialize
-from .errors import (InvalidMonodromyType, MalformedDocument, NoValidMap,
-                     TrizigError)
+from .document import load_json, serialize
+from .errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
+                     NoValidMap, TrizigError)
 from .generators import bipyramid, example_sum
-from .monodromy import DartPermutation, classify, face_types, z_monodromy
+from .monodromy import face_types
 from .surgery import (SpecialMap, connected_sum, enumerate_special_maps,
                       gluing_condition)
 from .zigzag import all_zigzags, is_essential, is_z_knotted
@@ -142,10 +142,7 @@ class ShredCertificate:
 
     @classmethod
     def from_json(cls, text: str) -> "ShredCertificate":
-        try:
-            doc = json.loads(text)
-        except ValueError as exc:
-            raise MalformedDocument(f"not valid JSON: {exc}") from None
+        doc = load_json(text)
         if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
             raise MalformedDocument("missing or unsupported certificate format tag")
         try:
@@ -191,13 +188,13 @@ def shred_step(tri: Triangulation, face: Face) -> Triangulation:
     no locally z-knotted face of the host loses that property.
     """
     face = make_face(*face)
-    tag = classify(z_monodromy(tri, face),
-                   DartPermutation.rotation(face)).tag
-    if tag not in BAD_TAGS:
+    mtype = face_types(tri).get(face)
+    if mtype is None:
+        raise FaceNotFound(f"face {face!r} not in triangulation")
+    if mtype.tag not in BAD_TAGS:
         raise InvalidMonodromyType(
-            f"face {face!r} has type {tag}, nothing to repair")
-    repaired, _step = _repair(tri, face, tag)
-    return repaired
+            f"face {face!r} has type {mtype.tag}, nothing to repair")
+    return _repair(tri, face, mtype.tag)[0]
 
 
 def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:

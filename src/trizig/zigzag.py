@@ -7,8 +7,13 @@ walk state is a position (dart, face) standing for the consecutive pair
 has exactly 4E positions.  The step map is a bijection on positions and the
 zigzags are its orbits; everything else here (knottedness, per-face zigzag
 sets, essential faces, Gauss codes) is read off the orbit partition.
+
+Internally position (omega(F)[k], F) is the int 6 f + k, where f indexes F
+in the sorted face tuple, and the step map and orbits are int lists; darts
+and positions are built only where the public API returns them.
 """
 
+import bisect
 import collections
 import typing
 
@@ -60,85 +65,103 @@ def reverse_position(position: Position) -> Position:
     return Position(-face_rotation_inverse(face, dart), face)
 
 
-class _Tables:
-    """Orbit decomposition of the step permutation, cached per triangulation.
+# Dart k of a face (a, b, c) in omega order ab, bc, ca, ba, cb, ac: its
+# (tail, head) vertex slots, the face rotation D and D^-1 acting on k, and
+# reverse_position's dart -D^-1(dart k).
+_LOCAL_DARTS = ((0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2))
+_ROTATION = (1, 2, 0, 5, 3, 4)
+_ROTATION_INVERSE = (2, 0, 1, 4, 5, 3)
+_REVERSAL = (5, 3, 4, 1, 2, 0)
 
-    positions are sorted, so orbit discovery order (and hence every output
-    derived from it) is deterministic.
+
+class _Kernel:
+    """The zigzag orbits as int lists, cached per triangulation.
+
+    Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
+    6F = 4E this numbers the positions exactly.  ``orbits[o]`` lists the
+    positions of orbit o in step order, from its least position in
+    (tail, head, face) order, and ``orbit_of[p]`` is the orbit of p.
+    Orbits are numbered in the order of their least positions, so every
+    output derived from them is deterministic.
     """
 
-    __slots__ = ("positions", "index", "step", "orbits", "orbit_of", "slot_of")
+    __slots__ = ("orbit_of", "orbits")
 
     def __init__(self, tri: Triangulation):
-        positions = []
-        for edge, (face1, face2) in tri.edge_faces.items():
-            u, v = edge
-            for dart in (Dart(u, v), Dart(v, u)):
-                positions.append(Position(dart, face1))
-                positions.append(Position(dart, face2))
-        positions.sort()
-        index = {position: i for i, position in enumerate(positions)}
+        faces = tri.faces
+        count = 6 * len(faces)
+        # The step from (d, F) is D(d) read in the other face of d's edge.
+        # Each edge of a face (a, b, c) carries darts ab/ba, ac/ca, bc/cb.
+        step_table = [0] * count
+        waiting: typing.Dict[Edge, typing.Tuple[int, int, int, int]] = {}
+        for base, (a, b, c) in zip(range(0, count, 6), faces):
+            for edge, forward, backward in (((a, b), 0, 3), ((a, c), 5, 2),
+                                            ((b, c), 1, 4)):
+                here = (base + forward, base + backward,
+                        base + _ROTATION[forward], base + _ROTATION[backward])
+                there = waiting.pop(edge, None)
+                if there is None:
+                    waiting[edge] = here
+                    continue
+                step_table[here[0]], step_table[there[0]] = there[2], here[2]
+                step_table[here[1]], step_table[there[1]] = there[3], here[3]
 
-        step_table = []
-        for (u, v), face in positions:
-            first, second = tri.edge_faces[(u, v) if u < v else (v, u)]
-            next_face = second if first == face else first
-            nxt = Position(Dart(v, third_vertex(next_face, u, v)), next_face)
-            step_table.append(index[nxt])
+        # Sort positions by (tail, head, face) as the int key
+        # (tail id * V + head id) * 6F + p, darts in omega order.
+        vertices = len(tri.vertices)
+        rank = {vertex: i * count for i, vertex in enumerate(tri.vertices)}
+        keys = []
+        for base, (a, b, c) in zip(range(0, count, 6), faces):
+            a, b, c = rank[a], rank[b], rank[c]
+            keys += (a * vertices + b + base, b * vertices + c + base + 1,
+                     c * vertices + a + base + 2, b * vertices + a + base + 3,
+                     c * vertices + b + base + 4, a * vertices + c + base + 5)
+        keys.sort()
 
-        count = len(positions)
         orbit_of = [-1] * count
-        slot_of = [0] * count
-        orbits: typing.List[typing.Tuple[int, ...]] = []
-        for start in range(count):
+        orbits: typing.List[typing.List[int]] = []
+        for key in keys:
+            start = key % count
             if orbit_of[start] >= 0:
                 continue
-            orbit_id = len(orbits)
             orbit = []
-            i = start
-            while orbit_of[i] < 0:
-                orbit_of[i] = orbit_id
-                slot_of[i] = len(orbit)
-                orbit.append(i)
-                i = step_table[i]
-            if i != start:
+            p = start
+            while orbit_of[p] < 0:
+                orbit_of[p] = len(orbits)
+                orbit.append(p)
+                p = step_table[p]
+            if p != start:
                 raise AssertionError("step map failed to be a permutation")
-            orbits.append(tuple(orbit))
-
-        self.positions = positions
-        self.index = index
-        self.step = step_table
-        self.orbits = orbits
+            orbits.append(orbit)
         self.orbit_of = orbit_of
-        self.slot_of = slot_of
+        self.orbits = orbits
 
 
-def _tables(tri: Triangulation) -> _Tables:
-    tables = tri._cache.get("zigzag_tables")
-    if tables is None:
-        tables = _Tables(tri)
-        tri._cache["zigzag_tables"] = tables
-    return tables
+def _cached(tri: Triangulation, key: str, build):
+    """``build(tri)``, computed once per triangulation."""
+    value = tri._cache.get(key)
+    if value is None:
+        value = tri._cache[key] = build(tri)
+    return value
 
 
-def _face_hits(tri: Triangulation) -> typing.Dict[Face, list]:
-    """For each face, the orbit locations of every dart on one of its edges.
+def _kernel(tri: Triangulation) -> _Kernel:
+    return _cached(tri, "zigzag_kernel", _Kernel)
 
-    Entries are (orbit id, slot in orbit, dart), sorted; each face receives
-    exactly 12 entries (3 edges x 2 directions x 2 reading faces).
-    """
-    hits = tri._cache.get("face_hits")
-    if hits is None:
-        tables = _tables(tri)
-        hits = {face: [] for face in tri.faces}
-        for i, (dart, _face) in enumerate(tables.positions):
-            entry = (tables.orbit_of[i], tables.slot_of[i], dart)
-            for owner in tri.edge_faces[dart.edge]:
-                hits[owner].append(entry)
-        for entries in hits.values():
-            entries.sort()
-        tri._cache["face_hits"] = hits
-    return hits
+
+def _face_index(tri: Triangulation, face: Face) -> int:
+    """The index of a face of ``tri`` in ``tri.faces`` (which is sorted)."""
+    return bisect.bisect_left(tri.faces, face)
+
+
+def _dart(face: Face, k: int) -> Dart:
+    """Dart k of a face in ``omega`` order."""
+    tail, head = _LOCAL_DARTS[k]
+    return Dart(face[tail], face[head])
+
+
+def _darts(tri: Triangulation, positions) -> typing.Iterator[Dart]:
+    return (_dart(tri.faces[p // 6], p % 6) for p in positions)
 
 
 def least_rotation(sequence):
@@ -256,41 +279,32 @@ class ZigzagAtlas:
         return len(self.zigzags)
 
 
-def _atlas(tri: Triangulation) -> ZigzagAtlas:
-    atlas = tri._cache.get("atlas")
-    if atlas is None:
-        tables = _tables(tri)
-        zigzags = tuple(
-            Zigzag(tables.positions[i].dart for i in orbit)
-            for orbit in tables.orbits
-        )
-        by_value = {zigzag: zigzag for zigzag in zigzags}
-        pairing = {}
-        for zigzag in zigzags:
-            partner = by_value.get(zigzag.reverse())
-            if partner is None or partner == zigzag:
-                raise AssertionError("reversal pairing is not a fixed-point-free "
-                                     "involution on the orbit set")
-            pairing[zigzag] = partner
-        atlas = ZigzagAtlas(zigzags, pairing)
-        tri._cache["atlas"] = atlas
-    return atlas
+def _build_atlas(tri: Triangulation) -> ZigzagAtlas:
+    kernel = _kernel(tri)
+    zigzags = tuple(Zigzag(_darts(tri, orbit)) for orbit in kernel.orbits)
+    # reverse_position carries every orbit onto the orbit of its reverse.
+    partners = [kernel.orbit_of[p - p % 6 + _REVERSAL[p % 6]]
+                for p in (orbit[0] for orbit in kernel.orbits)]
+    if any(partner == i or partners[partner] != i
+           for i, partner in enumerate(partners)):
+        raise AssertionError("reversal pairing is not a fixed-point-free "
+                             "involution on the orbit set")
+    return ZigzagAtlas(zigzags, {zigzag: zigzags[partner]
+                                 for zigzag, partner in zip(zigzags, partners)})
 
 
 def trace(tri: Triangulation, position: Position) -> Zigzag:
     """The zigzag through a position: iterate step until first return."""
     _check_position(tri, position)
-    tables = _tables(tri)
-    start = tables.index[position]
-    orbit = tables.orbits[tables.orbit_of[start]]
-    slot = tables.slot_of[start]
-    rotated = orbit[slot:] + orbit[:slot]
-    return Zigzag(tables.positions[i].dart for i in rotated)
+    dart, face = position
+    kernel = _kernel(tri)
+    orbit_id = kernel.orbit_of[6 * _face_index(tri, face) + omega(face).index(dart)]
+    return Zigzag(_darts(tri, kernel.orbits[orbit_id]))
 
 
 def all_zigzags(tri: Triangulation) -> ZigzagAtlas:
     """The orbit partition of all 4E positions with the reversal pairing."""
-    return _atlas(tri)
+    return _cached(tri, "atlas", _build_atlas)
 
 
 def is_z_knotted(tri: Triangulation) -> bool:
@@ -299,23 +313,26 @@ def is_z_knotted(tri: Triangulation) -> bool:
     When true, each of the two directed zigzags traverses every edge exactly
     twice; that consequence is re-checked here rather than trusted.
     """
-    tables = _tables(tri)
-    if len(tables.orbits) != 2:
+    orbits = _kernel(tri).orbits
+    if len(orbits) != 2:
         return False
-    for orbit in tables.orbits:
-        counts = collections.Counter(
-            tables.positions[i].dart.edge for i in orbit)
+    for orbit in orbits:
+        counts = collections.Counter(dart.edge for dart in _darts(tri, orbit))
         if len(counts) != len(tri.edges) or set(counts.values()) != {2}:
             raise AssertionError(
                 "single zigzag pair that does not traverse every edge twice")
     return True
 
 
-def _face_orbit_ids(tri: Triangulation, face: Face) -> typing.FrozenSet[int]:
-    """Orbits of the six seed positions (dart of face, face)."""
-    tables = _tables(tri)
-    return frozenset(tables.orbit_of[tables.index[Position(dart, face)]]
-                     for dart in omega(face))
+def _face_orbit_ids(tri: Triangulation, face: Face) -> typing.Set[int]:
+    """Orbits of the six seed positions (dart of face, face): also those of
+    every position with its dart on an edge of the face, since one read in
+    the neighbouring face steps to a seed."""
+    face = make_face(*face)
+    if not tri.has_face(face):
+        raise FaceNotFound(f"face {face!r} not in triangulation")
+    base = 6 * _face_index(tri, face)
+    return set(_kernel(tri).orbit_of[base:base + 6])
 
 
 def zigzags_of_face(tri: Triangulation, face: Face) -> typing.FrozenSet[Zigzag]:
@@ -324,29 +341,18 @@ def zigzags_of_face(tri: Triangulation, face: Face) -> typing.FrozenSet[Zigzag]:
     These are the orbits of the six positions seated at the face; the result
     always has even size 2, 4 or 6 and is closed under reversal.
     """
-    face = make_face(*face)
-    if not tri.has_face(face):
-        raise FaceNotFound(f"face {face!r} not in triangulation")
-    atlas = _atlas(tri)
-    return frozenset(atlas.zigzags[i] for i in _face_orbit_ids(tri, face))
+    orbit_ids = _face_orbit_ids(tri, face)
+    return frozenset(all_zigzags(tri).zigzags[i] for i in orbit_ids)
 
 
 def is_locally_z_knotted(tri: Triangulation, face: Face) -> bool:
     """Whether exactly one zigzag pair meets the edges of the face."""
-    face = make_face(*face)
-    if not tri.has_face(face):
-        raise FaceNotFound(f"face {face!r} not in triangulation")
     return len(_face_orbit_ids(tri, face)) == 2
 
 
 def is_essential(tri: Triangulation, face: Face) -> bool:
     """Whether every zigzag of the triangulation meets an edge of the face."""
-    face = make_face(*face)
-    if not tri.has_face(face):
-        raise FaceNotFound(f"face {face!r} not in triangulation")
-    tables = _tables(tri)
-    touched = {orbit_id for orbit_id, _slot, _dart in _face_hits(tri)[face]}
-    return len(touched) == len(tables.orbits)
+    return len(_face_orbit_ids(tri, face)) == len(_kernel(tri).orbits)
 
 
 def is_simple(zigzag: Zigzag) -> bool:
@@ -363,6 +369,5 @@ def gauss_code(tri: Triangulation) -> typing.Tuple[str, ...]:
     """
     if not is_z_knotted(tri):
         raise NotZKnotted("gauss_code requires a z-knotted triangulation")
-    atlas = _atlas(tri)
-    representative = min(atlas.zigzags)
+    representative = min(all_zigzags(tri).zigzags)
     return tuple(f"{dart.edge[0]}-{dart.edge[1]}" for dart in representative.darts)

@@ -6,6 +6,7 @@ import pytest
 
 import trizig as tz
 from trizig.cli import main
+from trizig.errors import MalformedDocument
 from trizig.shredding import ShredCertificate
 
 
@@ -111,6 +112,27 @@ def test_monodromy_table(bp8_file, capsys):
     assert capsys.readouterr().out.strip() == "1,2,a\tM5"
 
     assert main(["monodromy", bp8_file, "--face", "1,2,9"]) == 2
+    capsys.readouterr()
+
+
+def test_degenerate_face_argument_is_malformed(bp8_file, capsys):
+    assert main(["monodromy", bp8_file, "--face", "1,1,2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "MalformedDocument"
+
+
+def test_deeply_nested_json_is_malformed(tmp_path, capsys):
+    depth = 100_000
+    nested = tmp_path / "nested.json"
+    nested.write_text('{"format": "tri-json/1", "faces": '
+                      + "[" * depth + "]" * depth + "}")
+    for command in ("validate", "euler", "knotted", "shred"):
+        assert main([command, str(nested)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"]["type"] == "MalformedDocument"
+    with pytest.raises(MalformedDocument):
+        ShredCertificate.from_json('{"format": "tri-shred-cert/1", "steps": '
+                                   + "[" * depth + "]" * depth + "}")
 
 
 def test_consum_matches_library(bp3_file, tmp_path, capsys):
@@ -152,14 +174,18 @@ def test_shred_cli(octa_file, tmp_path, capsys):
 def test_shred_deterministic_across_processes(octa_file, tmp_path):
     # Hash randomization must not leak into any output bytes.
     import os
+    import pathlib
     import subprocess
     import sys
 
+    # The child processes import the same trizig as this one.
+    source = str(pathlib.Path(tz.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     outputs = []
     for hashseed in ("1", "99"):
         out = tmp_path / f"out{hashseed}.json"
         cert = tmp_path / f"cert{hashseed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hashseed)
+        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
         subprocess.run(
             [sys.executable, "-m", "trizig.cli", "shred", octa_file,
              "-o", str(out), "--certificate", str(cert)],
