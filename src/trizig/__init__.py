@@ -2,10 +2,9 @@
 
 from . import errors
 from .core import (Dart, Edge, Face, Triangulation, ValidationReport, Vertex,
-                   Violation, build_triangulation, euler_characteristic,
-                   face_edges, face_rotation, face_rotation_inverse,
-                   is_orientable, make_edge, make_face, omega, other_face,
-                   third_vertex, validate)
+                   Violation, euler_characteristic, face_edges, face_rotation,
+                   face_rotation_inverse, is_orientable, make_edge, make_face,
+                   omega, other_face, third_vertex, validate)
 from .document import parse, serialize
 from .generators import (bipyramid, example_sum, platonic,
                          projective_plane_fig5, random_sphere, torus_grid)
@@ -19,8 +18,7 @@ from .surgery import (ALL, EXISTS, NONE, SpecialMap, SumResult, connected_sum,
                       enumerate_special_maps, fresh_label_prefix,
                       gluing_condition, refine_identity_face, th4_decide)
 from .zigzag import (Position, Zigzag, ZigzagAtlas, all_zigzags, gauss_code,
-                     is_essential, is_locally_z_knotted, is_simple,
-                     is_z_knotted, reverse_position, step, trace,
-                     zigzags_of_face)
+                     is_essential, is_locally_z_knotted, is_z_knotted,
+                     reverse_position, step, trace, zigzags_of_face)
 
 __version__ = "0.1.0"

@@ -7,6 +7,10 @@ the combinatorics down:
 (E1) every edge lies in exactly two distinct faces;
 (E2) two distinct faces meet in at most an edge (never a whole triple).
 
+Validation also requires every vertex link to be a single cycle (two discs
+pinched together at a vertex satisfy E1 and E2 but are no surface there)
+and the faces to be connected across edges.
+
 Under (E1)/(E2) the face set alone determines all incidence, so a
 ``Triangulation`` stores nothing but its sorted faces; edges, the
 edge-to-faces map and the vertex set are derived at construction time.
@@ -15,6 +19,8 @@ canonicalized to their decimal text so that relabeling during surgery stays
 stable.
 """
 
+import collections
+import itertools
 import typing
 from dataclasses import dataclass
 
@@ -27,6 +33,7 @@ Face = typing.Tuple[str, str, str]
 # Validation rule identifiers used in reports.
 DUPLICATE_FACE = "DuplicateFace"
 EDGE_DEGREE = "EdgeDegreeViolation"
+NON_MANIFOLD_VERTEX = "NonManifoldVertex"
 NON_TRIANGLE = "NonTriangleInput"
 DISCONNECTED = "Disconnected"
 
@@ -137,11 +144,32 @@ def _canonical_label(x) -> str:
     raise TypeError(f"vertex label must be text or integer, got {x!r}")
 
 
-def _clean_faces(raw) -> typing.Tuple[typing.List[Face], typing.List[Violation]]:
-    """Canonicalize raw triples, collecting NonTriangleInput/DuplicateFace."""
+def _reach(start, neighbours) -> set:
+    """Every node reachable from ``start`` in the graph given by ``neighbours``."""
+    reached = {start}
+    stack = [start]
+    while stack:
+        for node in neighbours(stack.pop()):
+            if node not in reached:
+                reached.add(node)
+                stack.append(node)
+    return reached
+
+
+def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
+                                  typing.Dict[Edge, typing.Tuple[Face, ...]],
+                                  typing.List[Violation]]:
+    """Canonicalize a face list, derive its incidence once and validate it.
+
+    Accepts a ``Triangulation`` or any iterable of vertex triples.  Returns
+    the sorted faces, the sorted edges, the edge -> incident-faces map (in
+    sorted-face order) and every violation, in rule order: NonTriangleInput
+    and DuplicateFace by input position, EdgeDegreeViolation by edge,
+    NonManifoldVertex by vertex, then Disconnected.
+    """
+    raw = faces.faces if isinstance(faces, Triangulation) else faces
     violations = []
     seen: typing.Dict[Face, int] = {}
-    clean: typing.List[Face] = []
     for i, item in enumerate(raw):
         entry = tuple(item)
         if len(entry) != 3:
@@ -150,99 +178,101 @@ def _clean_faces(raw) -> typing.Tuple[typing.List[Face], typing.List[Violation]]
                 f"face #{i} has {len(entry)} vertices, expected 3"))
             continue
         try:
-            labels = tuple(_canonical_label(x) for x in entry)
+            labels = tuple(map(_canonical_label, entry))
         except TypeError as exc:
             violations.append(Violation(NON_TRIANGLE, (i, entry), f"face #{i}: {exc}"))
             continue
-        if "" in labels:
+        face = typing.cast(Face, tuple(sorted(labels)))
+        if face[0] == "":
             violations.append(Violation(
                 NON_TRIANGLE, (i, entry), f"face #{i} has an empty vertex label"))
             continue
-        if len(set(labels)) != 3:
+        if face[0] == face[1] or face[1] == face[2]:
             violations.append(Violation(
                 NON_TRIANGLE, (i, entry),
                 f"face #{i} repeats a vertex: {labels}"))
             continue
-        face = typing.cast(Face, tuple(sorted(labels)))
         if face in seen:
             violations.append(Violation(
                 DUPLICATE_FACE, (seen[face], i, face),
                 f"face {face} appears more than once (E2)"))
             continue
         seen[face] = i
-        clean.append(face)
-    return sorted(clean), violations
 
-
-def _structural_violations(faces: typing.List[Face]) -> typing.List[Violation]:
-    """Check (E1) and connectedness on a deduplicated face list."""
-    violations = []
-    if not faces:
-        violations.append(Violation(NON_TRIANGLE, (), "empty face list"))
-        return violations
-
-    edge_faces: typing.Dict[Edge, typing.List[Face]] = {}
+    faces = sorted(seen)
+    edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]] = {}
     for face in faces:
         for edge in face_edges(face):
-            edge_faces.setdefault(edge, []).append(face)
-    for edge, incident in sorted(edge_faces.items()):
+            edge_faces[edge] = edge_faces.get(edge, ()) + (face,)
+    edges = sorted(edge_faces)
+    if not faces:
+        violations.append(Violation(NON_TRIANGLE, (), "empty face list"))
+        return faces, edges, edge_faces, violations
+    for edge in edges:
+        incident = edge_faces[edge]
         if len(incident) != 2:
             violations.append(Violation(
                 EDGE_DEGREE, (edge,),
                 f"edge {edge} lies in {len(incident)} face(s), expected 2 (E1)"))
 
-    # Vertex graph connectivity.
-    adjacency: typing.Dict[str, set] = {}
-    for (u, v) in edge_faces:
-        adjacency.setdefault(u, set()).add(v)
-        adjacency.setdefault(v, set()).add(u)
-    start = min(adjacency)
-    reached = {start}
-    stack = [start]
-    while stack:
-        for w in adjacency[stack.pop()]:
-            if w not in reached:
-                reached.add(w)
-                stack.append(w)
-    if len(reached) != len(adjacency):
-        missing = sorted(set(adjacency) - reached)
-        violations.append(Violation(
-            DISCONNECTED, tuple(missing),
-            f"vertex graph is disconnected; unreachable vertices {missing}"))
+    if not violations:
+        # Under (E1) the faces at v form disjoint cycles (the link of v) in
+        # which faces sharing an edge vy are neighbours; each step crosses vy
+        # and moves y to the next face's third vertex.  v is a manifold point
+        # iff the cycle walked from one face at v holds all of its faces.
+        faces_at = collections.Counter(itertools.chain.from_iterable(faces))
+        pinched = []
+        for start in faces:
+            a, b, c = start
+            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
+                if v not in faces_at:  # walked: its face count was popped
+                    continue
+                face, around = start, 1
+                while y != x:
+                    first, second = edge_faces[(v, y) if v < y else (y, v)]
+                    face = second if first == face else first
+                    p, q, r = face
+                    y = p if p != v and p != y else q if q != v and q != y else r
+                    around += 1
+                if around != faces_at.pop(v):
+                    pinched.append(v)
+        for v in sorted(pinched):
+            violations.append(Violation(
+                NON_MANIFOLD_VERTEX, (v,),
+                f"link of vertex {v!r} is not a single cycle (pinched surface)"))
 
-    # Face adjacency graph connectivity (faces adjacent = share an edge).
-    face_reached = {faces[0]}
-    stack = [faces[0]]
-    while stack:
-        face = stack.pop()
-        for edge in face_edges(face):
-            for neighbor in edge_faces[edge]:
-                if neighbor not in face_reached:
-                    face_reached.add(neighbor)
-                    stack.append(neighbor)
+    # Face-connected implies vertex-connected, so the vertex graph is walked
+    # only to report it alongside a face graph that is found disconnected.
+    face_reached = _reach(faces[0], lambda f: (
+        edge_faces[f[0], f[1]] + edge_faces[f[0], f[2]] + edge_faces[f[1], f[2]]))
     if len(face_reached) != len(faces):
+        adjacency: typing.Dict[str, set] = {}
+        for (u, v) in edges:
+            adjacency.setdefault(u, set()).add(v)
+            adjacency.setdefault(v, set()).add(u)
+        reached = _reach(min(adjacency), adjacency.__getitem__)
+        if len(reached) != len(adjacency):
+            missing = sorted(set(adjacency) - reached)
+            violations.append(Violation(
+                DISCONNECTED, tuple(missing),
+                f"vertex graph is disconnected; unreachable vertices {missing}"))
         missing_faces = sorted(set(faces) - face_reached)
         violations.append(Violation(
             DISCONNECTED, tuple(missing_faces),
             f"face adjacency graph is disconnected; "
             f"{len(missing_faces)} unreachable face(s)"))
-    return violations
+    return faces, edges, edge_faces, violations
 
 
 def validate(faces) -> ValidationReport:
-    """Validate a face list (or an existing triangulation) against (E1)/(E2).
+    """Validate a face list (or an existing triangulation).
 
-    Accepts either a ``Triangulation`` or any iterable of vertex triples.
-    Reports every violation found; never raises.  Idempotent: validating a
-    constructed triangulation always reports ok.
+    Accepts either a ``Triangulation`` or any iterable of vertex triples and
+    checks (E1), (E2), the vertex links and connectedness.  Reports every
+    violation found; never raises.  Idempotent: validating a constructed
+    triangulation always reports ok.
     """
-    if isinstance(faces, Triangulation):
-        raw = list(faces.faces)
-    else:
-        raw = list(faces)
-    clean, violations = _clean_faces(raw)
-    violations.extend(_structural_violations(clean))
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(_check(faces)[-1]))
 
 
 class Triangulation:
@@ -255,38 +285,22 @@ class Triangulation:
     on them is a pure function.
     """
 
-    __slots__ = ("faces", "edges", "edge_faces", "vertices",
-                 "_face_set", "_edge_set", "_cache")
+    __slots__ = ("faces", "edges", "edge_faces", "vertices", "_face_set", "_cache")
 
     def __init__(self, faces):
-        raw = list(faces.faces) if isinstance(faces, Triangulation) else list(faces)
-        clean, violations = _clean_faces(raw)
-        violations.extend(_structural_violations(clean))
+        faces, edges, edge_faces, violations = _check(faces)
         if violations:
             raise ValidationFailure(ValidationReport(tuple(violations)))
-
-        edge_faces: typing.Dict[Edge, typing.List[Face]] = {}
-        for face in clean:
-            for edge in face_edges(face):
-                edge_faces.setdefault(edge, []).append(face)
-
-        self.faces: typing.Tuple[Face, ...] = tuple(clean)
-        self.edges: typing.Tuple[Edge, ...] = tuple(sorted(edge_faces))
-        self.edge_faces: typing.Dict[Edge, typing.Tuple[Face, Face]] = {
-            edge: (incident[0], incident[1])
-            for edge, incident in edge_faces.items()
-        }
-        vertex_set = {v for face in clean for v in face}
-        self.vertices: typing.Tuple[str, ...] = tuple(sorted(vertex_set))
-        self._face_set = frozenset(clean)
-        self._edge_set = frozenset(self.edges)
+        self.faces: typing.Tuple[Face, ...] = tuple(faces)
+        self.edges: typing.Tuple[Edge, ...] = tuple(edges)
+        self.edge_faces: typing.Dict[Edge, typing.Tuple[Face, Face]] = edge_faces
+        self.vertices: typing.Tuple[str, ...] = tuple(
+            sorted(set(itertools.chain.from_iterable(faces))))
+        self._face_set = frozenset(faces)
         self._cache: dict = {}
 
     def has_face(self, face: Face) -> bool:
         return face in self._face_set
-
-    def has_edge(self, edge: Edge) -> bool:
-        return edge in self._edge_set
 
     def __eq__(self, other):
         return isinstance(other, Triangulation) and self.faces == other.faces
@@ -297,11 +311,6 @@ class Triangulation:
     def __repr__(self):
         return (f"Triangulation({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges, {len(self.faces)} faces)")
-
-
-def build_triangulation(face_list) -> Triangulation:
-    """Build a triangulation from vertex triples, or raise ValidationFailure."""
-    return Triangulation(face_list)
 
 
 def other_face(tri: Triangulation, edge: Edge, face: Face) -> Face:

@@ -120,13 +120,13 @@ class MonodromyType:
     tag: str
     witness: typing.Optional[Witness] = None
 
-    def expand(self, rotation: DartPermutation) -> DartPermutation:
-        """The permutation this type describes, relative to the face rotation."""
-        face = rotation.face
+    def expand(self, face: Face) -> DartPermutation:
+        """The permutation this type describes on ``face``, relative to its rotation."""
+        rotation = DartPermutation.rotation(face)
         if self.tag == "M1":
             return DartPermutation.identity(face)
         if self.tag == "M2":
-            return DartPermutation(face, rotation.as_dict())
+            return rotation
         if self.tag == "M5":
             return rotation.inverse()
         if self.tag not in _PATTERNS:
@@ -174,7 +174,7 @@ def _shape_table():
             candidates += [(tag, (a, b, c)), (tag, (b, c, a)), (tag, (c, a, b))]
     table = {}
     for tag, witness in candidates:
-        image = MonodromyType(tag, witness).expand(rotation)
+        image = MonodromyType(tag, witness).expand(face)
         table.setdefault(tuple(darts.index(image(dart)) for dart in darts),
                          (tag, witness and tuple(map(darts.index, witness))))
     return table
@@ -225,16 +225,12 @@ def z_monodromy(tri: Triangulation, face: Face) -> DartPermutation:
     return DartPermutation(face, {dart: darts[k] for dart, k in zip(darts, image)})
 
 
-def classify(monodromy: DartPermutation,
-             rotation: DartPermutation) -> MonodromyType:
+def classify(monodromy: DartPermutation) -> MonodromyType:
     """Match a z-monodromy against the seven shapes by table lookup.
 
-    ``rotation`` must be the face rotation D of the monodromy's face; the
-    shapes are mutually exclusive, and ``_SHAPES`` fixes the witness.
+    Shapes are relative to the face rotation D of the monodromy's face; they
+    are mutually exclusive, and ``_SHAPES`` fixes the witness.
     """
-    if rotation != DartPermutation.rotation(monodromy.face):
-        raise ValueError("rotation is not the face rotation of the "
-                         "monodromy's face")
     darts = monodromy.domain
     return _monodromy_type(monodromy.face,
                            tuple(darts.index(monodromy(dart)) for dart in darts))

@@ -211,6 +211,7 @@ class Zigzag:
 
     @property
     def is_simple(self) -> bool:
+        """Whether the vertex cycle has pairwise distinct entries."""
         vertices = self.vertices
         return len(set(vertices)) == len(vertices)
 
@@ -353,11 +354,6 @@ def is_locally_z_knotted(tri: Triangulation, face: Face) -> bool:
 def is_essential(tri: Triangulation, face: Face) -> bool:
     """Whether every zigzag of the triangulation meets an edge of the face."""
     return len(_face_orbit_ids(tri, face)) == len(_kernel(tri).orbits)
-
-
-def is_simple(zigzag: Zigzag) -> bool:
-    """Whether the vertex cycle of the zigzag has pairwise distinct entries."""
-    return zigzag.is_simple
 
 
 def gauss_code(tri: Triangulation) -> typing.Tuple[str, ...]:

@@ -9,7 +9,6 @@ import itertools
 import time
 
 import trizig as tz
-from trizig.monodromy import DartPermutation
 from trizig.shredding import _bad_faces
 
 KNOTTED_TAGS = {"M1", "M2", "M3", "M4"}
@@ -20,8 +19,7 @@ def _passed(number, text):
 
 
 def _tag(tri, face):
-    return tz.classify(tz.z_monodromy(tri, face),
-                       DartPermutation.rotation(face)).tag
+    return tz.classify(tz.z_monodromy(tri, face)).tag
 
 
 def test_criterion_01_golden_monodromy_table():

@@ -81,6 +81,18 @@ def test_validate_exit_codes(bp3_file, broken_file, tmp_path, capsys):
     assert main(["validate", str(tmp_path / "missing.json")]) == 2
 
 
+def test_pinched_vertex_exit_codes(tmp_path, capsys):
+    faces = [["1" if v == "12" else v for v in face]
+             for face in tz.platonic("icosahedron").faces]
+    pinched = tmp_path / "pinched.json"
+    pinched.write_text(json.dumps({"format": "tri-json/1", "faces": faces}))
+    assert main(["validate", str(pinched)]) == 1
+    assert capsys.readouterr().out.startswith("NonManifoldVertex: ")
+    assert main(["shred", str(pinched)]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"]["type"] == "ValidationFailure"
+
+
 def test_euler(bp3_file, capsys):
     assert main(["euler", bp3_file]) == 0
     assert capsys.readouterr().out.strip() == "2"

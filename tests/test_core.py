@@ -5,14 +5,18 @@ from hypothesis import given, strategies as st
 
 import trizig as tz
 from trizig.core import (DISCONNECTED, DUPLICATE_FACE, EDGE_DEGREE,
-                         NON_TRIANGLE, Dart)
+                         NON_MANIFOLD_VERTEX, NON_TRIANGLE, Dart)
 from trizig.errors import EdgeNotInFace, ValidationFailure
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
+# The icosahedron with its antipodal vertices 1 and 12 identified: every
+# edge still lies in two faces, but the link of vertex 1 is two 5-cycles.
+PINCHED_ICOSAHEDRON = [tuple("1" if v == "12" else v for v in face)
+                       for face in tz.platonic("icosahedron").faces]
 
 
 def test_build_tetrahedron_counts():
-    tri = tz.build_triangulation(TETRA)
+    tri = tz.Triangulation(TETRA)
     assert len(tri.vertices) == 4
     assert len(tri.edges) == 6
     assert len(tri.faces) == 4
@@ -20,7 +24,7 @@ def test_build_tetrahedron_counts():
 
 
 def test_build_bp3_counts():
-    tri = tz.build_triangulation(
+    tri = tz.Triangulation(
         [("1", "2", "a"), ("2", "3", "a"), ("3", "1", "a"),
          ("1", "2", "b"), ("2", "3", "b"), ("3", "1", "b")])
     assert len(tri.vertices) == 5
@@ -30,14 +34,14 @@ def test_build_bp3_counts():
 
 
 def test_integer_labels_are_canonicalized():
-    tri = tz.build_triangulation(TETRA)
-    assert tri == tz.build_triangulation([("1", "2", "3"), ("1", "2", "4"),
-                                          ("1", "3", "4"), ("2", "3", "4")])
+    tri = tz.Triangulation(TETRA)
+    assert tri == tz.Triangulation([("1", "2", "3"), ("1", "2", "4"),
+                                    ("1", "3", "4"), ("2", "3", "4")])
 
 
 def test_build_rejects_edge_degree_violation():
     with pytest.raises(ValidationFailure) as info:
-        tz.build_triangulation([(1, 2, 3), (1, 2, 4)])
+        tz.Triangulation([(1, 2, 3), (1, 2, 4)])
     rules = {v.rule for v in info.value.report.violations}
     assert EDGE_DEGREE in rules
     # the bad edges are named
@@ -47,22 +51,50 @@ def test_build_rejects_edge_degree_violation():
 
 def test_build_rejects_duplicate_face():
     with pytest.raises(ValidationFailure) as info:
-        tz.build_triangulation([(1, 2, 3), (3, 2, 1)])
+        tz.Triangulation([(1, 2, 3), (3, 2, 1)])
     assert DUPLICATE_FACE in {v.rule for v in info.value.report.violations}
 
 
 def test_build_rejects_non_triangles():
     for bad in ([(1, 2)], [(1, 2, 3, 4)], [(1, 1, 2)], [("", "x", "y")], []):
         with pytest.raises(ValidationFailure) as info:
-            tz.build_triangulation(bad)
+            tz.Triangulation(bad)
         assert NON_TRIANGLE in {v.rule for v in info.value.report.violations}
 
 
 def test_build_rejects_disconnected():
     two_tetra = TETRA + [(5, 6, 7), (5, 6, 8), (5, 7, 8), (6, 7, 8)]
     with pytest.raises(ValidationFailure) as info:
-        tz.build_triangulation(two_tetra)
-    assert DISCONNECTED in {v.rule for v in info.value.report.violations}
+        tz.Triangulation(two_tetra)
+    vertex_graph, face_graph = info.value.report.violations
+    assert vertex_graph.rule == face_graph.rule == DISCONNECTED
+    assert vertex_graph.subject == ("5", "6", "7", "8")
+    assert "vertex graph" in vertex_graph.message
+    assert face_graph.subject == (("5", "6", "7"), ("5", "6", "8"),
+                                  ("5", "7", "8"), ("6", "7", "8"))
+    assert "face adjacency graph" in face_graph.message
+    assert tz.validate(two_tetra).violations == info.value.report.violations
+
+
+def test_build_rejects_pinched_icosahedron():
+    report = tz.validate(PINCHED_ICOSAHEDRON)
+    assert [(v.rule, v.subject) for v in report.violations] == [
+        (NON_MANIFOLD_VERTEX, ("1",))]
+    with pytest.raises(ValidationFailure) as info:
+        tz.Triangulation(PINCHED_ICOSAHEDRON)
+    assert info.value.report == report
+
+
+def test_build_rejects_tetrahedra_sharing_a_vertex():
+    bouquet = TETRA + [(1, 6, 7), (1, 6, 8), (1, 7, 8), (6, 7, 8)]
+    report = tz.validate(bouquet)
+    # Sharing vertex 1 keeps the vertex graph connected, not the face graph.
+    assert [(v.rule, v.subject) for v in report.violations] == [
+        (NON_MANIFOLD_VERTEX, ("1",)),
+        (DISCONNECTED, (("1", "6", "7"), ("1", "6", "8"),
+                        ("1", "7", "8"), ("6", "7", "8")))]
+    with pytest.raises(ValidationFailure):
+        tz.Triangulation(bouquet)
 
 
 def test_validate_reports_without_raising():
@@ -74,13 +106,13 @@ def test_validate_reports_without_raising():
     assert ok_report.ok and str(ok_report) == "ok"
 
     # idempotent on constructed triangulations
-    tri = tz.build_triangulation(TETRA)
+    tri = tz.Triangulation(TETRA)
     assert tz.validate(tri).ok
     assert tz.validate(tz.platonic("octahedron")).ok
 
 
 def test_other_face():
-    tetra = tz.build_triangulation(TETRA)
+    tetra = tz.Triangulation(TETRA)
     assert tz.other_face(tetra, ("1", "2"), ("1", "2", "3")) == ("1", "2", "4")
     bp3 = tz.bipyramid(3)
     assert tz.other_face(bp3, ("1", "2"), ("1", "2", "a")) == ("1", "2", "b")
@@ -128,7 +160,7 @@ def test_dart_negation():
 
 
 def test_euler_characteristic():
-    assert tz.euler_characteristic(tz.build_triangulation(TETRA)) == 2
+    assert tz.euler_characteristic(tz.Triangulation(TETRA)) == 2
     assert tz.euler_characteristic(tz.torus_grid(3, 3)) == 0
     assert tz.euler_characteristic(tz.projective_plane_fig5()) == 1
 
@@ -175,7 +207,7 @@ def test_triangulation_value_semantics():
 def test_validate_never_raises_on_junk(face_list):
     report = tz.validate(face_list)
     if report.ok:
-        tz.build_triangulation(face_list)
+        tz.Triangulation(face_list)
     else:
         with pytest.raises(ValidationFailure):
-            tz.build_triangulation(face_list)
+            tz.Triangulation(face_list)

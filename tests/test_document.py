@@ -22,7 +22,7 @@ def test_serialize_is_canonical_and_stable():
     two = tz.serialize(tz.bipyramid(3))
     assert one == two
     # permuting the face list or triples does not change the bytes
-    shuffled = tz.build_triangulation(
+    shuffled = tz.Triangulation(
         [("a", "2", "1"), ("b", "3", "2"), ("3", "1", "a"),
          ("2", "1", "b"), ("2", "3", "a"), ("1", "3", "b")])
     assert tz.serialize(shuffled) == one

@@ -144,7 +144,7 @@ def test_face_types_match_the_pattern_search(build):
     for face, mtype in types.items():
         monodromy = tz.z_monodromy(tri, face)
         assert mtype == _searched_type(monodromy)
-        assert tz.classify(monodromy, DartPermutation.rotation(face)) == mtype
+        assert tz.classify(monodromy) == mtype
 
 
 def test_shape_table_has_the_fifteen_valid_monodromies():
@@ -158,11 +158,3 @@ def test_surfaces_include_non_spheres():
     chis = {tz.euler_characteristic(build()) for _name, build in _surfaces()}
     assert chis == {0, 1, 2}
 
-
-def test_classify_requires_the_face_rotation():
-    face = ("1", "2", "a")
-    monodromy = tz.z_monodromy(tz.bipyramid(3), face)
-    with pytest.raises(ValueError):
-        tz.classify(monodromy, DartPermutation.rotation(face).inverse())
-    with pytest.raises(ValueError):
-        tz.classify(monodromy, DartPermutation.rotation(("1", "2", "b")))

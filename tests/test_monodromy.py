@@ -11,7 +11,7 @@ KNOTTED_TAGS = ("M1", "M2", "M3", "M4")
 
 
 def _type_of(tri, face):
-    return tz.classify(tz.z_monodromy(tri, face), DartPermutation.rotation(face))
+    return tz.classify(tz.z_monodromy(tri, face))
 
 
 def test_bp3_monodromy_dart_map():
@@ -57,9 +57,8 @@ def test_witness_reproduces_the_monodromy(full_corpus):
     for tri in full_corpus[:60]:
         for face in tri.faces:
             monodromy = tz.z_monodromy(tri, face)
-            rotation = DartPermutation.rotation(face)
-            mtype = tz.classify(monodromy, rotation)
-            assert mtype.expand(rotation) == monodromy
+            mtype = tz.classify(monodromy)
+            assert mtype.expand(face) == monodromy
             if mtype.tag in ("M1", "M2", "M5"):
                 assert mtype.witness is None
             else:
@@ -132,7 +131,7 @@ def test_classify_rejects_shapeless_permutation():
     face = ("1", "2", "a")
     negate_all = DartPermutation(face, {d: -d for d in tz.omega(face)})
     with pytest.raises(UnclassifiableMonodromy):
-        tz.classify(negate_all, DartPermutation.rotation(face))
+        tz.classify(negate_all)
 
 
 def test_classify_never_fails_on_corpus(full_corpus):

@@ -1,6 +1,7 @@
 """Shredding loop, patches, and certificate replay."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trizig as tz
 from trizig.errors import InvalidMonodromyType, MalformedDocument
@@ -59,14 +60,11 @@ def test_find_gluing_map_m7_face():
 
 def test_m7_witness_aligned_map_satisfies_condition():
     # Carrying the M7 witness onto the patch's M3 witness always works.
-    from trizig.monodromy import DartPermutation
-
     bp6 = tz.bipyramid(6)
     face = ("1", "2", "a")
     patch = tz.patch_for("M7")
-    m7 = tz.classify(tz.z_monodromy(bp6, face), DartPermutation.rotation(face))
-    m3 = tz.classify(tz.z_monodromy(patch.triangulation, patch.designated_face),
-                     DartPermutation.rotation(patch.designated_face))
+    m7 = tz.classify(tz.z_monodromy(bp6, face))
+    m3 = tz.classify(tz.z_monodromy(patch.triangulation, patch.designated_face))
     mapping = {}
     for dart, image in zip(m7.witness, m3.witness):
         mapping[dart.tail] = image.tail
@@ -222,3 +220,28 @@ def test_verify_certificate_empty_on_wrong_pair():
     empty = ShredCertificate((), 2 * len(bp3.edges))
     assert tz.verify_certificate(bp3, empty, bp3).ok
     assert not tz.verify_certificate(bp3, empty, tz.bipyramid(5)).ok
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.sampled_from([(genus, cross_caps) for genus in range(3)
+                        for cross_caps in range(4) if genus or cross_caps]),
+       st.data())
+def test_shred_sums_of_tori_and_projective_planes(surface, data):
+    # g tori and k projective planes sum to chi = 2 - 2g - k, orientable iff k = 0.
+    genus, cross_caps = surface
+    summands = ([tz.torus_grid(3, 3) for _ in range(genus)]
+                + [tz.projective_plane_fig5() for _ in range(cross_caps)])
+    tri = summands[0]
+    for other in summands[1:]:
+        face = data.draw(st.sampled_from(tri.faces))
+        other_face = data.draw(st.sampled_from(other.faces))
+        gluing = data.draw(st.sampled_from(tz.enumerate_special_maps(face, other_face)))
+        tri = tz.connected_sum(tri, face, other, other_face, gluing).triangulation
+    assert tz.validate(tri).ok
+    chi = 2 - 2 * genus - cross_caps
+    assert tz.euler_characteristic(tri) == chi
+    assert tz.is_orientable(tri) == (cross_caps == 0)
+    shredded, certificate = tz.shred(tri)
+    assert tz.is_z_knotted(shredded)
+    assert tz.euler_characteristic(shredded) == chi
+    assert tz.verify_certificate(tri, certificate, shredded).ok

@@ -8,7 +8,6 @@ import trizig as tz
 from trizig.errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
                            LabelCollision, MonodromyNotIdentity, NotZKnotted,
                            SelfSum)
-from trizig.monodromy import DartPermutation
 from trizig.surgery import fresh_label_prefix
 
 
@@ -258,8 +257,7 @@ def test_glued_product_cycle_type_is_order_independent():
 
 
 def _type_tag(tri, face):
-    return tz.classify(tz.z_monodromy(tri, face),
-                       DartPermutation.rotation(face)).tag
+    return tz.classify(tz.z_monodromy(tri, face)).tag
 
 
 def test_th4_decide_matches_exhaustive_gluing():

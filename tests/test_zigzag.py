@@ -231,7 +231,7 @@ def test_is_simple():
     assert all(z.is_simple for z in tz.all_zigzags(tz.platonic("tetrahedron")))
     assert all(z.is_simple for z in tz.all_zigzags(tz.platonic("icosahedron")))
     bp3_zigzag = next(iter(tz.all_zigzags(tz.bipyramid(3))))
-    assert not tz.is_simple(bp3_zigzag)
+    assert not bp3_zigzag.is_simple
 
 
 def test_gauss_code_bp3():
