@@ -84,14 +84,23 @@ def third_vertex(face: Face, u: Vertex, v: Vertex) -> Vertex:
     raise ValueError(f"face {face!r} has no vertex outside {{{u!r}, {v!r}}}")
 
 
+# Dart k of a face (a, b, c) in omega order ab, bc, ca, ba, cb, ac: its
+# (tail, head) vertex slots, and the face rotation D, D^-1 and negation as
+# permutations of k; the same for every face, as (ab, bc, ca) is a D-cycle.
+OMEGA_SLOTS = ((0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2))
+OMEGA_ROTATION = (1, 2, 0, 5, 3, 4)
+OMEGA_ROTATION_INVERSE = (2, 0, 1, 4, 5, 3)
+OMEGA_NEGATION = (3, 4, 5, 0, 1, 2)
+
+
 def omega(face: Face) -> typing.Tuple[Dart, ...]:
     """The six darts of a face in canonical order.
 
     With sorted vertices v1 < v2 < v3 the order is the rotation cycle of
     v1->v2 followed by the negations: (v1v2, v2v3, v3v1, v2v1, v3v2, v1v3).
     """
-    a, b, c = make_face(*face)
-    return (Dart(a, b), Dart(b, c), Dart(c, a), Dart(b, a), Dart(c, b), Dart(a, c))
+    face = make_face(*face)
+    return tuple(Dart(face[tail], face[head]) for tail, head in OMEGA_SLOTS)
 
 
 def face_rotation(face: Face, dart: Dart) -> Dart:
@@ -100,16 +109,18 @@ def face_rotation(face: Face, dart: Dart) -> Dart:
     A product of two 3-cycles on the six darts of the face; applying it three
     times is the identity, and rotation(e) = e' implies rotation(-e') = -e.
     """
-    if dart.tail not in face or dart.head not in face or dart.tail == dart.head:
+    darts = omega(face)
+    if dart not in darts:
         raise EdgeNotInFace(f"dart {dart!r} is not on face {face!r}")
-    return Dart(dart.head, third_vertex(face, dart.tail, dart.head))
+    return darts[OMEGA_ROTATION[darts.index(dart)]]
 
 
 def face_rotation_inverse(face: Face, dart: Dart) -> Dart:
     """The dart e0 with rotation(e0) = dart."""
-    if dart.tail not in face or dart.head not in face or dart.tail == dart.head:
+    darts = omega(face)
+    if dart not in darts:
         raise EdgeNotInFace(f"dart {dart!r} is not on face {face!r}")
-    return Dart(third_vertex(face, dart.tail, dart.head), dart.tail)
+    return darts[OMEGA_ROTATION_INVERSE[darts.index(dart)]]
 
 
 class Violation(typing.NamedTuple):
@@ -170,8 +181,12 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
     raw = faces.faces if isinstance(faces, Triangulation) else faces
     violations = []
     seen: typing.Dict[Face, int] = {}
-    for i, item in enumerate(raw):
-        entry = tuple(item)
+    try:
+        entries = [tuple(item) for item in raw]
+    except TypeError as exc:
+        return [], [], {}, [Violation(
+            NON_TRIANGLE, (), f"face list is not a list of vertex triples: {exc}")]
+    for i, entry in enumerate(entries):
         if len(entry) != 3:
             violations.append(Violation(
                 NON_TRIANGLE, (i, entry),
@@ -330,29 +345,26 @@ def euler_characteristic(tri: Triangulation) -> int:
     return len(tri.vertices) - len(tri.edges) + len(tri.faces)
 
 
-def _reference_boundary(face: Face) -> typing.Dict[Edge, Dart]:
-    """One of the two boundary orientations of a face, keyed by edge."""
-    a, b, c = face
-    cycle = (Dart(a, b), Dart(b, c), Dart(c, a))
-    return {dart.edge: dart for dart in cycle}
-
-
 def is_orientable(tri: Triangulation) -> bool:
     """Whether the faces admit cyclic orders inducing opposite directions
     on every shared edge.
 
     Propagates an orientation sign over the face adjacency graph (connected
-    by validation); a sign conflict certifies non-orientability.
+    by validation); a sign conflict certifies non-orientability.  Sign 1 on
+    a sorted face (a, b, c) is the boundary a->b->c->a, which runs along
+    every sorted edge of the face except (a, c).
     """
-    reference = {face: _reference_boundary(face) for face in tri.faces}
     sign = {tri.faces[0]: 1}
     stack = [tri.faces[0]]
     while stack:
         face = stack.pop()
-        for edge in face_edges(face):
-            neighbor = other_face(tri, edge, face)
-            same_direction = reference[face][edge] == reference[neighbor][edge]
-            required = -sign[face] if same_direction else sign[face]
+        a, b, c = face
+        for edge, direction in (((a, b), sign[face]), ((b, c), sign[face]),
+                                ((a, c), -sign[face])):
+            first, second = tri.edge_faces[edge]
+            neighbor = second if first == face else first
+            # The neighbour must run the edge against ``direction``.
+            required = direction if edge == (neighbor[0], neighbor[2]) else -direction
             if neighbor not in sign:
                 sign[neighbor] = required
                 stack.append(neighbor)

@@ -22,62 +22,72 @@ import typing
 from dataclasses import dataclass
 
 from . import zigzag as _zz
-from .core import Dart, Face, Triangulation, face_rotation, make_face, omega
+from .core import (OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE, Dart,
+                   Face, Triangulation, make_face, omega)
 from .errors import FaceNotFound, UnclassifiableMonodromy
+
+_IDENTITY = (0, 1, 2, 3, 4, 5)
 
 
 class DartPermutation:
-    """A permutation of the six darts of one face."""
+    """A permutation of the six darts of one face.
 
-    __slots__ = ("face", "domain", "_map")
+    Stored as the face and ``image``, the 6-tuple of ``omega`` indices with
+    dart k mapped to dart ``image[k]``.
+    """
+
+    __slots__ = ("face", "image")
 
     def __init__(self, face: Face, mapping: typing.Mapping[Dart, Dart]):
         self.face = make_face(*face)
-        self.domain = omega(self.face)
-        domain_set = set(self.domain)
-        if set(mapping) != domain_set or set(mapping.values()) != domain_set:
+        darts = omega(self.face)
+        if set(mapping) != set(darts) or set(mapping.values()) != set(darts):
             raise ValueError(f"mapping is not a permutation of the darts of {face}")
-        self._map = dict(mapping)
+        self.image = tuple(darts.index(mapping[dart]) for dart in darts)
+
+    @classmethod
+    def _of(cls, face: Face, image: typing.Tuple[int, ...]) -> "DartPermutation":
+        """The permutation ``image`` of a canonical face's darts, unchecked."""
+        permutation = cls.__new__(cls)
+        permutation.face, permutation.image = face, image
+        return permutation
 
     @classmethod
     def identity(cls, face: Face) -> "DartPermutation":
-        return cls(face, {dart: dart for dart in omega(face)})
+        return cls._of(make_face(*face), _IDENTITY)
 
     @classmethod
     def rotation(cls, face: Face) -> "DartPermutation":
         """The face rotation D as a permutation of the face's darts."""
-        return cls(face, {dart: face_rotation(face, dart) for dart in omega(face)})
+        return cls._of(make_face(*face), OMEGA_ROTATION)
+
+    @property
+    def domain(self) -> typing.Tuple[Dart, ...]:
+        return omega(self.face)
 
     def __call__(self, dart: Dart) -> Dart:
-        return self._map[dart]
+        return self.as_dict()[dart]
 
     def compose(self, other: "DartPermutation") -> "DartPermutation":
         """self after other (apply ``other`` first)."""
         if other.face != self.face:
             raise ValueError("cannot compose permutations of different faces")
-        return DartPermutation(
-            self.face, {dart: self._map[other._map[dart]] for dart in self.domain})
+        return DartPermutation._of(self.face, tuple(self.image[k] for k in other.image))
 
     def inverse(self) -> "DartPermutation":
-        return DartPermutation(
-            self.face, {image: dart for dart, image in self._map.items()})
+        return DartPermutation._of(self.face, tuple(map(self.image.index, _IDENTITY)))
 
     def cycles(self) -> typing.Tuple[typing.Tuple[Dart, ...], ...]:
         """Disjoint cycles (fixed points included), in canonical dart order."""
-        seen = set()
-        out = []
-        for start in self.domain:
-            if start in seen:
-                continue
-            cycle = [start]
-            seen.add(start)
-            current = self._map[start]
-            while current != start:
-                cycle.append(current)
-                seen.add(current)
-                current = self._map[current]
-            out.append(tuple(cycle))
-        return tuple(out)
+        cycles = []
+        for start in range(6):
+            if not any(start in cycle for cycle in cycles):
+                cycle = [start]
+                while self.image[cycle[-1]] != start:
+                    cycle.append(self.image[cycle[-1]])
+                cycles.append(cycle)
+        darts = omega(self.face)
+        return tuple(tuple(darts[k] for k in cycle) for cycle in cycles)
 
     def cycle_type(self) -> typing.Tuple[int, ...]:
         """Cycle lengths, longest first, fixed points counted as 1."""
@@ -85,17 +95,18 @@ class DartPermutation:
 
     @property
     def is_identity(self) -> bool:
-        return all(self._map[dart] == dart for dart in self.domain)
+        return self.image == _IDENTITY
 
     def as_dict(self) -> typing.Dict[Dart, Dart]:
-        return dict(self._map)
+        darts = omega(self.face)
+        return {dart: darts[k] for dart, k in zip(darts, self.image)}
 
     def __eq__(self, other):
         return (isinstance(other, DartPermutation)
-                and self.face == other.face and self._map == other._map)
+                and self.face == other.face and self.image == other.image)
 
     def __hash__(self):
-        return hash((self.face, tuple(self._map[dart] for dart in self.domain)))
+        return hash((self.face, self.image))
 
     def __repr__(self):
         parts = []
@@ -106,6 +117,24 @@ class DartPermutation:
 
 
 Witness = typing.Tuple[Dart, Dart, Dart]
+
+# Each shape as the slots of the images of (e1, e2, e3, -e1, -e2, -e3), in
+# that slot order; e.g. M3 sends e1 (slot 0) to -e3 (slot 5).  The
+# witness-free shapes M1, M2 and M5 are the same for every cycle of D, and
+# with (e1, e2, e3) = (0, 1, 2) the slots are the omega indices.
+_SHAPE_SLOTS = {"M1": _IDENTITY, "M2": OMEGA_ROTATION, "M5": OMEGA_ROTATION_INVERSE,
+                "M3": (5, 2, 3, 1, 0, 4), "M6": (5, 2, 3, 1, 0, 4),
+                "M4": (4, 3, 2, 1, 0, 5), "M7": (1, 0, 2, 4, 3, 5)}
+
+_WITNESS_FREE = ("M1", "M2", "M5")
+
+
+def _shape_image(tag: str, e1: int, e2: int, e3: int) -> typing.Tuple[int, ...]:
+    """Shape ``tag`` with witness darts at omega indices e1, e2, e3."""
+    darts = (e1, e2, e3, OMEGA_NEGATION[e1], OMEGA_NEGATION[e2], OMEGA_NEGATION[e3])
+    if len(set(darts)) != 6:
+        raise ValueError(f"witness {(e1, e2, e3)} does not name three edges")
+    return tuple(darts[_SHAPE_SLOTS[tag][darts.index(k)]] for k in range(6))
 
 
 @dataclass(frozen=True)
@@ -122,38 +151,14 @@ class MonodromyType:
 
     def expand(self, face: Face) -> DartPermutation:
         """The permutation this type describes on ``face``, relative to its rotation."""
-        rotation = DartPermutation.rotation(face)
-        if self.tag == "M1":
-            return DartPermutation.identity(face)
-        if self.tag == "M2":
-            return rotation
-        if self.tag == "M5":
-            return rotation.inverse()
-        if self.tag not in _PATTERNS:
+        if self.tag not in _SHAPE_SLOTS:
             raise ValueError(f"unknown monodromy tag {self.tag!r}")
-        if self.witness is None:
+        face = make_face(*face)
+        darts = omega(face)
+        witness = darts[:3] if self.tag in _WITNESS_FREE else self.witness
+        if witness is None:
             raise ValueError(f"type {self.tag} requires a witness")
-        return DartPermutation(face, _PATTERNS[self.tag](*self.witness))
-
-
-def _three_cycle_pair_pattern(e1, e2, e3):
-    """(-e1,e2,e3)(-e3,-e2,e1) as a mapping (shapes M3 and M6)."""
-    return {-e1: e2, e2: e3, e3: -e1, -e3: -e2, -e2: e1, e1: -e3}
-
-
-def _crossed_transposition_pattern(e1, e2, e3):
-    """(e1,-e2)(e2,-e1) with e3, -e3 fixed (shape M4)."""
-    return {e1: -e2, -e2: e1, e2: -e1, -e1: e2, e3: e3, -e3: -e3}
-
-
-def _straight_transposition_pattern(e1, e2, e3):
-    """(e1,e2)(-e1,-e2) with e3, -e3 fixed (shape M7)."""
-    return {e1: e2, e2: e1, -e1: -e2, -e2: -e1, e3: e3, -e3: -e3}
-
-
-_PATTERNS = {"M3": _three_cycle_pair_pattern, "M6": _three_cycle_pair_pattern,
-             "M4": _crossed_transposition_pattern,
-             "M7": _straight_transposition_pattern}
+        return DartPermutation._of(face, _shape_image(self.tag, *map(darts.index, witness)))
 
 
 def _shape_table():
@@ -161,22 +166,16 @@ def _shape_table():
 
     In ``omega`` order D is the same permutation for every face, so one table
     serves all faces.  Shapes are entered in the order M1, M2, M5, then M3,
-    M6, M4, M7 over the cycles of D (of D^-1 for M6) and their rotations;
-    the first witness entered for a monodromy is the one kept.
+    M6, M4, M7 over the rotation cycles (k, D k, D^2 k) for k = 0..5 (of
+    D^-1 for M6); the first witness entered for a monodromy is the one kept,
+    so witnesses are the rotations of the cycle through dart 0.
     """
-    face = ("a", "b", "c")
-    darts = omega(face)
-    rotation = DartPermutation.rotation(face)
-    candidates = [("M1", None), ("M2", None), ("M5", None)]
-    for tag, source in (("M3", rotation), ("M6", rotation.inverse()),
-                        ("M4", rotation), ("M7", rotation)):
-        for a, b, c in source.cycles():
-            candidates += [(tag, (a, b, c)), (tag, (b, c, a)), (tag, (c, a, b))]
-    table = {}
-    for tag, witness in candidates:
-        image = MonodromyType(tag, witness).expand(face)
-        table.setdefault(tuple(darts.index(image(dart)) for dart in darts),
-                         (tag, witness and tuple(map(darts.index, witness))))
+    table = {_SHAPE_SLOTS[tag]: (tag, None) for tag in _WITNESS_FREE}
+    for tag, d in (("M3", OMEGA_ROTATION), ("M6", OMEGA_ROTATION_INVERSE),
+                   ("M4", OMEGA_ROTATION), ("M7", OMEGA_ROTATION)):
+        for k in range(6):
+            witness = (k, d[k], d[d[k]])
+            table.setdefault(_shape_image(tag, *witness), (tag, witness))
     return table
 
 
@@ -206,7 +205,7 @@ def _build_monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]
     for orbit in kernel.orbits:
         for p in reversed(orbit + orbit):
             f = p // 6
-            image[p] = _zz._ROTATION_INVERSE[following[f] - 6 * f]
+            image[p] = OMEGA_ROTATION_INVERSE[following[f] - 6 * f]
             following[f] = p
     return [tuple(image[base:base + 6]) for base in range(0, len(image), 6)]
 
@@ -220,9 +219,8 @@ def z_monodromy(tri: Triangulation, face: Face) -> DartPermutation:
     face = make_face(*face)
     if not tri.has_face(face):
         raise FaceNotFound(f"face {face!r} not in triangulation")
-    image = _zz._cached(tri, "monodromies", _build_monodromies)[_zz._face_index(tri, face)]
-    darts = omega(face)
-    return DartPermutation(face, {dart: darts[k] for dart, k in zip(darts, image)})
+    monodromies = _zz._cached(tri, "monodromies", _build_monodromies)
+    return DartPermutation._of(face, monodromies[_zz._face_index(tri, face)])
 
 
 def classify(monodromy: DartPermutation) -> MonodromyType:
@@ -231,9 +229,7 @@ def classify(monodromy: DartPermutation) -> MonodromyType:
     Shapes are relative to the face rotation D of the monodromy's face; they
     are mutually exclusive, and ``_SHAPES`` fixes the witness.
     """
-    darts = monodromy.domain
-    return _monodromy_type(monodromy.face,
-                           tuple(darts.index(monodromy(dart)) for dart in darts))
+    return _monodromy_type(monodromy.face, monodromy.image)
 
 
 def is_two_disjoint_3cycles(permutation: DartPermutation) -> bool:

@@ -156,6 +156,10 @@ class ShredCertificate:
                 )
                 for entry in doc["steps"]
             )
+            if not all(isinstance(text, str) for step in steps
+                       for group in ((step.bad_type, step.patch_id), step.face)
+                       + step.vertex_map + step.relabeling for text in group):
+                raise TypeError("types, patch ids and vertex labels must be text")
             length = int(doc["final_zigzag_length"])
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedDocument(f"malformed certificate: {exc}") from None

@@ -18,7 +18,8 @@ import re
 import typing
 from dataclasses import dataclass
 
-from .core import Dart, Face, Triangulation, euler_characteristic, make_face
+from .core import (OMEGA_SLOTS, Dart, Face, Triangulation, euler_characteristic,
+                   make_face)
 from .errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
                      LabelCollision, MonodromyNotIdentity, NotZKnotted, SelfSum)
 from .monodromy import DartPermutation, is_two_disjoint_3cycles, z_monodromy
@@ -197,17 +198,6 @@ def connected_sum(tri: Triangulation, face: Face,
     return SumResult(result, tuple(sorted(fresh.items())), face)
 
 
-def glued_monodromy_product(gluing: SpecialMap,
-                            monodromy: DartPermutation,
-                            other_monodromy: DartPermutation) -> DartPermutation:
-    """g o M_F o g^-1 o M_F' as a permutation of the target face's darts."""
-    mapping = {
-        dart: gluing.dart(monodromy(gluing.dart_inverse(other_monodromy(dart))))
-        for dart in other_monodromy.domain
-    }
-    return DartPermutation(other_monodromy.face, mapping)
-
-
 def gluing_condition(tri: Triangulation, face: Face,
                      other_tri: Triangulation, other_face: Face,
                      gluing: SpecialMap) -> bool:
@@ -217,9 +207,13 @@ def gluing_condition(tri: Triangulation, face: Face,
     z-knotted.
     """
     face, other_face = _check_sum_inputs(tri, face, other_tri, other_face, gluing)
-    product = glued_monodromy_product(
-        gluing, z_monodromy(tri, face), z_monodromy(other_tri, other_face))
-    return is_two_disjoint_3cycles(product)
+    monodromy = z_monodromy(tri, face).image
+    other_monodromy = z_monodromy(other_tri, other_face).image
+    # g: dart k of ``face`` -> dart g[k] of ``other_face``, in omega order.
+    slot = [other_face.index(target) for _source, target in gluing.pairs]
+    g = [OMEGA_SLOTS.index((slot[tail], slot[head])) for tail, head in OMEGA_SLOTS]
+    product = tuple(g[monodromy[g.index(k)]] for k in other_monodromy)
+    return is_two_disjoint_3cycles(DartPermutation._of(other_face, product))
 
 
 def th4_decide(type_f: str, type_other: str) -> str:

@@ -17,8 +17,9 @@ import bisect
 import collections
 import typing
 
-from .core import (Dart, Edge, Face, Triangulation, face_rotation_inverse,
-                   make_face, omega, third_vertex)
+from .core import (OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
+                   OMEGA_SLOTS, Dart, Edge, Face, Triangulation,
+                   face_rotation_inverse, make_face, omega, third_vertex)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
 
 
@@ -65,15 +66,6 @@ def reverse_position(position: Position) -> Position:
     return Position(-face_rotation_inverse(face, dart), face)
 
 
-# Dart k of a face (a, b, c) in omega order ab, bc, ca, ba, cb, ac: its
-# (tail, head) vertex slots, the face rotation D and D^-1 acting on k, and
-# reverse_position's dart -D^-1(dart k).
-_LOCAL_DARTS = ((0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2))
-_ROTATION = (1, 2, 0, 5, 3, 4)
-_ROTATION_INVERSE = (2, 0, 1, 4, 5, 3)
-_REVERSAL = (5, 3, 4, 1, 2, 0)
-
-
 class _Kernel:
     """The zigzag orbits as int lists, cached per triangulation.
 
@@ -98,7 +90,7 @@ class _Kernel:
             for edge, forward, backward in (((a, b), 0, 3), ((a, c), 5, 2),
                                             ((b, c), 1, 4)):
                 here = (base + forward, base + backward,
-                        base + _ROTATION[forward], base + _ROTATION[backward])
+                        base + OMEGA_ROTATION[forward], base + OMEGA_ROTATION[backward])
                 there = waiting.pop(edge, None)
                 if there is None:
                     waiting[edge] = here
@@ -156,7 +148,7 @@ def _face_index(tri: Triangulation, face: Face) -> int:
 
 def _dart(face: Face, k: int) -> Dart:
     """Dart k of a face in ``omega`` order."""
-    tail, head = _LOCAL_DARTS[k]
+    tail, head = OMEGA_SLOTS[k]
     return Dart(face[tail], face[head])
 
 
@@ -283,8 +275,9 @@ class ZigzagAtlas:
 def _build_atlas(tri: Triangulation) -> ZigzagAtlas:
     kernel = _kernel(tri)
     zigzags = tuple(Zigzag(_darts(tri, orbit)) for orbit in kernel.orbits)
-    # reverse_position carries every orbit onto the orbit of its reverse.
-    partners = [kernel.orbit_of[p - p % 6 + _REVERSAL[p % 6]]
+    # reverse_position, (d, F) -> (-D^-1(d), F), maps each orbit onto its reverse.
+    reversal = [OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE]
+    partners = [kernel.orbit_of[p - p % 6 + reversal[p % 6]]
                 for p in (orbit[0] for orbit in kernel.orbits)]
     if any(partner == i or partners[partner] != i
            for i, partner in enumerate(partners)):

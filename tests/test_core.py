@@ -56,7 +56,9 @@ def test_build_rejects_duplicate_face():
 
 
 def test_build_rejects_non_triangles():
-    for bad in ([(1, 2)], [(1, 2, 3, 4)], [(1, 1, 2)], [("", "x", "y")], []):
+    for bad in ([(1, 2)], [(1, 2, 3, 4)], [(1, 1, 2)], [("", "x", "y")], [],
+                None, [1, 2], [(1, 2, 3), 7]):
+        assert NON_TRIANGLE in {v.rule for v in tz.validate(bad).violations}
         with pytest.raises(ValidationFailure) as info:
             tz.Triangulation(bad)
         assert NON_TRIANGLE in {v.rule for v in info.value.report.violations}

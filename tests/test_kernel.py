@@ -154,6 +154,34 @@ def test_shape_table_has_the_fifteen_valid_monodromies():
         "M1": 1, "M2": 1, "M5": 1, "M3": 3, "M4": 3, "M6": 3, "M7": 3}
 
 
+def test_expand_agrees_for_either_witness():
+    # Each witnessed shape is reached from two rotation cycles (of D^-1 for
+    # M6, of D otherwise); _SHAPES keeps the first, both must expand alike.
+    face = ("1", "2", "a")
+    darts = tz.omega(face)
+    rotation = DartPermutation.rotation(face)
+    for image, (tag, stored) in _SHAPES.items():
+        if tag in ("M1", "M2", "M5"):
+            continue
+        expected = DartPermutation(face, {darts[k]: darts[i] for k, i in enumerate(image)})
+        source = rotation.inverse() if tag == "M6" else rotation
+        witnesses = [witness for a, b, c in source.cycles()
+                     for witness in ((a, b, c), (b, c, a), (c, a, b))
+                     if MonodromyType(tag, witness).expand(face) == expected]
+        assert len(witnesses) == 2
+        assert tuple(darts[k] for k in stored) in witnesses
+        for witness in witnesses:
+            assert tz.classify(MonodromyType(tag, witness).expand(face)).tag == tag
+
+
+def test_expand_rejects_a_witness_that_is_no_rotation_cycle():
+    face = ("1", "2", "a")
+    e, other = tz.omega(face)[:2]
+    for tag in ("M3", "M4", "M6", "M7"):
+        with pytest.raises(ValueError):
+            MonodromyType(tag, (e, e, other)).expand(face)
+
+
 def test_surfaces_include_non_spheres():
     chis = {tz.euler_characteristic(build()) for _name, build in _surfaces()}
     assert chis == {0, 1, 2}

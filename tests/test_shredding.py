@@ -1,5 +1,7 @@
 """Shredding loop, patches, and certificate replay."""
 
+import json
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -180,6 +182,21 @@ def test_certificate_json_round_trip():
         ShredCertificate.from_json("{}")
     with pytest.raises(MalformedDocument):
         ShredCertificate.from_json("not json")
+
+
+def test_certificate_rejects_non_text_fields():
+    _, certificate = tz.shred(tz.bipyramid(6))
+    for field in ("face", "map", "relabeling", "patch", "bad_type"):
+        doc = json.loads(certificate.to_json())
+        entry = doc["steps"][0]
+        if field == "face":
+            entry["face"][0] = 5
+        elif field in ("patch", "bad_type"):
+            entry[field] = [entry[field]]
+        else:
+            entry[field][next(iter(entry[field]))] = 5
+        with pytest.raises(MalformedDocument):
+            ShredCertificate.from_json(json.dumps(doc))
 
 
 def test_verify_certificate_round_trip():
