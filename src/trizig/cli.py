@@ -12,7 +12,7 @@ import sys
 
 from .core import euler_characteristic, make_face, validate
 from .document import parse, parse_document, serialize
-from .errors import FaceNotFound, InvalidSpecialMap, MalformedDocument, TrizigError
+from .errors import FaceNotFound, MalformedDocument, TrizigError
 from .generators import (bipyramid, example_sum, platonic,
                          projective_plane_fig5, random_sphere, torus_grid)
 from .monodromy import face_types
@@ -145,15 +145,13 @@ def _cmd_consum(args) -> int:
     second = parse(_read(args.second))
     face1 = _parse_face(args.face[0])
     face2 = _parse_face(args.face[1])
-    mapping = {}
+    pairs = []
     for pair in args.map.split(","):
         src, sep, dst = pair.partition(":")
         if not sep:
             raise MalformedDocument(f"--map entries look like X:U, got {pair!r}")
-        mapping[src] = dst
-    if len(mapping) != 3:
-        raise InvalidSpecialMap(f"--map wants three pairs, got {args.map!r}")
-    gluing = SpecialMap.from_dict(face1, face2, mapping)
+        pairs.append((src, dst))
+    gluing = SpecialMap(face1, face2, tuple(pairs))
     result = connected_sum(first, face1, second, face2, gluing)
     _write_output(serialize(result.triangulation), args.output)
     return 0

@@ -106,9 +106,9 @@ def projective_plane_fig5() -> Triangulation:
 
 _SUM_VERTEX_MAPS = {
     # source vertex of {a,1,2} -> target vertex of the second bipyramid
-    "m1": {"a": "2", "1": "a", "2": "1"},
-    "m2": {"a": "a", "1": "1", "2": "2"},
-    "m6": {"a": "1", "1": "2", "2": "a"},
+    "m1": (("a", "2"), ("1", "a"), ("2", "1")),
+    "m2": (("a", "a"), ("1", "1"), ("2", "2")),
+    "m6": (("a", "1"), ("1", "2"), ("2", "a")),
 }
 
 
@@ -138,7 +138,7 @@ def example_sum(variant: str, k: int, k2: int) -> Triangulation:
     first = bipyramid(n)
     second = bipyramid(n2)
     source = make_face("a", "1", "2")
-    gluing = SpecialMap.from_dict(source, source, _SUM_VERTEX_MAPS[variant])
+    gluing = SpecialMap(source, source, _SUM_VERTEX_MAPS[variant])
     return connected_sum(first, source, second, source, gluing).triangulation
 
 

@@ -160,7 +160,9 @@ class ShredCertificate:
                        for group in ((step.bad_type, step.patch_id), step.face)
                        + step.vertex_map + step.relabeling for text in group):
                 raise TypeError("types, patch ids and vertex labels must be text")
-            length = int(doc["final_zigzag_length"])
+            length = doc["final_zigzag_length"]
+            if type(length) is not int:  # JSON true is a bool, an int subclass
+                raise TypeError("final_zigzag_length must be an integer")
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise MalformedDocument(f"malformed certificate: {exc}") from None
         return cls(steps, length)

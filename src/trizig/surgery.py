@@ -37,9 +37,9 @@ _KNOTTED_TAGS = ("M1", "M2", "M3", "M4")
 class SpecialMap:
     """A vertex identification between the boundaries of two faces.
 
-    ``pairs`` lists (source vertex, target vertex) sorted by source.  The
-    induced dart map satisfies g(-e) = -g(e) and conjugates the source face
-    rotation to the target face rotation.
+    ``pairs`` lists (source vertex, target vertex), one pair per source
+    vertex, sorted by source.  The induced dart map satisfies g(-e) = -g(e)
+    and conjugates the source face rotation to the target face rotation.
     """
 
     source_face: Face
@@ -49,22 +49,15 @@ class SpecialMap:
     def __post_init__(self):
         object.__setattr__(self, "source_face", make_face(*self.source_face))
         object.__setattr__(self, "target_face", make_face(*self.target_face))
-        forward = dict(self.pairs)
-        if (len(forward) != 3
+        pairs = tuple(self.pairs)
+        forward = dict(pairs)
+        if (len(pairs) != 3
                 or set(forward) != set(self.source_face)
                 or set(forward.values()) != set(self.target_face)):
             raise InvalidSpecialMap(
-                f"{self.pairs!r} is not a bijection "
+                f"{pairs!r} is not a bijection "
                 f"{self.source_face} -> {self.target_face}")
-        object.__setattr__(self, "pairs", tuple(sorted(self.pairs)))
-
-    @classmethod
-    def from_dict(cls, source_face: Face, target_face: Face,
-                  mapping: typing.Mapping[str, str]) -> "SpecialMap":
-        return cls(source_face, target_face, tuple(sorted(mapping.items())))
-
-    def as_dict(self) -> typing.Dict[str, str]:
-        return dict(self.pairs)
+        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
     def vertex(self, v: str) -> str:
         for source, target in self.pairs:
@@ -94,16 +87,12 @@ class SumResult:
     """A connected sum plus the bookkeeping needed to replay it.
 
     ``relabeling`` maps each non-glued vertex of the second summand to its
-    fresh label; the glued vertices land on ``glued_face_images`` (the
-    vertices of the removed first-summand face) through the special map.
+    fresh label; the glued vertices land on the vertices of the removed
+    first-summand face through the special map.
     """
 
     triangulation: Triangulation
     relabeling: typing.Tuple[typing.Tuple[str, str], ...]
-    glued_face_images: Face
-
-    def relabeling_dict(self) -> typing.Dict[str, str]:
-        return dict(self.relabeling)
 
 
 def enumerate_special_maps(face: Face, other: Face) -> typing.Tuple[SpecialMap, ...]:
@@ -148,27 +137,24 @@ def _check_sum_inputs(tri: Triangulation, face: Face,
 
 def connected_sum(tri: Triangulation, face: Face,
                   other_tri: Triangulation, other_face: Face,
-                  gluing: SpecialMap, *, prefix: typing.Optional[str] = None,
+                  gluing: SpecialMap, *,
                   relabeling: typing.Optional[typing.Mapping[str, str]] = None,
                   ) -> SumResult:
     """Glue two triangulations along a pair of faces.
 
     Both faces are removed; the second summand's vertices on ``other_face``
     are pulled back through the special map onto the first summand's face
-    vertices, and its remaining vertices receive fresh labels (``prefix`` +
-    old label, or an explicit ``relabeling`` when replaying a recorded sum).
-    The default prefix is the first unused "s<k>." for the host's labels, so
-    iterated sums never collide.  The result is validated; its Euler
-    characteristic is the sum of the summands' minus 2 and it is orientable
-    iff both summands are.
+    vertices, and its remaining vertices receive fresh labels: an explicit
+    ``relabeling`` when replaying a recorded sum, else the old label behind
+    the first "s<k>." prefix that starts no host label, so iterated sums
+    never collide.  The result is validated; its Euler characteristic is the
+    sum of the summands' minus 2 and it is orientable iff both summands are.
     """
     face, other_face = _check_sum_inputs(tri, face, other_tri, other_face, gluing)
-    if prefix is None:
-        prefix = fresh_label_prefix(tri.vertices)
-
     glued = set(other_face)
     loose = [v for v in other_tri.vertices if v not in glued]
     if relabeling is None:
+        prefix = fresh_label_prefix(tri.vertices)
         fresh = {v: prefix + v for v in loose}
     else:
         fresh = dict(relabeling)
@@ -195,7 +181,7 @@ def connected_sum(tri: Triangulation, face: Face,
     expected_chi = euler_characteristic(tri) + euler_characteristic(other_tri) - 2
     if euler_characteristic(result) != expected_chi:
         raise AssertionError("connected sum changed the Euler characteristic")
-    return SumResult(result, tuple(sorted(fresh.items())), face)
+    return SumResult(result, tuple(sorted(fresh.items())))
 
 
 def gluing_condition(tri: Triangulation, face: Face,

@@ -17,9 +17,10 @@ import bisect
 import collections
 import typing
 
-from .core import (OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
-                   OMEGA_SLOTS, Dart, Edge, Face, Triangulation,
-                   face_rotation_inverse, make_face, omega, third_vertex)
+from .core import (OMEGA_EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION,
+                   OMEGA_ROTATION_INVERSE, OMEGA_SLOTS, Dart, Edge, Face,
+                   Triangulation, face_rotation_inverse, make_face, omega,
+                   third_vertex)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
 
 
@@ -152,31 +153,28 @@ def _dart(face: Face, k: int) -> Dart:
     return Dart(face[tail], face[head])
 
 
+def _edge(face: Face, k: int) -> Edge:
+    """The undirected edge of dart k of a face in ``omega`` order."""
+    low, high = OMEGA_EDGE_SLOTS[k]
+    return face[low], face[high]
+
+
 def _darts(tri: Triangulation, positions) -> typing.Iterator[Dart]:
     return (_dart(tri.faces[p // 6], p % 6) for p in positions)
 
 
 def least_rotation(sequence):
-    """The lexicographically least rotation of a sequence (Booth's algorithm)."""
-    seq = list(sequence)
-    n = len(seq)
-    doubled = seq + seq
-    fail = [-1] * (2 * n)
-    k = 0
-    for j in range(1, 2 * n):
-        item = doubled[j]
-        i = fail[j - k - 1]
-        while i != -1 and item != doubled[k + i + 1]:
-            if item < doubled[k + i + 1]:
-                k = j - i - 1
-            i = fail[i]
-        if item != doubled[k + i + 1]:
-            if item < doubled[k]:
-                k = j
-            fail[j - k] = -1
-        else:
-            fail[j - k] = i + 1
-    return tuple(doubled[k:k + n])
+    """The lexicographically least rotation of a sequence, as a tuple.
+
+    That rotation starts at an occurrence of the least item, so only those
+    rotations are compared: O(n m) for m occurrences, and m <= 2 for a
+    zigzag, which visits each dart at most twice.
+    """
+    seq = tuple(sequence)
+    if not seq:
+        return seq
+    least = min(seq)
+    return min(seq[i:] + seq[:i] for i, item in enumerate(seq) if item == least)
 
 
 class Zigzag:
@@ -310,8 +308,9 @@ def is_z_knotted(tri: Triangulation) -> bool:
     orbits = _kernel(tri).orbits
     if len(orbits) != 2:
         return False
+    faces = tri.faces
     for orbit in orbits:
-        counts = collections.Counter(dart.edge for dart in _darts(tri, orbit))
+        counts = collections.Counter(_edge(faces[p // 6], p % 6) for p in orbit)
         if len(counts) != len(tri.edges) or set(counts.values()) != {2}:
             raise AssertionError(
                 "single zigzag pair that does not traverse every edge twice")

@@ -205,7 +205,7 @@ def test_criterion_10_identity_face_refinement():
     result = tz.refine_identity_face(m1_sum, ("2", "3", "a"))
     out = result.triangulation
     assert tz.is_z_knotted(out)
-    apex = result.relabeling_dict()["4"]
+    apex = dict(result.relabeling)["4"]
     new_faces = [face for face in out.faces if apex in face]
     assert len(new_faces) == 3
     types = tz.face_types(out)

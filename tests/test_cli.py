@@ -162,6 +162,10 @@ def test_consum_matches_library(bp3_file, tmp_path, capsys):
                  str(other), "--face", "1,2,a", "--map", "1:1"]) == 2
     capsys.readouterr()
     assert main(["consum", bp3_file, "--face", "1,2,a",
+                 str(other), "--face", "1,2,a",
+                 "--map", "1:2,2:2,a:a,1:1"]) == 2
+    assert "InvalidSpecialMap" in capsys.readouterr().err
+    assert main(["consum", bp3_file, "--face", "1,2,a",
                  str(other), "--face", "1,2,a", "--map", "nonsense"]) == 2
 
 

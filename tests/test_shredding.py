@@ -71,7 +71,7 @@ def test_m7_witness_aligned_map_satisfies_condition():
     for dart, image in zip(m7.witness, m3.witness):
         mapping[dart.tail] = image.tail
         mapping[dart.head] = image.head
-    aligned = tz.SpecialMap.from_dict(face, patch.designated_face, mapping)
+    aligned = tz.SpecialMap(face, patch.designated_face, tuple(mapping.items()))
     assert tz.gluing_condition(bp6, face, patch.triangulation,
                                patch.designated_face, aligned)
 
@@ -195,6 +195,11 @@ def test_certificate_rejects_non_text_fields():
             entry[field] = [entry[field]]
         else:
             entry[field][next(iter(entry[field]))] = 5
+        with pytest.raises(MalformedDocument):
+            ShredCertificate.from_json(json.dumps(doc))
+    for length in (48.9, "48", True):
+        doc = json.loads(certificate.to_json())
+        doc["final_zigzag_length"] = length
         with pytest.raises(MalformedDocument):
             ShredCertificate.from_json(json.dumps(doc))
 

@@ -45,6 +45,11 @@ def test_special_map_rejects_non_bijections():
     with pytest.raises(InvalidSpecialMap):
         tz.SpecialMap(("1", "2", "3"), ("4", "5", "6"),
                       (("1", "4"), ("2", "5"), ("9", "6")))
+    # a repeated source is rejected even when its last pair would complete
+    # a bijection
+    with pytest.raises(InvalidSpecialMap):
+        tz.SpecialMap(("1", "2", "3"), ("4", "5", "6"),
+                      (("1", "5"), ("2", "5"), ("3", "6"), ("1", "4")))
 
 
 def test_connected_sum_of_two_bp3():
@@ -57,8 +62,7 @@ def test_connected_sum_of_two_bp3():
         assert len(tri.edges) == 15
         assert len(tri.faces) == 10
         assert tz.euler_characteristic(tri) == 2
-        assert result.glued_face_images == face
-        assert set(result.relabeling_dict()) == {"3", "b"}
+        assert set(dict(result.relabeling)) == {"3", "b"}
 
 
 def test_connected_sum_chi_and_orientability(named_corpus):
@@ -135,9 +139,9 @@ def test_m2_sum_is_z_knotted_and_m6_is_not():
 def test_gluing_condition_golden_cases():
     face = ("1", "2", "a")
     bp3, bp3_other = tz.bipyramid(3), tz.bipyramid(3)
-    m2_map = tz.SpecialMap.from_dict(face, face, {"a": "a", "1": "1", "2": "2"})
+    m2_map = tz.SpecialMap(face, face, (("a", "a"), ("1", "1"), ("2", "2")))
     assert tz.gluing_condition(bp3, face, bp3_other, face, m2_map)
-    m6_map = tz.SpecialMap.from_dict(face, face, {"a": "1", "1": "2", "2": "a"})
+    m6_map = tz.SpecialMap(face, face, (("a", "1"), ("1", "2"), ("2", "a")))
     assert not tz.gluing_condition(bp3, face, bp3_other, face, m6_map)
 
 
@@ -193,7 +197,7 @@ def test_lemma_5_2_patch_faces_become_locally_knotted():
         if not tz.gluing_condition(bp6, face, patch, face, g):
             continue
         result = tz.connected_sum(bp6, face, patch, face, g)
-        relabel = result.relabeling_dict()
+        relabel = dict(result.relabeling)
         for patch_face in patch.faces:
             if patch_face == face:
                 continue
@@ -227,7 +231,7 @@ def test_refine_identity_face():
     assert tz.is_z_knotted(out)
     assert len(out.faces) == len(m1_sum.faces) + 2
     assert len(out.vertices) == len(m1_sum.vertices) + 1
-    apex = result.relabeling_dict()["4"]
+    apex = dict(result.relabeling)["4"]
     new_faces = [f for f in out.faces if apex in f]
     assert len(new_faces) == 3
     types = tz.face_types(out)

@@ -1,5 +1,6 @@
 """Zigzag engine: step orbits, atlases, knottedness, Gauss codes."""
 
+import collections
 import random
 
 import pytest
@@ -268,6 +269,17 @@ def test_least_rotation_small_cases():
     assert least_rotation((2, 1, 3)) == (1, 3, 2)
     assert least_rotation("baa") == ("a", "a", "b")
     assert least_rotation((5,)) == (5,)
+    assert least_rotation(()) == ()
+
+
+def test_zigzags_start_at_their_least_dart(full_corpus):
+    # least_rotation compares only the rotations at the least dart, which a
+    # zigzag visits at most twice (each dart is read in the two faces of
+    # its edge)
+    for tri in full_corpus:
+        for zigzag in tz.all_zigzags(tri):
+            assert zigzag.darts[0] == min(zigzag.darts)
+            assert max(collections.Counter(zigzag.darts).values()) <= 2
 
 
 @given(st.lists(st.integers(0, 4), min_size=1, max_size=10))
