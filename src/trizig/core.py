@@ -17,8 +17,14 @@ edge-to-faces map and the vertex set are derived at construction time.
 Vertex labels are strings ordered lexicographically; integer labels are
 canonicalized to their decimal text so that relabeling during surgery stays
 stable.
+
+A face list from outside (``Triangulation(faces)``, ``validate``, a parsed
+document, a generator's base shape) is validated in full.  A connected sum
+is not: it is built locally from the already checked parts of its two
+summands, whose gluing keeps every axiom for local reasons.
 """
 
+import bisect
 import collections
 import itertools
 import typing
@@ -297,9 +303,10 @@ class Triangulation:
 
     Construction canonicalizes the face list, validates it strictly and
     derives all incidence; an invalid face list raises ``ValidationFailure``
-    instead of producing an object.  Instances are value objects (equality
-    and hash by face set) and safe to share between threads; every operation
-    on them is a pure function.
+    instead of producing an object.  Connected sums skip that pass: they are
+    built locally from checked parts by ``_connected_sum``.  Instances are
+    value objects (equality and hash by face set) and safe to share between
+    threads; every operation on them is a pure function.
     """
 
     __slots__ = ("faces", "edges", "edge_faces", "vertices", "_face_set", "_cache")
@@ -328,6 +335,66 @@ class Triangulation:
     def __repr__(self):
         return (f"Triangulation({len(self.vertices)} vertices, "
                 f"{len(self.edges)} edges, {len(self.faces)} faces)")
+
+
+def _connected_sum(host: Triangulation, face: Face, patch: Triangulation,
+                   patch_face: Face, label: typing.Mapping[str, str]) -> Triangulation:
+    """The sum of two checked triangulations along ``face`` and ``patch_face``.
+
+    ``label`` maps every vertex of ``patch`` to its label in the result: the
+    vertices of ``patch_face`` one-to-one onto those of ``face``, the others
+    to fresh labels.  The caller (``surgery.connected_sum``) has checked that
+    both faces are present, that the special map is bijective, and that the
+    fresh labels are non-empty text, injective, cover exactly the non-glued
+    vertices and avoid the host's vertices.  Under these conditions the
+    result is a valid triangulation for local reasons, so it is assembled
+    from the summands' parts instead of being validated again:
+
+    * every relabeled patch face but ``patch_face`` has a fresh vertex, so it
+      is no host face (E2); a patch edge is a host edge only if both its ends
+      are glued, that is, only if it is an edge of ``patch_face``;
+    * each of those three glued edges loses ``face`` and ``patch_face`` and
+      keeps one face of each summand; every other edge keeps its two faces
+      (E1);
+    * the link of a glued vertex is its host link cut open at ``face``, a path
+      between the other two glued vertices, closed by the patch's path
+      between the same two, whose inner vertices are fresh: one cycle.  All
+      other links are unchanged;
+    * a closed surface minus one face is still face-connected, and the glued
+      edges join the two sides.
+    """
+    relabeled = {f: typing.cast(Face, tuple(sorted(label[v] for v in f)))
+                 for f in patch.faces if f != patch_face}
+    edge_faces = dict(host.edge_faces)
+    glued = face_edges(patch_face)
+    new_edges = []
+    for edge, incident in patch.edge_faces.items():
+        u, v = label[edge[0]], label[edge[1]]
+        key = (u, v) if u < v else (v, u)
+        if edge in glued:
+            kept = [f for f in edge_faces[key] if f != face]
+            kept += [relabeled[f] for f in incident if f != patch_face]
+            if len(kept) != 2:
+                raise AssertionError(f"glued edge {key} lies in {len(kept)} face(s)")
+        else:
+            kept = [relabeled[f] for f in incident]
+            new_edges.append(key)
+        edge_faces[key] = tuple(sorted(kept))
+
+    faces = list(host.faces)
+    del faces[bisect.bisect_left(faces, face)]
+    faces.extend(relabeled.values())
+    fresh = tuple(label[v] for v in patch.vertices if v not in patch_face)
+
+    # Each sort merges the host's sorted run with the few new items.
+    tri = object.__new__(Triangulation)
+    tri.faces = tuple(sorted(faces))
+    tri.edges = tuple(sorted(host.edges + tuple(new_edges)))
+    tri.edge_faces = edge_faces
+    tri.vertices = tuple(sorted(host.vertices + fresh))
+    tri._face_set = host._face_set.difference((face,)).union(relabeled.values())
+    tri._cache = {}
+    return tri
 
 
 def other_face(tri: Triangulation, edge: Edge, face: Face) -> Face:

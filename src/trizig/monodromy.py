@@ -18,6 +18,7 @@ pair meets the face, which is equivalent to D composed with the monodromy
 being two disjoint 3-cycles; that criterion drives the gluing machinery.
 """
 
+import types
 import typing
 from dataclasses import dataclass
 
@@ -247,7 +248,16 @@ def locally_z_knotted_via_monodromy(tri: Triangulation, face: Face) -> bool:
     return is_two_disjoint_3cycles(rotation.compose(monodromy))
 
 
-def face_types(tri: Triangulation) -> typing.Dict[Face, MonodromyType]:
-    """Classified z-monodromy for every face, keyed in face order."""
-    return {face: _monodromy_type(face, image)
-            for face, image in zip(tri.faces, _zz._cached(tri, "monodromies", _build_monodromies))}
+def _build_face_types(tri: Triangulation) -> typing.Mapping[Face, MonodromyType]:
+    monodromies = _zz._cached(tri, "monodromies", _build_monodromies)
+    return types.MappingProxyType({face: _monodromy_type(face, image)
+                                   for face, image in zip(tri.faces, monodromies)})
+
+
+def face_types(tri: Triangulation) -> typing.Mapping[Face, MonodromyType]:
+    """Classified z-monodromy for every face, keyed in face order.
+
+    Computed once per triangulation; the mapping is read-only because every
+    caller shares it.
+    """
+    return _zz._cached(tri, "face_types", _build_face_types)

@@ -18,8 +18,8 @@ import re
 import typing
 from dataclasses import dataclass
 
-from .core import (OMEGA_SLOTS, Dart, Face, Triangulation, euler_characteristic,
-                   make_face)
+from .core import (OMEGA_SLOTS, Dart, Face, Triangulation, _connected_sum,
+                   euler_characteristic, make_face)
 from .errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
                      LabelCollision, MonodromyNotIdentity, NotZKnotted, SelfSum)
 from .monodromy import DartPermutation, is_two_disjoint_3cycles, z_monodromy
@@ -103,13 +103,14 @@ def enumerate_special_maps(face: Face, other: Face) -> typing.Tuple[SpecialMap, 
     )
 
 
+_PREFIX = re.compile(r"s(\d+)\.")
+
+
 def fresh_label_prefix(labels: typing.Iterable[str]) -> str:
     """The smallest "s<k>." prefix that starts no existing label."""
-    taken = set()
-    for label in labels:
-        match = re.match(r"s(\d+)\.", label)
-        if match:
-            taken.add(int(match.group(1)))
+    match = _PREFIX.match
+    taken = {int(found.group(1)) for label in labels
+             if label[:1] == "s" and (found := match(label))}
     k = 0
     while k in taken:
         k += 1
@@ -147,8 +148,10 @@ def connected_sum(tri: Triangulation, face: Face,
     vertices, and its remaining vertices receive fresh labels: an explicit
     ``relabeling`` when replaying a recorded sum, else the old label behind
     the first "s<k>." prefix that starts no host label, so iterated sums
-    never collide.  The result is validated; its Euler characteristic is the
-    sum of the summands' minus 2 and it is orientable iff both summands are.
+    never collide.  The result is built locally from the two checked
+    summands (``core._connected_sum`` gives the argument), not validated
+    again; its Euler characteristic is the sum of the summands' minus 2 and
+    it is orientable iff both summands are.
     """
     face, other_face = _check_sum_inputs(tri, face, other_tri, other_face, gluing)
     glued = set(other_face)
@@ -161,6 +164,8 @@ def connected_sum(tri: Triangulation, face: Face,
         if set(fresh) != set(loose):
             raise LabelCollision(
                 "explicit relabeling must cover exactly the non-glued vertices")
+        if not all(isinstance(label, str) and label for label in fresh.values()):
+            raise LabelCollision("explicit relabeling must map to non-empty text")
         if len(set(fresh.values())) != len(loose):
             raise LabelCollision("explicit relabeling is not injective")
     collisions = set(fresh.values()) & set(tri.vertices)
@@ -171,12 +176,7 @@ def connected_sum(tri: Triangulation, face: Face,
     full = dict(fresh)
     for v in other_face:
         full[v] = gluing.vertex_inverse(v)
-
-    new_faces = [f for f in tri.faces if f != face]
-    for f in other_tri.faces:
-        if f != other_face:
-            new_faces.append(make_face(*(full[v] for v in f)))
-    result = Triangulation(new_faces)
+    result = _connected_sum(tri, face, other_tri, other_face, full)
 
     expected_chi = euler_characteristic(tri) + euler_characteristic(other_tri) - 2
     if euler_characteristic(result) != expected_chi:

@@ -140,6 +140,15 @@ def test_classify_never_fails_on_corpus(full_corpus):
         assert tags <= {"M1", "M2", "M3", "M4", "M5", "M6", "M7"}
 
 
+def test_face_types_is_computed_once_and_read_only():
+    tri = tz.bipyramid(8)
+    types = tz.face_types(tri)
+    with pytest.raises(TypeError):
+        types[tri.faces[0]] = types[tri.faces[1]]
+    assert list(types) == list(tri.faces)
+    assert dict(tz.face_types(tri)) == dict(types)
+
+
 def test_is_two_disjoint_3cycles():
     face = ("1", "2", "a")
     rotation = DartPermutation.rotation(face)

@@ -237,6 +237,20 @@ def test_verify_certificate_rejects_tampering():
     assert not tz.verify_certificate(bp8, wrong_length, out).ok
 
 
+def test_verify_certificate_rejects_an_empty_fresh_label():
+    bp8 = tz.bipyramid(8)
+    out, certificate = tz.shred(bp8)
+    step = certificate.steps[0]
+    (vertex, _label), *rest = step.relabeling
+    emptied = ShredStep(step.face, step.bad_type, step.patch_id, step.vertex_map,
+                        ((vertex, ""), *rest))
+    tampered = ShredCertificate((emptied,) + certificate.steps[1:],
+                                certificate.final_zigzag_length)
+    result = tz.verify_certificate(bp8, tampered, out)
+    assert not result.ok
+    assert result.problems[0].startswith("step 0 does not apply")
+
+
 def test_verify_certificate_empty_on_wrong_pair():
     bp3 = tz.bipyramid(3)
     empty = ShredCertificate((), 2 * len(bp3.edges))

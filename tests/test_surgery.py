@@ -3,8 +3,10 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import trizig as tz
+from trizig import shredding, surgery
 from trizig.errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
                            LabelCollision, MonodromyNotIdentity, NotZKnotted,
                            SelfSum)
@@ -112,6 +114,10 @@ def test_connected_sum_relabeling_controls():
     with pytest.raises(LabelCollision):
         tz.connected_sum(bp3, face, other, face, g,
                          relabeling={"3": "z", "b": "z"})
+    for label in ("", 3):
+        with pytest.raises(LabelCollision):
+            tz.connected_sum(bp3, face, other, face, g,
+                             relabeling={"3": label, "b": "w"})
 
 
 def test_fresh_label_prefix():
@@ -119,6 +125,8 @@ def test_fresh_label_prefix():
     assert fresh_label_prefix(("s0.3", "a")) == "s1."
     assert fresh_label_prefix(("s0.3", "s2.b")) == "s1."
     assert fresh_label_prefix(("s.3",)) == "s0."
+    # \d matches every Unicode decimal digit, and int() reads them.
+    assert fresh_label_prefix(("s0.a", "s1.b", "s2.c", "s\u0663.x")) == "s4."
 
 
 def test_iterated_sums_do_not_collide():
@@ -291,3 +299,80 @@ def test_th4_decide_matches_exhaustive_gluing():
             assert not any(outcomes), (tag_a, tag_b, outcomes)
         else:
             assert any(outcomes), (tag_a, tag_b, outcomes)
+
+
+def _assert_matches_full_validation(tri):
+    reference = tz.Triangulation(tri.faces)
+    assert tri.faces == reference.faces
+    assert tri.edges == reference.edges
+    assert tri.vertices == reference.vertices
+    assert tri.edge_faces == reference.edge_faces  # tuple order included
+    assert tri._face_set == reference._face_set
+    assert tz.validate(tri).ok
+
+
+def test_sums_match_full_validation_on_corpus(full_corpus):
+    # Most corpus surfaces are built by sums; sum each with its successor too.
+    for i, (first, second) in enumerate(zip(full_corpus, full_corpus[1:])):
+        _assert_matches_full_validation(first)
+        face = first.faces[i % len(first.faces)]
+        other_face = second.faces[-1 - i % len(second.faces)]
+        gluing = tz.enumerate_special_maps(face, other_face)[i % 6]
+        result = tz.connected_sum(first, face, second, other_face, gluing)
+        _assert_matches_full_validation(result.triangulation)
+
+
+_PIECES = st.one_of(st.integers(3, 9).map(tz.bipyramid),
+                    st.builds(tz.torus_grid, st.just(3), st.just(3)),
+                    st.builds(tz.projective_plane_fig5))
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(_PIECES, min_size=2, max_size=5), st.data())
+def test_chained_sums_match_full_validation(pieces, data):
+    tri = pieces[0]
+    for other in pieces[1:]:
+        face = data.draw(st.sampled_from(tri.faces))
+        other_face = data.draw(st.sampled_from(other.faces))
+        gluing = data.draw(st.sampled_from(tz.enumerate_special_maps(face, other_face)))
+        tri = tz.connected_sum(tri, face, other, other_face, gluing).triangulation
+        _assert_matches_full_validation(tri)
+
+
+def test_shred_intermediates_match_full_validation(monkeypatch):
+    intermediates = []
+
+    def recording_sum(*args, **kwargs):
+        result = surgery.connected_sum(*args, **kwargs)
+        intermediates.append(result.triangulation)
+        return result
+
+    monkeypatch.setattr(shredding, "connected_sum", recording_sum)
+    out, certificate = tz.shred(tz.random_sphere(3, 20))
+    assert len(intermediates) == len(certificate.steps) > 0
+    assert intermediates[-1] is out
+    for tri in intermediates:
+        _assert_matches_full_validation(tri)
+
+
+def test_sums_run_with_the_constructor_name_wrapped(monkeypatch):
+    # Tracing replaces ``surgery.Triangulation`` by a plain function, so sums
+    # must not reach their constructor through that name.
+    built = []
+
+    def wrapped(faces):
+        built.append(faces)
+        return tz.Triangulation(faces)
+
+    monkeypatch.setattr(surgery, "Triangulation", wrapped)
+    first, second = tz.bipyramid(3), tz.bipyramid(5)
+    face = ("1", "2", "a")
+    gluing = tz.enumerate_special_maps(face, face)[0]
+    tri = tz.connected_sum(first, face, second, face, gluing).triangulation
+    _assert_matches_full_validation(tri)
+    bp8 = tz.bipyramid(8)
+    out, certificate = tz.shred(bp8)
+    assert tz.verify_certificate(bp8, certificate, out).ok
+    refined = tz.refine_identity_face(tz.example_sum("m1", 3, 3), ("2", "3", "a"))
+    _assert_matches_full_validation(refined.triangulation)
+    assert len(built) == 1  # only the tetrahedron of the refinement
