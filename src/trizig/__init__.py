@@ -3,14 +3,13 @@
 from . import errors
 from .core import (Dart, Edge, Face, Triangulation, ValidationReport, Vertex,
                    Violation, euler_characteristic, face_edges, face_rotation,
-                   face_rotation_inverse, is_orientable, make_edge, make_face,
-                   omega, other_face, third_vertex, validate)
+                   face_rotation_inverse, is_orientable, make_face, omega,
+                   validate)
 from .document import parse, serialize
 from .generators import (bipyramid, example_sum, platonic,
                          projective_plane_fig5, random_sphere, torus_grid)
 from .monodromy import (DartPermutation, MonodromyType, classify, face_types,
-                        is_two_disjoint_3cycles, locally_z_knotted_via_monodromy,
-                        z_monodromy)
+                        is_two_disjoint_3cycles, z_monodromy)
 from .shredding import (Patch, ShredCertificate, ShredStep, VerificationResult,
                         find_gluing_map, patch_for, shred, shred_step,
                         verify_certificate)

@@ -25,16 +25,19 @@ def _read(path: str) -> str:
     try:
         with open(path, "r", encoding="utf-8") as handle:
             return handle.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise MalformedDocument(f"cannot read {path}: {exc}") from None
 
 
 def _write_output(text: str, path) -> None:
     if path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)
+    except OSError as exc:
+        raise MalformedDocument(f"cannot write {path}: {exc}") from None
 
 
 def _parse_face(text: str):
@@ -162,8 +165,7 @@ def _cmd_shred(args) -> int:
     result, certificate = shred(tri)
     _write_output(serialize(result), args.output)
     if args.certificate:
-        with open(args.certificate, "w", encoding="utf-8") as handle:
-            handle.write(certificate.to_json())
+        _write_output(certificate.to_json(), args.certificate)
     if args.output is not None:
         print(f"steps={len(certificate.steps)} "
               f"zigzag_length={certificate.final_zigzag_length}")

@@ -397,18 +397,6 @@ def _connected_sum(host: Triangulation, face: Face, patch: Triangulation,
     return tri
 
 
-def other_face(tri: Triangulation, edge: Edge, face: Face) -> Face:
-    """The unique face other than ``face`` containing ``edge`` (exists by E1)."""
-    edge = make_edge(*edge)
-    face = make_face(*face)
-    if not tri.has_face(face) or edge not in tri.edge_faces:
-        raise EdgeNotInFace(f"edge {edge!r} / face {face!r} not in triangulation")
-    if edge[0] not in face or edge[1] not in face:
-        raise EdgeNotInFace(f"edge {edge!r} is not an edge of face {face!r}")
-    first, second = tri.edge_faces[edge]
-    return second if first == face else first
-
-
 def euler_characteristic(tri: Triangulation) -> int:
     """V - E + F."""
     return len(tri.vertices) - len(tri.edges) + len(tri.faces)

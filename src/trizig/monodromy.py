@@ -62,21 +62,11 @@ class DartPermutation:
         """The face rotation D as a permutation of the face's darts."""
         return cls._of(make_face(*face), OMEGA_ROTATION)
 
-    @property
-    def domain(self) -> typing.Tuple[Dart, ...]:
-        return omega(self.face)
-
-    def __call__(self, dart: Dart) -> Dart:
-        return self.as_dict()[dart]
-
     def compose(self, other: "DartPermutation") -> "DartPermutation":
         """self after other (apply ``other`` first)."""
         if other.face != self.face:
             raise ValueError("cannot compose permutations of different faces")
         return DartPermutation._of(self.face, tuple(self.image[k] for k in other.image))
-
-    def inverse(self) -> "DartPermutation":
-        return DartPermutation._of(self.face, tuple(map(self.image.index, _IDENTITY)))
 
     def cycles(self) -> typing.Tuple[typing.Tuple[Dart, ...], ...]:
         """Disjoint cycles (fixed points included), in canonical dart order."""
@@ -97,10 +87,6 @@ class DartPermutation:
     @property
     def is_identity(self) -> bool:
         return self.image == _IDENTITY
-
-    def as_dict(self) -> typing.Dict[Dart, Dart]:
-        darts = omega(self.face)
-        return {dart: darts[k] for dart, k in zip(darts, self.image)}
 
     def __eq__(self, other):
         return (isinstance(other, DartPermutation)
@@ -236,16 +222,6 @@ def classify(monodromy: DartPermutation) -> MonodromyType:
 def is_two_disjoint_3cycles(permutation: DartPermutation) -> bool:
     """Whether the permutation is a product of two disjoint 3-cycles."""
     return permutation.cycle_type() == (3, 3)
-
-
-def locally_z_knotted_via_monodromy(tri: Triangulation, face: Face) -> bool:
-    """Local knottedness decided algebraically: D o M must be two 3-cycles.
-
-    Always agrees with counting the zigzags through the face.
-    """
-    monodromy = z_monodromy(tri, face)
-    rotation = DartPermutation.rotation(face)
-    return is_two_disjoint_3cycles(rotation.compose(monodromy))
 
 
 def _build_face_types(tri: Triangulation) -> typing.Mapping[Face, MonodromyType]:

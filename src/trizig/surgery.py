@@ -18,7 +18,7 @@ import re
 import typing
 from dataclasses import dataclass
 
-from .core import (OMEGA_SLOTS, Dart, Face, Triangulation, _connected_sum,
+from .core import (OMEGA_SLOTS, Face, Triangulation, _connected_sum,
                    euler_characteristic, make_face)
 from .errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
                      LabelCollision, MonodromyNotIdentity, NotZKnotted, SelfSum)
@@ -59,27 +59,11 @@ class SpecialMap:
                 f"{self.source_face} -> {self.target_face}")
         object.__setattr__(self, "pairs", tuple(sorted(pairs)))
 
-    def vertex(self, v: str) -> str:
-        for source, target in self.pairs:
-            if source == v:
-                return target
-        raise InvalidSpecialMap(f"vertex {v!r} not in source face {self.source_face}")
-
     def vertex_inverse(self, w: str) -> str:
         for source, target in self.pairs:
             if target == w:
                 return source
         raise InvalidSpecialMap(f"vertex {w!r} not in target face {self.target_face}")
-
-    def dart(self, dart: Dart) -> Dart:
-        return Dart(self.vertex(dart.tail), self.vertex(dart.head))
-
-    def dart_inverse(self, dart: Dart) -> Dart:
-        return Dart(self.vertex_inverse(dart.tail), self.vertex_inverse(dart.head))
-
-    def inverse(self) -> "SpecialMap":
-        return SpecialMap(self.target_face, self.source_face,
-                          tuple((t, s) for s, t in self.pairs))
 
 
 @dataclass(frozen=True)

@@ -208,10 +208,6 @@ class Zigzag:
     def reverse(self) -> "Zigzag":
         return Zigzag(-dart for dart in reversed(self.darts))
 
-    def edge_counts(self) -> typing.Dict[Edge, int]:
-        """How many times the zigzag traverses each undirected edge."""
-        return dict(collections.Counter(dart.edge for dart in self.darts))
-
     def __eq__(self, other):
         return isinstance(other, Zigzag) and self.darts == other.darts
 
@@ -229,8 +225,9 @@ class ZigzagAtlas:
     """All directed zigzags of a triangulation plus the reversal pairing.
 
     The zigzag tuple is in deterministic discovery order; ``pairing`` is a
-    fixed-point-free involution matching each zigzag with its reverse.  The
-    orbit lengths always sum to 4E.
+    fixed-point-free involution matching each zigzag with its reverse, so
+    ``atlas.pairing[z]`` is the reverse of ``z``.  The orbit lengths always
+    sum to 4E.
     """
 
     __slots__ = ("zigzags", "pairing")
@@ -247,21 +244,6 @@ class ZigzagAtlas:
     @property
     def pair_count(self) -> int:
         return len(self.zigzags) // 2
-
-    def reverse_of(self, zigzag: Zigzag) -> Zigzag:
-        return self.pairing[zigzag]
-
-    def pairs(self) -> typing.Tuple[typing.Tuple[Zigzag, Zigzag], ...]:
-        """Each reversal pair once, keyed by its smaller member, sorted."""
-        seen = set()
-        out = []
-        for zigzag in sorted(self.zigzags):
-            if zigzag not in seen:
-                partner = self.pairing[zigzag]
-                seen.add(zigzag)
-                seen.add(partner)
-                out.append((zigzag, partner))
-        return tuple(out)
 
     def __iter__(self):
         return iter(self.zigzags)

@@ -92,13 +92,14 @@ def test_criterion_05_knotted_iff_all_faces_knotted_type(full_corpus):
 
 
 def test_criterion_06_monodromy_laws(full_corpus):
+    negation = tz.core.OMEGA_NEGATION
     for tri in full_corpus:
         for face in tri.faces:
             m = tz.z_monodromy(tri, face)
-            assert sorted(m(e) for e in m.domain) == sorted(m.domain)
-            for e in m.domain:
-                assert m(e) != -e
-                assert m(-m(e)) == -e
+            assert sorted(m.image) == list(range(6))
+            for k, image in enumerate(m.image):
+                assert image != negation[k]
+                assert m.image[negation[image]] == negation[k]
             assert max(len(c) for c in m.cycles()) <= 3
     _passed(6, "bijectivity, no negation images, negation law, cycles <= 3")
 

@@ -58,7 +58,7 @@ def test_gen_is_deterministic(capsys):
     assert capsys.readouterr().out == first
 
 
-def test_gen_errors(capsys):
+def test_gen_errors(tmp_path, capsys):
     assert main(["gen", "nonsense"]) == 2
     assert "error" in capsys.readouterr().err
     assert main(["gen", "bp", "2"]) == 2
@@ -67,6 +67,10 @@ def test_gen_errors(capsys):
     assert main(["gen", "bp"]) == 2
     capsys.readouterr()
     assert main(["gen", "torus", "3", "x"]) == 2
+    capsys.readouterr()
+    for target in (tmp_path / "missing" / "x.json", tmp_path):
+        assert main(["gen", "bp", "3", "-o", str(target)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "MalformedDocument"
 
 
 def test_validate_exit_codes(bp3_file, broken_file, tmp_path, capsys):
@@ -77,8 +81,11 @@ def test_validate_exit_codes(bp3_file, broken_file, tmp_path, capsys):
     assert "EdgeDegreeViolation" in report
     garbage = tmp_path / "garbage.json"
     garbage.write_text("{")
-    assert main(["validate", str(garbage)]) == 2
-    assert main(["validate", str(tmp_path / "missing.json")]) == 2
+    undecodable = tmp_path / "latin1.json"
+    undecodable.write_bytes(b'{"faces": "\xe9"}')
+    for path in (garbage, tmp_path / "missing.json", undecodable):
+        assert main(["validate", str(path)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "MalformedDocument"
 
 
 def test_pinched_vertex_exit_codes(tmp_path, capsys):
@@ -185,6 +192,9 @@ def test_shred_cli(octa_file, tmp_path, capsys):
     assert main(["shred", octa_file]) == 0
     printed = capsys.readouterr().out
     assert tz.parse(printed) == shredded
+    assert main(["shred", octa_file, "-o", str(out),
+                 "--certificate", str(tmp_path / "missing" / "c.json")]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "MalformedDocument"
 
 
 def test_shred_deterministic_across_processes(octa_file, tmp_path):

@@ -101,21 +101,23 @@ def _straight_transpositions(e1, e2, e3):
 
 def _searched_type(monodromy):
     """Pattern search over witness cycles, trying M1, M2, M5, M3, M6, M4, M7."""
-    rotation = DartPermutation.rotation(monodromy.face)
+    face = monodromy.face
+    rotation = DartPermutation.rotation(face)
+    inverse = rotation.compose(rotation)  # D^3 = 1
     if monodromy.is_identity:
         return MonodromyType("M1")
     if monodromy == rotation:
         return MonodromyType("M2")
-    if monodromy == rotation.inverse():
+    if monodromy == inverse:
         return MonodromyType("M5")
     searches = (("M3", rotation.cycles(), _three_cycle_pair),
-                ("M6", rotation.inverse().cycles(), _three_cycle_pair),
+                ("M6", inverse.cycles(), _three_cycle_pair),
                 ("M4", rotation.cycles(), _crossed_transpositions),
                 ("M7", rotation.cycles(), _straight_transpositions))
     for tag, cycles, pattern in searches:
         for a, b, c in cycles:
             for witness in ((a, b, c), (b, c, a), (c, a, b)):
-                if pattern(*witness) == monodromy.as_dict():
+                if DartPermutation(face, pattern(*witness)) == monodromy:
                     return MonodromyType(tag, witness)
     raise AssertionError(f"no shape matches {monodromy!r}")
 
@@ -164,7 +166,7 @@ def test_expand_agrees_for_either_witness():
         if tag in ("M1", "M2", "M5"):
             continue
         expected = DartPermutation(face, {darts[k]: darts[i] for k, i in enumerate(image)})
-        source = rotation.inverse() if tag == "M6" else rotation
+        source = rotation.compose(rotation) if tag == "M6" else rotation
         witnesses = [witness for a, b, c in source.cycles()
                      for witness in ((a, b, c), (b, c, a), (c, a, b))
                      if MonodromyType(tag, witness).expand(face) == expected]
