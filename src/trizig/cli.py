@@ -3,11 +3,14 @@
 Predicate commands (``knotted``) exit 0 for yes and 1 for no; every command
 exits 2 on invalid input, with a machine-readable JSON error on stderr.
 Reports are plain text by default; ``zigzags`` takes ``--json`` for machine
-use.
+use.  A command whose reader closes standard output early
+(``trizig zigzags F | head -1``) drops the rest of its output and exits 1,
+with nothing on stderr.
 """
 
 import argparse
 import json
+import os
 import sys
 
 from .core import euler_characteristic, make_face, validate
@@ -29,15 +32,32 @@ def _read(path: str) -> str:
         raise MalformedDocument(f"cannot read {path}: {exc}") from None
 
 
-def _write_output(text: str, path) -> None:
-    if path is None:
-        sys.stdout.write(text)
-        return
+def _write_outputs(*outputs) -> None:
+    """Write each (text, path) pair, to stdout where the path is None.
+
+    Every file is opened before any is written, without truncating it, so
+    when one path cannot be written no file is created or changed.
+    """
+    opened = []
     try:
-        with open(path, "w", encoding="utf-8") as handle:
-            handle.write(text)
+        for _text, path in outputs:
+            if path is not None:
+                existed = os.path.exists(path)
+                opened.append((open(path, "a", encoding="utf-8"), existed))
     except OSError as exc:
+        for handle, existed in opened:
+            handle.close()
+            if not existed:
+                os.remove(handle.name)
         raise MalformedDocument(f"cannot write {path}: {exc}") from None
+    handles = iter(opened)
+    for text, path in outputs:
+        if path is None:
+            sys.stdout.write(text)
+            continue
+        with next(handles)[0] as handle:
+            handle.truncate(0)
+            handle.write(text)
 
 
 def _parse_face(text: str):
@@ -83,7 +103,7 @@ def _cmd_gen(args) -> int:
         raise MalformedDocument(
             f"parameters must be integers, got {args.params}") from None
     tri, metadata = builder(*params)
-    _write_output(serialize(tri, metadata=metadata), args.output)
+    _write_outputs((serialize(tri, metadata=metadata), args.output))
     return 0
 
 
@@ -156,16 +176,17 @@ def _cmd_consum(args) -> int:
         pairs.append((src, dst))
     gluing = SpecialMap(face1, face2, tuple(pairs))
     result = connected_sum(first, face1, second, face2, gluing)
-    _write_output(serialize(result.triangulation), args.output)
+    _write_outputs((serialize(result.triangulation), args.output))
     return 0
 
 
 def _cmd_shred(args) -> int:
     tri = parse(_read(args.file))
     result, certificate = shred(tri)
-    _write_output(serialize(result), args.output)
-    if args.certificate:
-        _write_output(certificate.to_json(), args.certificate)
+    outputs = [(serialize(result), args.output)]
+    if args.certificate is not None:
+        outputs.append((certificate.to_json(), args.certificate))
+    _write_outputs(*outputs)
     if args.output is not None:
         print(f"steps={len(certificate.steps)} "
               f"zigzag_length={certificate.final_zigzag_length}")
@@ -235,11 +256,18 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except TrizigError as exc:
         error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
         print(json.dumps(error, sort_keys=True), file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader is gone; the output still buffered goes nowhere, so
+        # the interpreter's last flush does not raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

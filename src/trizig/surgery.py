@@ -13,6 +13,7 @@ the exact criterion for the sum of two triangulations with essential faces
 to be z-knotted.
 """
 
+import bisect
 import itertools
 import re
 import typing
@@ -90,15 +91,23 @@ def enumerate_special_maps(face: Face, other: Face) -> typing.Tuple[SpecialMap, 
 _PREFIX = re.compile(r"s(\d+)\.")
 
 
-def fresh_label_prefix(labels: typing.Iterable[str]) -> str:
-    """The smallest "s<k>." prefix that starts no existing label."""
+def _prefix_numbers(labels: typing.Iterable[str]) -> typing.FrozenSet[int]:
+    """Every k such that some label starts with "s<k>."."""
     match = _PREFIX.match
-    taken = {int(found.group(1)) for label in labels
-             if label[:1] == "s" and (found := match(label))}
+    return frozenset(int(found.group(1)) for label in labels
+                     if label[:1] == "s" and (found := match(label)))
+
+
+def _least_free_prefix(taken: typing.FrozenSet[int]) -> str:
     k = 0
     while k in taken:
         k += 1
     return f"s{k}."
+
+
+def fresh_label_prefix(labels: typing.Iterable[str]) -> str:
+    """The smallest "s<k>." prefix that starts no existing label."""
+    return _least_free_prefix(_prefix_numbers(labels))
 
 
 def _check_sum_inputs(tri: Triangulation, face: Face,
@@ -132,16 +141,21 @@ def connected_sum(tri: Triangulation, face: Face,
     vertices, and its remaining vertices receive fresh labels: an explicit
     ``relabeling`` when replaying a recorded sum, else the old label behind
     the first "s<k>." prefix that starts no host label, so iterated sums
-    never collide.  The result is built locally from the two checked
-    summands (``core._connected_sum`` gives the argument), not validated
-    again; its Euler characteristic is the sum of the summands' minus 2 and
-    it is orientable iff both summands are.
+    never collide.  The prefix numbers a triangulation's labels take are
+    cached with it, and a sum's are the host's plus the fresh labels', so a
+    chain of sums reads each label once.  The result is built locally from
+    the two checked summands (``core._connected_sum`` gives the argument),
+    not validated again; its Euler characteristic is the sum of the
+    summands' minus 2 and it is orientable iff both summands are.
     """
     face, other_face = _check_sum_inputs(tri, face, other_tri, other_face, gluing)
     glued = set(other_face)
     loose = [v for v in other_tri.vertices if v not in glued]
+    taken = tri._cache.get("label_prefixes")
     if relabeling is None:
-        prefix = fresh_label_prefix(tri.vertices)
+        if taken is None:
+            taken = tri._cache["label_prefixes"] = _prefix_numbers(tri.vertices)
+        prefix = _least_free_prefix(taken)
         fresh = {v: prefix + v for v in loose}
     else:
         fresh = dict(relabeling)
@@ -152,10 +166,13 @@ def connected_sum(tri: Triangulation, face: Face,
             raise LabelCollision("explicit relabeling must map to non-empty text")
         if len(set(fresh.values())) != len(loose):
             raise LabelCollision("explicit relabeling is not injective")
-    collisions = set(fresh.values()) & set(tri.vertices)
+    vertices = tri.vertices  # sorted
+    collisions = sorted(label for label in fresh.values()
+                        if (i := bisect.bisect_left(vertices, label)) < len(vertices)
+                        and vertices[i] == label)
     if collisions:
         raise LabelCollision(
-            f"fresh labels collide with existing vertices: {sorted(collisions)}")
+            f"fresh labels collide with existing vertices: {collisions}")
 
     full = dict(fresh)
     for v in other_face:
@@ -165,6 +182,8 @@ def connected_sum(tri: Triangulation, face: Face,
     expected_chi = euler_characteristic(tri) + euler_characteristic(other_tri) - 2
     if euler_characteristic(result) != expected_chi:
         raise AssertionError("connected sum changed the Euler characteristic")
+    if taken is not None:
+        result._cache["label_prefixes"] = taken | _prefix_numbers(fresh.values())
     return SumResult(result, tuple(sorted(fresh.items())))
 
 
@@ -177,9 +196,16 @@ def gluing_condition(tri: Triangulation, face: Face,
     z-knotted.
     """
     face, other_face = _check_sum_inputs(tri, face, other_tri, other_face, gluing)
-    monodromy = z_monodromy(tri, face).image
-    other_monodromy = z_monodromy(other_tri, other_face).image
-    # g: dart k of ``face`` -> dart g[k] of ``other_face``, in omega order.
+    return _glues(z_monodromy(tri, face).image,
+                  z_monodromy(other_tri, other_face).image, gluing)
+
+
+def _glues(monodromy: typing.Tuple[int, ...], other_monodromy: typing.Tuple[int, ...],
+           gluing: SpecialMap) -> bool:
+    """The gluing condition for the z-monodromies of the glued faces, given
+    as 6-tuples of omega indices of the source and the target face."""
+    other_face = gluing.target_face
+    # g: dart k of the source face -> dart g[k] of ``other_face``, in omega order.
     slot = [other_face.index(target) for _source, target in gluing.pairs]
     g = [OMEGA_SLOTS.index((slot[tail], slot[head])) for tail, head in OMEGA_SLOTS]
     product = tuple(g[monodromy[g.index(k)]] for k in other_monodromy)

@@ -13,6 +13,7 @@ in the sorted face tuple, and the step map and orbits are int lists; darts
 and positions are built only where the public API returns them.
 """
 
+import array
 import bisect
 import collections
 import typing
@@ -67,29 +68,34 @@ def reverse_position(position: Position) -> Position:
     return Position(-face_rotation_inverse(face, dart), face)
 
 
+# The edges of a sorted face (a, b, c) in the order ab, ac, bc: the vertex
+# slots of the edge, then the omega index of the dart running along it
+# (low -> high) and of the dart running against it.
+_EDGE_DARTS = (((0, 1), 0, 3), ((0, 2), 5, 2), ((1, 2), 1, 4))
+
+
 class _Kernel:
     """The zigzag orbits as int lists, cached per triangulation.
 
     Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
-    6F = 4E this numbers the positions exactly.  ``orbits[o]`` lists the
-    positions of orbit o in step order, from its least position in
-    (tail, head, face) order, and ``orbit_of[p]`` is the orbit of p.
-    Orbits are numbered in the order of their least positions, so every
-    output derived from them is deterministic.
+    6F = 4E this numbers the positions exactly.  ``step[p]`` is the position
+    after p, ``orbits[o]`` lists the positions of orbit o in step order,
+    from its least position in (tail, head, face) order, and ``orbit_of[p]``
+    is the orbit of p.  Orbits are numbered in the order of their least
+    positions, so every output derived from them is deterministic.
     """
 
-    __slots__ = ("orbit_of", "orbits")
+    __slots__ = ("step", "orbit_of", "orbits")
 
     def __init__(self, tri: Triangulation):
         faces = tri.faces
         count = 6 * len(faces)
         # The step from (d, F) is D(d) read in the other face of d's edge.
-        # Each edge of a face (a, b, c) carries darts ab/ba, ac/ca, bc/cb.
         step_table = [0] * count
         waiting: typing.Dict[Edge, typing.Tuple[int, int, int, int]] = {}
-        for base, (a, b, c) in zip(range(0, count, 6), faces):
-            for edge, forward, backward in (((a, b), 0, 3), ((a, c), 5, 2),
-                                            ((b, c), 1, 4)):
+        for base, face in zip(range(0, count, 6), faces):
+            for (low, high), forward, backward in _EDGE_DARTS:
+                edge = face[low], face[high]
                 here = (base + forward, base + backward,
                         base + OMEGA_ROTATION[forward], base + OMEGA_ROTATION[backward])
                 there = waiting.pop(edge, None)
@@ -126,6 +132,8 @@ class _Kernel:
             if p != start:
                 raise AssertionError("step map failed to be a permutation")
             orbits.append(orbit)
+        # Packed: as a list the table would keep 4E int objects alive.
+        self.step = array.array("i", step_table)
         self.orbit_of = orbit_of
         self.orbits = orbits
 

@@ -228,3 +228,54 @@ def test_gauss_cli(bp3_file, octa_file, capsys):
     assert main(["gauss", octa_file]) == 2
     err = json.loads(capsys.readouterr().err)
     assert err["error"]["type"] == "NotZKnotted"
+
+
+def test_closed_stdout_ends_quietly(bp8_file):
+    # ``trizig zigzags F | head -1``: the reader goes away before the output
+    # is written; the command must end without a traceback.
+    import os
+    import pathlib
+    import subprocess
+    import sys
+
+    source = str(pathlib.Path(tz.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "trizig.cli", "zigzags", bp8_file],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        env=dict(os.environ, PYTHONPATH=path))
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 1
+    assert err == b""
+
+
+@pytest.mark.parametrize("bad", ["output", "certificate"])
+def test_shred_writes_nothing_when_a_path_is_unwritable(octa_file, tmp_path,
+                                                        capsys, bad):
+    paths = {"output": tmp_path / "out.json", "certificate": tmp_path / "c.json"}
+    paths[bad] = tmp_path / "missing" / "x.json"
+    assert main(["shred", octa_file, "-o", str(paths["output"]),
+                 "--certificate", str(paths["certificate"])]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "MalformedDocument"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["octa.json"]
+
+
+def test_shred_keeps_existing_files_when_a_path_is_unwritable(octa_file, tmp_path,
+                                                              capsys):
+    out = tmp_path / "out.json"
+    out.write_text("before\n")
+    assert main(["shred", octa_file, "-o", str(out),
+                 "--certificate", str(tmp_path / "missing" / "c.json")]) == 2
+    assert out.read_text() == "before\n"
+    assert main(["shred", octa_file, "-o", str(out),
+                 "--certificate", str(tmp_path / "c.json")]) == 0
+    assert tz.is_z_knotted(tz.parse(out.read_text()))
+
+
+def test_shred_rejects_an_empty_certificate_path(octa_file, tmp_path, capsys):
+    out = tmp_path / "out.json"
+    assert main(["shred", octa_file, "-o", str(out), "--certificate", ""]) == 2
+    assert json.loads(capsys.readouterr().err)["error"]["type"] == "MalformedDocument"
+    assert not out.exists()

@@ -7,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 
 import trizig as tz
 from trizig.errors import InvalidMonodromyType, MalformedDocument
+from trizig import monodromy, zigzag
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
-                              ShredCertificate, ShredStep, _bad_faces)
+                              ShredCertificate, ShredStep, _bad_faces,
+                              _ZigzagState)
 
 
 def test_patch_for():
@@ -83,7 +85,8 @@ def test_patch_faces_locally_knotted_right_after_a_step():
                       (tz.bipyramid(6), ("1", "2", "a"))]:
         tag = tz.face_types(tri)[face].tag
         patch = tz.patch_for(tag)
-        repaired, record = _repair(tri, face, tag)
+        repaired, record = _repair(tri, face, tz.z_monodromy(tri, face).image)
+        assert record.bad_type == tag
         gluing = tz.SpecialMap(face, patch.designated_face, record.vertex_map)
         relabel = dict(record.relabeling)
         for patch_face in patch.triangulation.faces:
@@ -258,13 +261,12 @@ def test_verify_certificate_empty_on_wrong_pair():
     assert not tz.verify_certificate(bp3, empty, tz.bipyramid(5)).ok
 
 
-@settings(max_examples=25, deadline=None)
-@given(st.sampled_from([(genus, cross_caps) for genus in range(3)
-                        for cross_caps in range(4) if genus or cross_caps]),
-       st.data())
-def test_shred_sums_of_tori_and_projective_planes(surface, data):
-    # g tori and k projective planes sum to chi = 2 - 2g - k, orientable iff k = 0.
-    genus, cross_caps = surface
+SURFACES = st.sampled_from([(genus, cross_caps) for genus in range(3)
+                            for cross_caps in range(4) if genus or cross_caps])
+
+
+def _draw_sum(genus, cross_caps, data):
+    """g tori and k projective planes, summed along drawn faces and maps."""
     summands = ([tz.torus_grid(3, 3) for _ in range(genus)]
                 + [tz.projective_plane_fig5() for _ in range(cross_caps)])
     tri = summands[0]
@@ -273,6 +275,15 @@ def test_shred_sums_of_tori_and_projective_planes(surface, data):
         other_face = data.draw(st.sampled_from(other.faces))
         gluing = data.draw(st.sampled_from(tz.enumerate_special_maps(face, other_face)))
         tri = tz.connected_sum(tri, face, other, other_face, gluing).triangulation
+    return tri
+
+
+@settings(max_examples=25, deadline=None)
+@given(SURFACES, st.data())
+def test_shred_sums_of_tori_and_projective_planes(surface, data):
+    # g tori and k projective planes sum to chi = 2 - 2g - k, orientable iff k = 0.
+    genus, cross_caps = surface
+    tri = _draw_sum(genus, cross_caps, data)
     assert tz.validate(tri).ok
     chi = 2 - 2 * genus - cross_caps
     assert tz.euler_characteristic(tri) == chi
@@ -281,3 +292,112 @@ def test_shred_sums_of_tori_and_projective_planes(surface, data):
     assert tz.is_z_knotted(shredded)
     assert tz.euler_characteristic(shredded) == chi
     assert tz.verify_certificate(tri, certificate, shredded).ok
+
+
+def _check_splice(state, tri):
+    """The spliced state against a fresh kernel and classification of ``tri``."""
+    assert sorted(face for face in state.faces if face is not None) == list(tri.faces)
+    orbits = {}
+    for p, orbit in enumerate(state.orbit_of):
+        face = state.faces[p // 6]
+        if face is not None:
+            orbits.setdefault(orbit, set()).add((face, p % 6))
+    kernel = zigzag._Kernel(tri)
+    assert ({frozenset(orbit) for orbit in orbits.values()}
+            == {frozenset((tri.faces[p // 6], p % 6) for p in orbit)
+                for orbit in kernel.orbits})
+    types = tz.face_types(tri)
+    for face in tri.faces:
+        s = state.slot[face]
+        assert (state.orbit_count(s) > 2) == (types[face].tag in BAD_TAGS)
+        assert state.monodromy(s) == tz.z_monodromy(tri, face).image
+
+
+def _shred_with_checked_splices(tri):
+    """``shred``, checking the zigzag state after every splice."""
+    splice = _ZigzagState.splice
+    spliced = []
+
+    def checked(state, result, removed, added):
+        touched = splice(state, result, removed, added)
+        _check_splice(state, result)
+        spliced.append(result)
+        return touched
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ZigzagState, "splice", checked)
+        out, certificate = tz.shred(tri)
+    assert len(spliced) == len(certificate.steps)
+    assert spliced[-1:] == ([out] if certificate.steps else [])
+    return out, certificate
+
+
+def test_splices_match_a_fresh_kernel(named_corpus):
+    for tri in named_corpus.values():
+        _check_splice(_ZigzagState(tri), tri)
+        out, _certificate = _shred_with_checked_splices(tri)
+        assert tz.is_z_knotted(out)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SURFACES, st.data())
+def test_splices_match_a_fresh_kernel_on_sums(surface, data):
+    tri = _draw_sum(*surface, data)
+    out, certificate = _shred_with_checked_splices(tri)
+    assert certificate.steps
+    assert tz.verify_certificate(tri, certificate, out).ok
+
+
+def _shred_by_reclassifying(tri):
+    """The plain loop: classify the whole surface again after every repair."""
+    steps = []
+    current = tri
+    while _bad_faces(current):
+        face, tag = _bad_faces(current)[0]
+        patch = tz.patch_for(tag)
+        gluing = tz.find_gluing_map(current, face, patch)
+        result = tz.connected_sum(current, face, patch.triangulation,
+                                  patch.designated_face, gluing)
+        steps.append(ShredStep(face, tag, patch.patch_id, gluing.pairs,
+                               result.relabeling))
+        current = result.triangulation
+    final_length = tz.all_zigzags(current).zigzags[0].length
+    return current, ShredCertificate(tuple(steps), final_length)
+
+
+def test_shred_matches_the_reclassifying_loop(named_corpus, random_corpus):
+    surfaces = (list(named_corpus.values()) + random_corpus[::8]
+                + [tz.random_sphere(seed, 25) for seed in range(3)])
+    for tri in surfaces:
+        out, certificate = tz.shred(tri)
+        expected_out, expected = _shred_by_reclassifying(tri)
+        assert tz.serialize(out) == tz.serialize(expected_out)
+        assert certificate.to_json() == expected.to_json()
+
+
+def test_shred_classifies_the_whole_surface_at_most_twice(monkeypatch):
+    tri = tz.random_sphere(3, 20)
+    for tag in ("M5", "M7"):
+        tz.patch_for(tag)
+    build = monodromy._build_face_types
+    built = []
+    monkeypatch.setattr(monodromy, "_build_face_types",
+                        lambda surface: built.append(surface) or build(surface))
+    out, certificate = tz.shred(tri)
+    assert len(certificate.steps) > 1
+    assert built == [tri, out]
+
+
+def test_shred_checks_the_lemma_after_every_splice(monkeypatch):
+    # A patch face that a splice left met by three zigzags must stop the loop.
+    splice = _ZigzagState.splice
+
+    def broken(state, result, removed, added):
+        touched = splice(state, result, removed, added)
+        base = 6 * state.slot[added[0]]
+        state.orbit_of[base:base + 3] = [-3, -2, -1]
+        return touched
+
+    monkeypatch.setattr(_ZigzagState, "splice", broken)
+    with pytest.raises(AssertionError, match="stopped being locally z-knotted"):
+        tz.shred(tz.bipyramid(8))

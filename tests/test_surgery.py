@@ -377,3 +377,26 @@ def test_sums_run_with_the_constructor_name_wrapped(monkeypatch):
     refined = tz.refine_identity_face(tz.example_sum("m1", 3, 3), ("2", "3", "a"))
     _assert_matches_full_validation(refined.triangulation)
     assert len(built) == 1  # only the tetrahedron of the refinement
+
+
+def test_label_prefixes_are_carried_along_a_chain_of_sums():
+    # Each sum's taken "s<k>." numbers are its host's plus its fresh labels',
+    # so automatic sums keep picking what fresh_label_prefix would.
+    from trizig.surgery import _prefix_numbers
+
+    tri = tz.bipyramid(5)
+    patch = tz.bipyramid(3)
+    face = ("1", "2", "a")
+    explicit = {"3": "s0.q", "b": "s2.q"}
+    for i in range(6):
+        host_face = next(f for f in tri.faces if f[0] in ("1", "2", "3"))
+        gluing = tz.enumerate_special_maps(host_face, face)[0]
+        expected = fresh_label_prefix(tri.vertices)
+        result = tz.connected_sum(tri, host_face, patch, face, gluing,
+                                  relabeling=explicit if i == 2 else None)
+        if i != 2:
+            assert all(label.startswith(expected) for _v, label in result.relabeling)
+        assert result.triangulation._cache["label_prefixes"] == _prefix_numbers(
+            result.triangulation.vertices)
+        tri = result.triangulation
+    assert tz.validate(tri).ok
