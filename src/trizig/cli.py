@@ -60,6 +60,13 @@ def _write_outputs(*outputs) -> None:
             handle.write(text)
 
 
+def _same_file(first: str, second: str) -> bool:
+    """Whether two paths name one file: by inode when both exist, else by real path."""
+    if os.path.exists(first) and os.path.exists(second):
+        return os.path.samefile(first, second)
+    return os.path.realpath(first) == os.path.realpath(second)
+
+
 def _parse_face(text: str):
     parts = text.split(",")
     if len(parts) != 3 or len(set(parts)) != 3:
@@ -181,6 +188,10 @@ def _cmd_consum(args) -> int:
 
 
 def _cmd_shred(args) -> int:
+    if (args.output is not None and args.certificate is not None
+            and _same_file(args.output, args.certificate)):
+        raise MalformedDocument(
+            f"-o and --certificate name the same file: {args.certificate}")
     tri = parse(_read(args.file))
     result, certificate = shred(tri)
     outputs = [(serialize(result), args.output)]

@@ -168,13 +168,19 @@ def _shape_table():
 
 _SHAPES = _shape_table()
 
+# One frozen type per witness-free tag, shared by every face of that shape.
+_WITNESS_FREE_TYPES = {tag: MonodromyType(tag) for tag in _WITNESS_FREE}
+
 
 def _monodromy_type(face: Face, image: typing.Tuple[int, ...]) -> MonodromyType:
-    if image not in _SHAPES:
+    shape = _SHAPES.get(image)
+    if shape is None:
         raise UnclassifiableMonodromy(
             f"monodromy {image} of face {face} (local dart indices) matches no shape")
-    tag, witness = _SHAPES[image]
-    return MonodromyType(tag, witness and tuple(_zz._dart(face, k) for k in witness))
+    tag, witness = shape
+    if witness is None:
+        return _WITNESS_FREE_TYPES[tag]
+    return MonodromyType(tag, tuple(_zz._dart(face, k) for k in witness))
 
 
 def _build_monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]]:

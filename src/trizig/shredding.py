@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 from .core import (OMEGA_ROTATION, OMEGA_ROTATION_INVERSE, Face, Triangulation,
                    euler_characteristic, make_face)
-from .document import load_json, serialize
+from .document import load_json
 from .errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
                      NoValidMap, TrizigError)
 from .generators import bipyramid, example_sum
@@ -37,6 +37,7 @@ from .monodromy import _monodromy_type, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, connected_sum, enumerate_special_maps
 from .zigzag import _EDGE_DARTS, _kernel, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
+from .document import serialize  # noqa: F401
 from .surgery import gluing_condition  # noqa: F401
 from .zigzag import all_zigzags  # noqa: F401
 
@@ -385,9 +386,10 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
                        target: Triangulation) -> VerificationResult:
     """Replay a certificate and compare against the claimed output.
 
-    Checks that every step applies, that the replayed result serializes
-    byte-identically to the target, that the target is z-knotted, and that
-    the recorded zigzag length matches.
+    Checks that every step applies, that the replayed result has the
+    target's faces and vertices (the two tuples a document serializes, so
+    the documents would be byte-identical), that the target is z-knotted,
+    and that the recorded zigzag length matches.
     """
     problems = []
     current = source
@@ -403,7 +405,7 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
             break
         current = result.triangulation
     else:
-        if serialize(current) != serialize(target):
+        if (current.faces, current.vertices) != (target.faces, target.vertices):
             problems.append(
                 f"replayed output differs from target: replay has "
                 f"{len(current.faces)} face(s) vs {len(target.faces)}, first "

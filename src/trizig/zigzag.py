@@ -167,8 +167,9 @@ def _edge(face: Face, k: int) -> Edge:
     return face[low], face[high]
 
 
-def _darts(tri: Triangulation, positions) -> typing.Iterator[Dart]:
-    return (_dart(tri.faces[p // 6], p % 6) for p in positions)
+def _zigzag(faces: typing.Sequence[Face], orbit: typing.List[int]) -> "Zigzag":
+    """The ``Zigzag`` of an int orbit, with ``faces`` the sorted face tuple."""
+    return Zigzag(_dart(faces[p // 6], p % 6) for p in orbit)
 
 
 def least_rotation(sequence):
@@ -236,33 +237,54 @@ class ZigzagAtlas:
     fixed-point-free involution matching each zigzag with its reverse, so
     ``atlas.pairing[z]`` is the reverse of ``z``.  The orbit lengths always
     sum to 4E.
+
+    The atlas keeps the int orbits and the sorted face tuple, not the
+    triangulation: ``count``, ``pair_count`` and ``len`` read the orbits, and
+    the ``Zigzag`` objects are built on the first read of ``zigzags``,
+    iteration or ``pairing``, then kept.
     """
 
-    __slots__ = ("zigzags", "pairing")
+    __slots__ = ("_faces", "_orbits", "_partners", "_zigzags", "_pairing")
 
-    def __init__(self, zigzags: typing.Tuple[Zigzag, ...],
-                 pairing: typing.Dict[Zigzag, Zigzag]):
-        self.zigzags = zigzags
-        self.pairing = pairing
+    def __init__(self, faces: typing.Tuple[Face, ...],
+                 orbits: typing.List[typing.List[int]], partners: typing.List[int]):
+        self._faces = faces
+        self._orbits = orbits
+        self._partners = partners
+        self._zigzags: typing.Optional[typing.Tuple[Zigzag, ...]] = None
+        self._pairing: typing.Optional[typing.Dict[Zigzag, Zigzag]] = None
+
+    @property
+    def zigzags(self) -> typing.Tuple[Zigzag, ...]:
+        if self._zigzags is None:
+            self._zigzags = tuple(_zigzag(self._faces, orbit) for orbit in self._orbits)
+        return self._zigzags
+
+    @property
+    def pairing(self) -> typing.Dict[Zigzag, Zigzag]:
+        if self._pairing is None:
+            zigzags = self.zigzags
+            self._pairing = {zigzag: zigzags[partner]
+                             for zigzag, partner in zip(zigzags, self._partners)}
+        return self._pairing
 
     @property
     def count(self) -> int:
-        return len(self.zigzags)
+        return len(self._orbits)
 
     @property
     def pair_count(self) -> int:
-        return len(self.zigzags) // 2
+        return len(self._orbits) // 2
 
     def __iter__(self):
         return iter(self.zigzags)
 
     def __len__(self):
-        return len(self.zigzags)
+        return len(self._orbits)
 
 
 def _build_atlas(tri: Triangulation) -> ZigzagAtlas:
     kernel = _kernel(tri)
-    zigzags = tuple(Zigzag(_darts(tri, orbit)) for orbit in kernel.orbits)
     # reverse_position, (d, F) -> (-D^-1(d), F), maps each orbit onto its reverse.
     reversal = [OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE]
     partners = [kernel.orbit_of[p - p % 6 + reversal[p % 6]]
@@ -271,8 +293,7 @@ def _build_atlas(tri: Triangulation) -> ZigzagAtlas:
            for i, partner in enumerate(partners)):
         raise AssertionError("reversal pairing is not a fixed-point-free "
                              "involution on the orbit set")
-    return ZigzagAtlas(zigzags, {zigzag: zigzags[partner]
-                                 for zigzag, partner in zip(zigzags, partners)})
+    return ZigzagAtlas(tri.faces, kernel.orbits, partners)
 
 
 def trace(tri: Triangulation, position: Position) -> Zigzag:
@@ -281,7 +302,7 @@ def trace(tri: Triangulation, position: Position) -> Zigzag:
     dart, face = position
     kernel = _kernel(tri)
     orbit_id = kernel.orbit_of[6 * _face_index(tri, face) + omega(face).index(dart)]
-    return Zigzag(_darts(tri, kernel.orbits[orbit_id]))
+    return _zigzag(tri.faces, kernel.orbits[orbit_id])
 
 
 def all_zigzags(tri: Triangulation) -> ZigzagAtlas:
@@ -324,8 +345,8 @@ def zigzags_of_face(tri: Triangulation, face: Face) -> typing.FrozenSet[Zigzag]:
     These are the orbits of the six positions seated at the face; the result
     always has even size 2, 4 or 6 and is closed under reversal.
     """
-    orbit_ids = _face_orbit_ids(tri, face)
-    return frozenset(all_zigzags(tri).zigzags[i] for i in orbit_ids)
+    orbits = _kernel(tri).orbits
+    return frozenset(_zigzag(tri.faces, orbits[i]) for i in _face_orbit_ids(tri, face))
 
 
 def is_locally_z_knotted(tri: Triangulation, face: Face) -> bool:

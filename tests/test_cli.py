@@ -279,3 +279,26 @@ def test_shred_rejects_an_empty_certificate_path(octa_file, tmp_path, capsys):
     assert main(["shred", octa_file, "-o", str(out), "--certificate", ""]) == 2
     assert json.loads(capsys.readouterr().err)["error"]["type"] == "MalformedDocument"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("exists", [False, True])
+def test_shred_rejects_one_file_for_output_and_certificate(octa_file, tmp_path,
+                                                           capsys, exists):
+    same = tmp_path / "same.json"
+    if exists:
+        same.write_text("before\n")
+    spelled = tmp_path / "sub" / ".." / "same.json"
+    (tmp_path / "sub").mkdir()
+    for certificate in (same, spelled):
+        assert main(["shred", octa_file, "-o", str(same),
+                     "--certificate", str(certificate)]) == 2
+        assert json.loads(capsys.readouterr().err)["error"]["type"] == "MalformedDocument"
+        assert sorted(p.name for p in tmp_path.iterdir()) == (
+            ["octa.json", "same.json", "sub"] if exists else ["octa.json", "sub"])
+    if exists:
+        assert same.read_text() == "before\n"
+        link = tmp_path / "link.json"
+        link.hardlink_to(same)
+        assert main(["shred", octa_file, "-o", str(same),
+                     "--certificate", str(link)]) == 2
+        assert same.read_text() == "before\n"

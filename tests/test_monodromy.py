@@ -5,7 +5,7 @@ import pytest
 import trizig as tz
 from trizig.core import OMEGA_NEGATION, Dart
 from trizig.errors import FaceNotFound, UnclassifiableMonodromy
-from trizig.monodromy import DartPermutation
+from trizig.monodromy import DartPermutation, MonodromyType
 
 KNOTTED_TAGS = ("M1", "M2", "M3", "M4")
 
@@ -144,6 +144,19 @@ def test_face_types_is_computed_once_and_read_only():
         types[tri.faces[0]] = types[tri.faces[1]]
     assert list(types) == list(tri.faces)
     assert dict(tz.face_types(tri)) == dict(types)
+
+
+def test_witness_free_types_are_shared(full_corpus):
+    shared = {}
+    for tri in full_corpus:
+        for face, mtype in tz.face_types(tri).items():
+            if mtype.tag in ("M1", "M2", "M5"):
+                assert mtype == MonodromyType(mtype.tag)
+                assert shared.setdefault(mtype.tag, mtype) is mtype
+            else:
+                assert mtype.witness is not None
+                assert mtype == tz.classify(tz.z_monodromy(tri, face))
+    assert set(shared) == {"M1", "M2", "M5"}
 
 
 def test_is_two_disjoint_3cycles():

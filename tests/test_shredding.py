@@ -254,6 +254,21 @@ def test_verify_certificate_rejects_an_empty_fresh_label():
     assert result.problems[0].startswith("step 0 does not apply")
 
 
+def test_verify_certificate_reports_a_target_differing_by_one_face():
+    bp8 = tz.bipyramid(8)
+    out, certificate = tz.shred(bp8)
+    # Subdivide one face of the true output at a new vertex "x".
+    a, b, c = out.faces[20]
+    assert (a, b, c) == ("5", "6", "b")
+    target = tz.Triangulation([face for face in out.faces if face != (a, b, c)]
+                              + [(a, b, "x"), (a, c, "x"), (b, c, "x")])
+    result = tz.verify_certificate(bp8, certificate, target)
+    assert result.problems == (
+        "replayed output differs from target: replay has 40 face(s) vs 42, "
+        "first differing face ('5', '6', 'b')",
+        "target is not z-knotted")
+
+
 def test_verify_certificate_empty_on_wrong_pair():
     bp3 = tz.bipyramid(3)
     empty = ShredCertificate((), 2 * len(bp3.edges))

@@ -1,6 +1,7 @@
 """Zigzag engine: step orbits, atlases, knottedness, Gauss codes."""
 
 import collections
+import gc
 import random
 
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given, strategies as st
 import trizig as tz
 from trizig.core import Dart
 from trizig.errors import FaceNotFound, InvalidPosition, NotZKnotted
-from trizig.zigzag import Position, least_rotation
+from trizig.zigzag import Position, Zigzag, _kernel, least_rotation
 
 PAPER_BP3_CYCLE = ("a", "1", "2", "b", "3", "1", "a", "2", "3",
                    "b", "1", "2", "a", "3", "1", "b", "2", "3")
@@ -164,6 +165,61 @@ def test_no_zigzag_equals_its_reverse(full_corpus):
     for tri in full_corpus[:60]:
         for zigzag in tz.all_zigzags(tri):
             assert zigzag.reverse() != zigzag
+
+
+def test_counting_builds_no_zigzag(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("a Zigzag was built")
+
+    monkeypatch.setattr("trizig.zigzag.Zigzag", refuse)
+    tri = tz.torus_grid(20, 21)
+    atlas = tz.all_zigzags(tri)
+    assert (atlas.count, atlas.pair_count, len(atlas)) == (84, 42, 84)
+    assert not tz.is_z_knotted(tri)
+    assert {mtype.tag for mtype in tz.face_types(tri).values()} == {"M5"}
+    with pytest.raises(AssertionError, match="a Zigzag was built"):
+        atlas.zigzags
+
+
+def _eager_zigzags(tri):
+    """One ``Zigzag`` per kernel orbit, built directly from the int positions."""
+    faces = tri.faces
+    return [Zigzag(tz.omega(faces[p // 6])[p % 6] for p in orbit)
+            for orbit in _kernel(tri).orbits]
+
+
+def test_materialized_zigzags_match_the_kernel_orbits(full_corpus):
+    for i, tri in enumerate(full_corpus):
+        eager = _eager_zigzags(tri)
+        orbit_of = _kernel(tri).orbit_of
+        atlas = tz.all_zigzags(tri)
+        assert atlas.count == len(eager)
+        assert list(atlas.zigzags) == eager
+        assert list(atlas) == eager
+        assert atlas.pairing == {zigzag: zigzag.reverse() for zigzag in eager}
+        # Per-face reads build their own zigzags: check a spread of faces.
+        for f in range(i % 7, len(tri.faces), 7):
+            face = tri.faces[f]
+            assert tz.zigzags_of_face(tri, face) == frozenset(
+                eager[orbit_of[6 * f + k]] for k in range(6))
+            k = f % 6
+            assert tz.trace(tri, Position(tz.omega(face)[k], face)) == eager[
+                orbit_of[6 * f + k]]
+
+
+def test_atlas_holds_no_reference_to_its_triangulation():
+    tri = tz.bipyramid(8)
+    atlas = tz.all_zigzags(tri)
+    atlas.pairing  # materialize everything the atlas can hold
+    seen, stack = set(), [atlas]
+    while stack:
+        obj = stack.pop()
+        assert obj is not tri
+        if id(obj) in seen or not isinstance(
+                obj, (tuple, list, dict, tz.ZigzagAtlas, Zigzag)):
+            continue
+        seen.add(id(obj))
+        stack.extend(gc.get_referents(obj))
 
 
 def test_is_z_knotted():
