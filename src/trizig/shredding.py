@@ -17,9 +17,9 @@ surface.  Every step is logged in a replayable certificate.
 The same fact lets ``shred`` classify the input once.  Every later bad face
 is one of the input's bad faces, and a face is bad iff its six seed
 positions meet more than two zigzags.  So the loop keeps the zigzag step
-table and orbit ids as int lists, re-walks after each sum only the orbits
-through the glued faces, and walks the monodromy of only the face it
-repairs next.
+table and orbit ids as int lists (``zigzag._ZigzagState``), re-walks after
+each sum only the orbits through the glued faces, and walks the monodromy
+of only the face it repairs next.
 """
 
 import functools
@@ -27,15 +27,14 @@ import json
 import typing
 from dataclasses import dataclass
 
-from .core import (OMEGA_ROTATION, OMEGA_ROTATION_INVERSE, Face, Triangulation,
-                   euler_characteristic, make_face)
+from .core import Face, Triangulation, euler_characteristic, make_face
 from .document import load_json
 from .errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
                      NoValidMap, TrizigError)
 from .generators import bipyramid, example_sum
 from .monodromy import _monodromy_type, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, connected_sum, enumerate_special_maps
-from .zigzag import _EDGE_DARTS, _kernel, is_essential, is_z_knotted
+from .zigzag import _ZigzagState, _kernel, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
 from .document import serialize  # noqa: F401
 from .surgery import gluing_condition  # noqa: F401
@@ -163,6 +162,9 @@ class ShredCertificate:
         if not isinstance(doc, dict) or doc.get("format") != CERTIFICATE_FORMAT:
             raise MalformedDocument("missing or unsupported certificate format tag")
         try:
+            if not isinstance(doc["steps"], list) or not all(
+                    isinstance(entry["face"], list) for entry in doc["steps"]):
+                raise TypeError("steps and step faces must be JSON arrays")
             steps = tuple(
                 ShredStep(
                     face=make_face(*entry["face"]),
@@ -212,102 +214,6 @@ def _patch_faces(step: ShredStep) -> typing.List[Face]:
     label.update((target, source) for source, target in step.vertex_map)
     return [typing.cast(Face, tuple(sorted(label[v] for v in face)))
             for face in patch.triangulation.faces if face != patch.designated_face]
-
-
-# The (forward, backward) omega indices of the darts on a face's edge, by
-# the vertex slots of the edge in that face.
-_DARTS_ON = {slots: (forward, backward) for slots, forward, backward in _EDGE_DARTS}
-
-
-class _ZigzagState:
-    """The zigzags of a surface under repair, kept current across sums.
-
-    Starts as a copy of the ``zigzag._Kernel`` step table and orbit ids.
-    Position 6 s + k is dart k of the face in slot s, as in the kernel, but
-    slots never move: a removed face leaves a tombstone, which steps to
-    itself, and the faces of each patch take new slots at the end.  Orbit ids
-    carry no order; every re-walked orbit gets a fresh one.
-    """
-
-    __slots__ = ("faces", "slot", "step", "orbit_of", "next_id")
-
-    def __init__(self, tri: Triangulation):
-        kernel = _kernel(tri)
-        self.faces: typing.List[typing.Optional[Face]] = list(tri.faces)
-        self.slot = {face: s for s, face in enumerate(tri.faces)}
-        self.step = list(kernel.step)
-        self.orbit_of = list(kernel.orbit_of)
-        self.next_id = len(kernel.orbits)
-
-    def orbit_count(self, s: int) -> int:
-        """How many zigzags meet the face in slot s: 2 iff it is locally
-        z-knotted."""
-        return len(set(self.orbit_of[6 * s:6 * s + 6]))
-
-    def monodromy(self, s: int) -> typing.Tuple[int, ...]:
-        """The z-monodromy of the face in slot s as in
-        ``monodromy._build_monodromies``: seed k maps to D^-1 of the dart of
-        the next position in the face."""
-        step = self.step
-        base = 6 * s
-        image = []
-        for p in range(base, base + 6):
-            p = step[p]
-            while not base <= p < base + 6:
-                p = step[p]
-            image.append(OMEGA_ROTATION_INVERSE[p - base])
-        return tuple(image)
-
-    def splice(self, tri: Triangulation, removed: Face,
-               added: typing.Sequence[Face]) -> typing.Set[int]:
-        """Follow the connected sum ``tri`` that replaced ``removed`` by ``added``.
-
-        Only the steps from the new faces and from the three host faces
-        across the glued edges change, so only the orbits through them are
-        re-walked.  Returns the slots of the faces with a seed on one of them.
-        """
-        step, orbit_of, slot = self.step, self.orbit_of, self.slot
-        edge_faces = tri.edge_faces
-        gone = 6 * slot.pop(removed)
-        self.faces[gone // 6] = None
-        step[gone:gone + 6] = range(gone, gone + 6)
-        changed = []
-        for (low, high), _forward, _backward in _EDGE_DARTS:
-            first, second = edge_faces[removed[low], removed[high]]
-            changed.append(slot[first] if first in slot else slot[second])
-        for face in added:
-            changed.append(len(self.faces))
-            slot[face] = len(self.faces)
-            self.faces.append(face)
-        step += [0] * (6 * len(added))
-        orbit_of += [-1] * (6 * len(added))
-
-        for s in changed:
-            face, base = self.faces[s], 6 * s
-            for (low, high), forward, backward in _EDGE_DARTS:
-                u, v = face[low], face[high]
-                first, second = edge_faces[u, v]
-                other = second if first == face else first
-                there, back = _DARTS_ON[other.index(u), other.index(v)]
-                other_base = 6 * slot[other]
-                step[base + forward] = other_base + OMEGA_ROTATION[there]
-                step[base + backward] = other_base + OMEGA_ROTATION[back]
-
-        fresh = self.next_id
-        walked = []
-        walk = walked.append
-        for start in (6 * s + k for s in changed for k in range(6)):
-            if orbit_of[start] >= fresh:
-                continue
-            orbit, p = self.next_id, start
-            self.next_id += 1
-            while orbit_of[p] < fresh:
-                orbit_of[p] = orbit
-                walk(p)
-                p = step[p]
-            if p != start:
-                raise AssertionError("spliced step map failed to be a permutation")
-        return {p // 6 for p in walked}
 
 
 def shred_step(tri: Triangulation, face: Face) -> Triangulation:
@@ -386,16 +292,21 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
                        target: Triangulation) -> VerificationResult:
     """Replay a certificate and compare against the claimed output.
 
-    Checks that every step applies, that the replayed result has the
-    target's faces and vertices (the two tuples a document serializes, so
-    the documents would be byte-identical), that the target is z-knotted,
-    and that the recorded zigzag length matches.
+    Checks that every step applies with the patch its recorded type takes,
+    that the replayed result has the target's faces and vertices (the two
+    tuples a document serializes, so the documents would be byte-identical),
+    that the target is z-knotted, and that the recorded zigzag length
+    matches.
     """
     problems = []
     current = source
     for i, step in enumerate(certificate.steps):
         try:
-            patch = _load_patch(step.patch_id)
+            patch = patch_for(step.bad_type)
+            if patch.patch_id != step.patch_id:
+                problems.append(f"step {i} records patch {step.patch_id!r}, but a "
+                                f"{step.bad_type} face takes {patch.patch_id!r}")
+                break
             gluing = SpecialMap(step.face, patch.designated_face, step.vertex_map)
             result = connected_sum(
                 current, step.face, patch.triangulation, patch.designated_face,

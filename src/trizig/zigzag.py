@@ -18,10 +18,9 @@ import bisect
 import collections
 import typing
 
-from .core import (OMEGA_EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION,
-                   OMEGA_ROTATION_INVERSE, OMEGA_SLOTS, Dart, Edge, Face,
-                   Triangulation, face_rotation_inverse, make_face, omega,
-                   third_vertex)
+from .core import (OMEGA_EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION_INVERSE,
+                   OMEGA_SLOTS, Dart, Edge, Face, Triangulation, face_edges,
+                   face_rotation_inverse, make_face, omega, third_vertex)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
 
 
@@ -68,10 +67,47 @@ def reverse_position(position: Position) -> Position:
     return Position(-face_rotation_inverse(face, dart), face)
 
 
-# The edges of a sorted face (a, b, c) in the order ab, ac, bc: the vertex
-# slots of the edge, then the omega index of the dart running along it
-# (low -> high) and of the dart running against it.
-_EDGE_DARTS = (((0, 1), 0, 3), ((0, 2), 5, 2), ((1, 2), 1, 4))
+# The darts of a sorted face (a, b, c) on its edge uv, u < v, indexed by
+# (u != a) + (v == c) for ab, ac, bc: the omega indices of u -> v and v -> u,
+# then of their rotations D(u -> v) and D(v -> u).
+_EDGE_SIDES = ((0, 3, 1, 5), (5, 2, 4, 0), (1, 4, 2, 3))
+
+
+def _link(step, slot, edge_faces, edges) -> None:
+    """Set the four step entries across each of ``edges``, both sides at once.
+
+    Position 6 slot[F] + k is dart k of face F, and the step from (d, F) is
+    D(d) read in the other face of d's edge, as ``edge_faces`` gives it.
+    """
+    for edge in edges:
+        u, v = edge
+        one, two = edge_faces[edge]
+        out, back, out_next, back_next = _EDGE_SIDES[(one[0] != u) + (one[2] == v)]
+        out2, back2, out2_next, back2_next = _EDGE_SIDES[(two[0] != u) + (two[2] == v)]
+        here, there = 6 * slot[one], 6 * slot[two]
+        step[here + out], step[here + back] = there + out2_next, there + back2_next
+        step[there + out2], step[there + back2] = here + out_next, here + back_next
+
+
+def _walk(step, orbit_of, starts, first: int) -> typing.List[typing.List[int]]:
+    """Number the orbits through ``starts`` that hold ids below ``first``
+    from ``first`` on, in the order of ``starts``, and return them, each in
+    step order from the first of ``starts`` on it."""
+    orbits: typing.List[typing.List[int]] = []
+    for start in starts:
+        if orbit_of[start] >= first:
+            continue
+        orbit = []
+        orbit_id = first + len(orbits)
+        p = start
+        while orbit_of[p] < first:
+            orbit_of[p] = orbit_id
+            orbit.append(p)
+            p = step[p]
+        if p != start:
+            raise AssertionError("step map failed to be a permutation")
+        orbits.append(orbit)
+    return orbits
 
 
 class _Kernel:
@@ -79,10 +115,11 @@ class _Kernel:
 
     Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
     6F = 4E this numbers the positions exactly.  ``step[p]`` is the position
-    after p, ``orbits[o]`` lists the positions of orbit o in step order,
-    from its least position in (tail, head, face) order, and ``orbit_of[p]``
-    is the orbit of p.  Orbits are numbered in the order of their least
-    positions, so every output derived from them is deterministic.
+    after p, read off ``tri.edge_faces`` by ``_link``; ``orbits[o]`` lists
+    the positions of orbit o in step order, from its least position in
+    (tail, head, face) order, and ``orbit_of[p]`` is the orbit of p.  Orbits
+    are numbered in the order of their least positions, so every output
+    derived from them is deterministic.
     """
 
     __slots__ = ("step", "orbit_of", "orbits")
@@ -90,20 +127,9 @@ class _Kernel:
     def __init__(self, tri: Triangulation):
         faces = tri.faces
         count = 6 * len(faces)
-        # The step from (d, F) is D(d) read in the other face of d's edge.
         step_table = [0] * count
-        waiting: typing.Dict[Edge, typing.Tuple[int, int, int, int]] = {}
-        for base, face in zip(range(0, count, 6), faces):
-            for (low, high), forward, backward in _EDGE_DARTS:
-                edge = face[low], face[high]
-                here = (base + forward, base + backward,
-                        base + OMEGA_ROTATION[forward], base + OMEGA_ROTATION[backward])
-                there = waiting.pop(edge, None)
-                if there is None:
-                    waiting[edge] = here
-                    continue
-                step_table[here[0]], step_table[there[0]] = there[2], here[2]
-                step_table[here[1]], step_table[there[1]] = there[3], here[3]
+        _link(step_table, {face: f for f, face in enumerate(faces)},
+              tri.edge_faces, tri.edges)
 
         # Sort positions by (tail, head, face) as the int key
         # (tail id * V + head id) * 6F + p, darts in omega order.
@@ -118,24 +144,82 @@ class _Kernel:
         keys.sort()
 
         orbit_of = [-1] * count
-        orbits: typing.List[typing.List[int]] = []
-        for key in keys:
-            start = key % count
-            if orbit_of[start] >= 0:
-                continue
-            orbit = []
-            p = start
-            while orbit_of[p] < 0:
-                orbit_of[p] = len(orbits)
-                orbit.append(p)
-                p = step_table[p]
-            if p != start:
-                raise AssertionError("step map failed to be a permutation")
-            orbits.append(orbit)
+        self.orbits = _walk(step_table, orbit_of, (key % count for key in keys), 0)
         # Packed: as a list the table would keep 4E int objects alive.
         self.step = array.array("i", step_table)
         self.orbit_of = orbit_of
-        self.orbits = orbits
+
+
+class _ZigzagState:
+    """The zigzags of a surface under repair, kept current across sums.
+
+    Starts as a copy of the ``_Kernel`` step table and orbit ids.  Position
+    6 s + k is dart k of the face in slot s, as in the kernel, but slots
+    never move: a removed face leaves a tombstone, which steps to itself,
+    and the faces of each patch take new slots at the end.  After a sum the
+    steps across the new edges are read off the sum's ``edge_faces`` by
+    ``_link``.  Orbit ids carry no order; every re-walked orbit gets a fresh
+    one.
+    """
+
+    __slots__ = ("faces", "slot", "step", "orbit_of", "next_id")
+
+    def __init__(self, tri: Triangulation):
+        kernel = _kernel(tri)
+        self.faces: typing.List[typing.Optional[Face]] = list(tri.faces)
+        self.slot = {face: s for s, face in enumerate(tri.faces)}
+        self.step = list(kernel.step)
+        self.orbit_of = list(kernel.orbit_of)
+        self.next_id = len(kernel.orbits)
+
+    def orbit_count(self, s: int) -> int:
+        """How many zigzags meet the face in slot s: 2 iff it is locally
+        z-knotted."""
+        return len(set(self.orbit_of[6 * s:6 * s + 6]))
+
+    def monodromy(self, s: int) -> typing.Tuple[int, ...]:
+        """The z-monodromy of the face in slot s as in
+        ``monodromy._build_monodromies``: seed k maps to D^-1 of the dart of
+        the next position in the face."""
+        step = self.step
+        base = 6 * s
+        image = []
+        for p in range(base, base + 6):
+            p = step[p]
+            while not base <= p < base + 6:
+                p = step[p]
+            image.append(OMEGA_ROTATION_INVERSE[p - base])
+        return tuple(image)
+
+    def splice(self, tri: Triangulation, removed: Face,
+               added: typing.Sequence[Face]) -> typing.Set[int]:
+        """Follow the connected sum ``tri`` that replaced ``removed`` by ``added``.
+
+        Only the steps across the edges of the new faces change: those from
+        the new faces and from the three host faces across the glued edges.
+        So only the orbits through these faces are re-walked.  Returns the
+        slots of the faces with a seed on one of them.
+        """
+        slot, faces = self.slot, self.faces
+        gone = 6 * slot.pop(removed)
+        faces[gone // 6] = None
+        self.step[gone:gone + 6] = range(gone, gone + 6)
+        changed = []
+        for edge in face_edges(removed):
+            first, second = tri.edge_faces[edge]
+            changed.append(slot[first] if first in slot else slot[second])
+        changed += range(len(faces), len(faces) + len(added))
+        for face in added:
+            slot[face] = len(faces)
+            faces.append(face)
+        self.step += [0] * (6 * len(added))
+        self.orbit_of += [-1] * (6 * len(added))
+        _link(self.step, slot, tri.edge_faces,
+              {edge for face in added for edge in face_edges(face)})
+        walked = _walk(self.step, self.orbit_of,
+                       [6 * s + k for s in changed for k in range(6)], self.next_id)
+        self.next_id += len(walked)
+        return {p // 6 for orbit in walked for p in orbit}
 
 
 def _cached(tri: Triangulation, key: str, build):

@@ -9,8 +9,8 @@ import trizig as tz
 from trizig.errors import InvalidMonodromyType, MalformedDocument
 from trizig import monodromy, zigzag
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
-                              ShredCertificate, ShredStep, _bad_faces,
-                              _ZigzagState)
+                              ShredCertificate, ShredStep, _bad_faces)
+from trizig.zigzag import _ZigzagState
 
 
 def test_patch_for():
@@ -207,6 +207,20 @@ def test_certificate_rejects_non_text_fields():
             ShredCertificate.from_json(json.dumps(doc))
 
 
+def test_certificate_requires_arrays_for_steps_and_faces():
+    # A string face would unpack into its characters and an object of steps
+    # would iterate as zero steps; both must be refused, not replayed.
+    _, certificate = tz.shred(tz.bipyramid(8))
+    doc = json.loads(certificate.to_json())
+    doc["steps"][0]["face"] = "".join(doc["steps"][0]["face"])
+    assert doc["steps"][0]["face"] == "12a"
+    with pytest.raises(MalformedDocument, match="JSON arrays"):
+        ShredCertificate.from_json(json.dumps(doc))
+    doc["steps"] = {}
+    with pytest.raises(MalformedDocument, match="JSON arrays"):
+        ShredCertificate.from_json(json.dumps(doc))
+
+
 def test_verify_certificate_round_trip():
     bp8 = tz.bipyramid(8)
     out, certificate = tz.shred(bp8)
@@ -238,6 +252,28 @@ def test_verify_certificate_rejects_tampering():
     wrong_length = ShredCertificate(certificate.steps,
                                     certificate.final_zigzag_length + 2)
     assert not tz.verify_certificate(bp8, wrong_length, out).ok
+
+
+def test_verify_certificate_checks_the_recorded_type():
+    bp8 = tz.bipyramid(8)
+    out, certificate = tz.shred(bp8)
+    step = certificate.steps[0]
+    assert (step.bad_type, step.patch_id) == ("M5", PATCH_SPHERE_M1)
+
+    def retyped(bad_type):
+        changed = ShredStep(step.face, bad_type, step.patch_id, step.vertex_map,
+                            step.relabeling)
+        return ShredCertificate((changed,) + certificate.steps[1:],
+                                certificate.final_zigzag_length)
+
+    assert tz.verify_certificate(bp8, retyped("M6"), out).ok
+    unknown = tz.verify_certificate(bp8, retyped("M9"), out)
+    assert not unknown.ok
+    assert unknown.problems[0].startswith("step 0 does not apply")
+    assert "M9" in unknown.problems[0]
+    mismatched = tz.verify_certificate(bp8, retyped("M7"), out)
+    assert mismatched.problems == (
+        "step 0 records patch 'sphere-m1', but a M7 face takes 'bp3-m3'",)
 
 
 def test_verify_certificate_rejects_an_empty_fresh_label():
@@ -321,6 +357,14 @@ def _check_splice(state, tri):
     assert ({frozenset(orbit) for orbit in orbits.values()}
             == {frozenset((tri.faces[p // 6], p % 6) for p in orbit)
                 for orbit in kernel.orbits})
+    # The step table itself, entry by entry, as (face, k) -> (face, k).
+    index = {face: f for f, face in enumerate(tri.faces)}
+    for s, face in enumerate(state.faces):
+        for k in range(6 if face is not None else 0):
+            spliced = state.step[6 * s + k]
+            fresh = kernel.step[6 * index[face] + k]
+            assert ((state.faces[spliced // 6], spliced % 6)
+                    == (tri.faces[fresh // 6], fresh % 6))
     types = tz.face_types(tri)
     for face in tri.faces:
         s = state.slot[face]
