@@ -19,18 +19,20 @@ canonicalized to their decimal text so that relabeling during surgery stays
 stable.
 
 A face list from outside (``Triangulation(faces)``, ``validate``, a parsed
-document, a generator's base shape) is validated in full.  A connected sum
-is not: it is built locally from the already checked parts of its two
-summands, whose gluing keeps every axiom for local reasons.
+document, a generator's base shape) is validated in full.  A chain of
+connected sums is not: it is glued in place on one ``_Surface``, keeping
+every axiom for local reasons, and frozen into a ``Triangulation`` once.
 """
 
 import bisect
 import collections
 import itertools
+import re
 import typing
 from dataclasses import dataclass
 
-from .errors import EdgeNotInFace, ValidationFailure
+from .errors import (EdgeNotInFace, FaceNotFound, InvalidSpecialMap,
+                     LabelCollision, SelfSum, ValidationFailure)
 
 Vertex = str
 Edge = typing.Tuple[str, str]
@@ -303,10 +305,10 @@ class Triangulation:
 
     Construction canonicalizes the face list, validates it strictly and
     derives all incidence; an invalid face list raises ``ValidationFailure``
-    instead of producing an object.  Connected sums skip that pass: they are
-    built locally from checked parts by ``_connected_sum``.  Instances are
-    value objects (equality and hash by face set) and safe to share between
-    threads; every operation on them is a pure function.
+    instead of producing an object.  Connected sums skip that pass: they
+    are glued onto a ``_Surface`` and handed over by ``_Surface.freeze``.
+    Instances are value objects (equality and hash by face set) and safe to
+    share between threads; every operation on them is a pure function.
     """
 
     __slots__ = ("faces", "edges", "edge_faces", "vertices", "_face_set", "_cache")
@@ -337,64 +339,144 @@ class Triangulation:
                 f"{len(self.edges)} edges, {len(self.faces)} faces)")
 
 
-def _connected_sum(host: Triangulation, face: Face, patch: Triangulation,
-                   patch_face: Face, label: typing.Mapping[str, str]) -> Triangulation:
-    """The sum of two checked triangulations along ``face`` and ``patch_face``.
+_PREFIX = re.compile(r"s(\d+)\.")
 
-    ``label`` maps every vertex of ``patch`` to its label in the result: the
-    vertices of ``patch_face`` one-to-one onto those of ``face``, the others
-    to fresh labels.  The caller (``surgery.connected_sum``) has checked that
-    both faces are present, that the special map is bijective, and that the
-    fresh labels are non-empty text, injective, cover exactly the non-glued
-    vertices and avoid the host's vertices.  Under these conditions the
-    result is a valid triangulation for local reasons, so it is assembled
-    from the summands' parts instead of being validated again:
 
-    * every relabeled patch face but ``patch_face`` has a fresh vertex, so it
+def _prefix_numbers(labels: typing.Iterable[str]) -> typing.Set[int]:
+    """Every k such that some label starts with "s<k>."."""
+    match = _PREFIX.match
+    return {int(found.group(1)) for label in labels
+            if label[:1] == "s" and (found := match(label))}
+
+
+def _least_free_prefix(taken: typing.AbstractSet[int]) -> str:
+    k = 0
+    while k in taken:
+        k += 1
+    return f"s{k}."
+
+
+def _check_sum_inputs(host, face: Face, other_tri: Triangulation,
+                      other_face: Face, gluing) -> typing.Tuple[Face, Face]:
+    """The glued faces, canonical, checked against the summands and the map."""
+    face = make_face(*face)
+    other_face = make_face(*other_face)
+    if host is other_tri:
+        raise SelfSum("summands must be two triangulation instances; "
+                      "copy the triangulation to glue it with itself")
+    if not host.has_face(face):
+        raise FaceNotFound(f"face {face!r} not in first summand")
+    if not other_tri.has_face(other_face):
+        raise FaceNotFound(f"face {other_face!r} not in second summand")
+    if gluing.source_face != face or gluing.target_face != other_face:
+        raise InvalidSpecialMap(
+            f"special map {gluing.source_face} -> {gluing.target_face} does not "
+            f"match the glued faces {face} -> {other_face}")
+    return face, other_face
+
+
+class _Surface:
+    """A triangulation under repair: a chain of connected sums applied in place.
+
+    Holds the sorted faces, ``edge_faces``, the sorted vertices and
+    ``taken``, the k of every "s<k>." prefix that starts a label.  ``glue``
+    checks and applies one sum, touching only the patch's faces and edges;
+    ``freeze`` hands the result over as a ``Triangulation``, not validated
+    again: once ``glue``'s checks pass, a sum of two valid triangulations
+    is valid for local reasons:
+
+    * every relabeled patch face but the glued one has a fresh vertex, so it
       is no host face (E2); a patch edge is a host edge only if both its ends
-      are glued, that is, only if it is an edge of ``patch_face``;
-    * each of those three glued edges loses ``face`` and ``patch_face`` and
-      keeps one face of each summand; every other edge keeps its two faces
-      (E1);
-    * the link of a glued vertex is its host link cut open at ``face``, a path
-      between the other two glued vertices, closed by the patch's path
+      are glued, that is, only if it is an edge of the glued patch face;
+    * each of those three glued edges loses the two glued faces and keeps one
+      face of each summand; every other edge keeps its two faces (E1);
+    * the link of a glued vertex is its host link cut open at the glued face,
+      a path between the other two glued vertices, closed by the patch's path
       between the same two, whose inner vertices are fresh: one cycle.  All
       other links are unchanged;
     * a closed surface minus one face is still face-connected, and the glued
       edges join the two sides.
     """
-    relabeled = {f: typing.cast(Face, tuple(sorted(label[v] for v in f)))
-                 for f in patch.faces if f != patch_face}
-    edge_faces = dict(host.edge_faces)
-    glued = face_edges(patch_face)
-    new_edges = []
-    for edge, incident in patch.edge_faces.items():
-        u, v = label[edge[0]], label[edge[1]]
-        key = (u, v) if u < v else (v, u)
-        if edge in glued:
-            kept = [f for f in edge_faces[key] if f != face]
-            kept += [relabeled[f] for f in incident if f != patch_face]
-            if len(kept) != 2:
-                raise AssertionError(f"glued edge {key} lies in {len(kept)} face(s)")
+
+    __slots__ = ("faces", "edge_faces", "vertices", "taken")
+
+    def __init__(self, tri: Triangulation):
+        self.faces: typing.List[Face] = list(tri.faces)
+        self.edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]] = dict(tri.edge_faces)
+        self.vertices: typing.List[Vertex] = list(tri.vertices)
+        self.taken = _prefix_numbers(tri.vertices)
+
+    def has_face(self, face: Face) -> bool:
+        return face in self.edge_faces.get(face[:2], ())
+
+    def glue(self, face: Face, patch: Triangulation, patch_face: Face, gluing,
+             relabeling: typing.Optional[typing.Mapping[str, str]] = None,
+             ) -> typing.Tuple[typing.List[Face], tuple]:
+        """Sum ``patch`` onto ``face`` through the ``surgery.SpecialMap``
+        ``gluing`` to ``patch_face``, with the fresh labels ``relabeling`` or
+        else the first "s<k>." prefix not ``taken``.  Changes nothing unless
+        every check passes.  Returns the added faces, in patch face order,
+        and the sorted (vertex, fresh label) pairs."""
+        face, patch_face = _check_sum_inputs(self, face, patch, patch_face, gluing)
+        loose = [v for v in patch.vertices if v not in patch_face]
+        if relabeling is None:
+            prefix = _least_free_prefix(self.taken)
+            fresh = {v: prefix + v for v in loose}
         else:
-            kept = [relabeled[f] for f in incident]
-            new_edges.append(key)
-        edge_faces[key] = tuple(sorted(kept))
+            fresh = dict(relabeling)
+            if set(fresh) != set(loose):
+                raise LabelCollision(
+                    "explicit relabeling must cover exactly the non-glued vertices")
+            if not all(isinstance(label, str) and label for label in fresh.values()):
+                raise LabelCollision("explicit relabeling must map to non-empty text")
+            if len(set(fresh.values())) != len(loose):
+                raise LabelCollision("explicit relabeling is not injective")
+        faces, edge_faces, vertices = self.faces, self.edge_faces, self.vertices
+        collisions = sorted(label for label in fresh.values()
+                            if (i := bisect.bisect_left(vertices, label)) < len(vertices)
+                            and vertices[i] == label)
+        if collisions:
+            raise LabelCollision(
+                f"fresh labels collide with existing vertices: {collisions}")
+        chi = len(vertices) - len(edge_faces) + len(faces) + euler_characteristic(patch) - 2
 
-    faces = list(host.faces)
-    del faces[bisect.bisect_left(faces, face)]
-    faces.extend(relabeled.values())
-    fresh = tuple(label[v] for v in patch.vertices if v not in patch_face)
+        label = {**fresh, **{target: source for source, target in gluing.pairs}}
+        relabeled = {f: typing.cast(Face, tuple(sorted(label[v] for v in f)))
+                     for f in patch.faces if f != patch_face}
+        glued = face_edges(patch_face)
+        for edge, incident in patch.edge_faces.items():
+            u, v = label[edge[0]], label[edge[1]]
+            key = (u, v) if u < v else (v, u)
+            if edge in glued:
+                kept = [f for f in edge_faces[key] if f != face]
+                kept += [relabeled[f] for f in incident if f != patch_face]
+                if len(kept) != 2:
+                    raise AssertionError(f"glued edge {key} lies in {len(kept)} face(s)")
+            else:
+                kept = [relabeled[f] for f in incident]
+            edge_faces[key] = tuple(sorted(kept))
+        del faces[bisect.bisect_left(faces, face)]
+        added = list(relabeled.values())
+        for f in added:
+            bisect.insort(faces, f)
+        for v in fresh.values():
+            bisect.insort(vertices, v)
+        self.taken |= _prefix_numbers(fresh.values())
+        if len(vertices) - len(edge_faces) + len(faces) != chi:
+            raise AssertionError("connected sum changed the Euler characteristic")
+        return added, tuple(sorted(fresh.items()))
 
-    # Each sort merges the host's sorted run with the few new items.
-    tri = object.__new__(Triangulation)
-    tri.faces = tuple(sorted(faces))
-    tri.edges = tuple(sorted(host.edges + tuple(new_edges)))
-    tri.edge_faces = edge_faces
-    tri.vertices = tuple(sorted(host.vertices + fresh))
-    tri._face_set = host._face_set.difference((face,)).union(relabeled.values())
-    tri._cache = {}
-    return tri
+    def freeze(self) -> Triangulation:
+        """The surface as a ``Triangulation``, not validated again.  Its
+        ``edge_faces`` is handed over, so glue nothing after freezing."""
+        tri = object.__new__(Triangulation)
+        tri.faces = tuple(self.faces)
+        tri.edges = tuple(sorted(self.edge_faces))
+        tri.edge_faces = self.edge_faces
+        tri.vertices = tuple(self.vertices)
+        tri._face_set = frozenset(self.faces)
+        tri._cache = {}
+        return tri
 
 
 def euler_characteristic(tri: Triangulation) -> int:

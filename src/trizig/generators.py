@@ -12,7 +12,7 @@ and M7 for odd k > 1 (every face alike, by symmetry).
 
 import random
 
-from .core import Triangulation, make_face
+from .core import Triangulation, _Surface, make_face
 from .errors import ParameterOutOfRange
 from .surgery import SpecialMap, connected_sum, enumerate_special_maps
 
@@ -152,11 +152,11 @@ def random_sphere(seed: int, steps: int) -> Triangulation:
     if steps < 0:
         raise ParameterOutOfRange(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
-    tri = bipyramid(rng.randint(3, 9))
+    surface = _Surface(bipyramid(rng.randint(3, 9)))
     for _ in range(steps):
-        face = tri.faces[rng.randrange(len(tri.faces))]
+        face = surface.faces[rng.randrange(len(surface.faces))]
         patch = bipyramid(rng.randint(3, 9))
         patch_face = patch.faces[rng.randrange(len(patch.faces))]
         gluing = enumerate_special_maps(face, patch_face)[rng.randrange(6)]
-        tri = connected_sum(tri, face, patch, patch_face, gluing).triangulation
-    return tri
+        surface.glue(face, patch, patch_face, gluing)
+    return surface.freeze()

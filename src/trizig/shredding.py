@@ -5,7 +5,8 @@ face can be repaired by a connected sum with a z-knotted sphere patch:
 
 * M5/M6 faces have a monodromy that is itself two disjoint 3-cycles, so a
   patch carrying an identity-monodromy face works under every special map;
-  the smallest such patch is the m1 sum of two 6-gonal bipyramids.
+  the m1 sum of two 6-gonal bipyramids is used, though not the smallest:
+  the 5-gonal bipyramid's M4 face {1, 2, a} repairs every M5 shape too.
 * M7 faces pair with an M3 face when the witness cycles are aligned; the
   3-gonal bipyramid provides one.
 
@@ -27,7 +28,7 @@ import json
 import typing
 from dataclasses import dataclass
 
-from .core import Face, Triangulation, euler_characteristic, make_face
+from .core import Face, Triangulation, _Surface, euler_characteristic, make_face
 from .document import load_json
 from .errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
                      NoValidMap, TrizigError)
@@ -194,28 +195,6 @@ def _bad_faces(tri: Triangulation) -> typing.List[typing.Tuple[Face, str]]:
             for face in tri.faces if types[face].tag in BAD_TAGS]
 
 
-def _repair(tri: Triangulation, face: Face, monodromy: typing.Tuple[int, ...],
-            ) -> typing.Tuple[Triangulation, ShredStep]:
-    """Glue its patch onto a bad face of z-monodromy ``monodromy``."""
-    bad_type = _monodromy_type(face, monodromy).tag
-    patch = patch_for(bad_type)
-    gluing = _first_gluing(face, monodromy, patch)
-    result = connected_sum(tri, face, patch.triangulation,
-                           patch.designated_face, gluing)
-    step = ShredStep(face, bad_type, patch.patch_id, gluing.pairs,
-                     result.relabeling)
-    return result.triangulation, step
-
-
-def _patch_faces(step: ShredStep) -> typing.List[Face]:
-    """The faces a logged repair glued in: its patch's, relabeled."""
-    patch = _load_patch(step.patch_id)
-    label = dict(step.relabeling)
-    label.update((target, source) for source, target in step.vertex_map)
-    return [typing.cast(Face, tuple(sorted(label[v] for v in face)))
-            for face in patch.triangulation.faces if face != patch.designated_face]
-
-
 def shred_step(tri: Triangulation, face: Face) -> Triangulation:
     """Repair one face of type M5/M6/M7 by gluing its patch.
 
@@ -230,7 +209,9 @@ def shred_step(tri: Triangulation, face: Face) -> Triangulation:
     if mtype.tag not in BAD_TAGS:
         raise InvalidMonodromyType(
             f"face {face!r} has type {mtype.tag}, nothing to repair")
-    return _repair(tri, face, z_monodromy(tri, face).image)[0]
+    patch = patch_for(mtype.tag)
+    return connected_sum(tri, face, patch.triangulation, patch.designated_face,
+                         find_gluing_map(tri, face, patch)).triangulation
 
 
 def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
@@ -245,12 +226,14 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     bad face is the first of the input's bad faces still met by more than
     two zigzags, which ``_ZigzagState`` tells after each splice.  Each splice
     checks the lemma on every face whose zigzags it re-walked: a face not
-    among the input's bad faces yet to come must be locally z-knotted.
+    among the input's bad faces yet to come must be locally z-knotted.  All
+    patches are glued onto one ``core._Surface``, frozen once at the end.
     """
     steps = []
     current = tri
     bad = _bad_faces(tri)
     if bad:
+        surface = _Surface(tri)
         state = _ZigzagState(tri)
         pending = {face for face, _tag in bad}
         for face, _tag in bad:
@@ -258,14 +241,20 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
             s = state.slot[face]
             if state.orbit_count(s) == 2:
                 continue
-            current, record = _repair(current, face, state.monodromy(s))
-            steps.append(record)
-            for touched in state.splice(current, face, _patch_faces(record)):
+            monodromy = state.monodromy(s)
+            bad_type = _monodromy_type(face, monodromy).tag
+            patch = patch_for(bad_type)
+            gluing = _first_gluing(face, monodromy, patch)
+            added, fresh = surface.glue(face, patch.triangulation,
+                                        patch.designated_face, gluing)
+            steps.append(ShredStep(face, bad_type, patch.patch_id, gluing.pairs, fresh))
+            for touched in state.splice(surface.edge_faces, face, added):
                 if (state.orbit_count(touched) != 2
                         and state.faces[touched] not in pending):
                     raise AssertionError(
                         f"face {state.faces[touched]!r} stopped being locally "
                         f"z-knotted after repairing {face!r}")
+        current = surface.freeze()
 
     knotted = is_z_knotted(current)
     types_ok = not _bad_faces(current)
@@ -296,10 +285,13 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
     that the replayed result has the target's faces and vertices (the two
     tuples a document serializes, so the documents would be byte-identical),
     that the target is z-knotted, and that the recorded zigzag length
-    matches.
+    matches.  The steps are replayed on one ``core._Surface``.  A step's
+    ``bad_type`` is checked against its patch, not against the face's type
+    then: an M5 step recorded as M6 (the same patch) still verifies, as that
+    check would need ``shred``'s zigzag state kept through the replay.
     """
     problems = []
-    current = source
+    surface = _Surface(source)
     for i, step in enumerate(certificate.steps):
         try:
             patch = patch_for(step.bad_type)
@@ -308,20 +300,18 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
                                 f"{step.bad_type} face takes {patch.patch_id!r}")
                 break
             gluing = SpecialMap(step.face, patch.designated_face, step.vertex_map)
-            result = connected_sum(
-                current, step.face, patch.triangulation, patch.designated_face,
-                gluing, relabeling=dict(step.relabeling))
+            surface.glue(step.face, patch.triangulation, patch.designated_face,
+                         gluing, dict(step.relabeling))
         except (TrizigError, ValueError) as exc:
             problems.append(f"step {i} does not apply: {exc}")
             break
-        current = result.triangulation
     else:
-        if (current.faces, current.vertices) != (target.faces, target.vertices):
+        if (surface.faces, surface.vertices) != (list(target.faces), list(target.vertices)):
             problems.append(
                 f"replayed output differs from target: replay has "
-                f"{len(current.faces)} face(s) vs {len(target.faces)}, first "
+                f"{len(surface.faces)} face(s) vs {len(target.faces)}, first "
                 f"differing face "
-                f"{next(iter(sorted(set(current.faces) ^ set(target.faces))), None)}")
+                f"{next(iter(sorted(set(surface.faces) ^ set(target.faces))), None)}")
         if not is_z_knotted(target):
             problems.append("target is not z-knotted")
         else:

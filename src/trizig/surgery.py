@@ -13,16 +13,14 @@ the exact criterion for the sum of two triangulations with essential faces
 to be z-knotted.
 """
 
-import bisect
 import itertools
-import re
 import typing
 from dataclasses import dataclass
 
-from .core import (OMEGA_SLOTS, Face, Triangulation, _connected_sum,
-                   euler_characteristic, make_face)
+from .core import (OMEGA_SLOTS, Face, Triangulation, _check_sum_inputs,
+                   _least_free_prefix, _prefix_numbers, _Surface, make_face)
 from .errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
-                     LabelCollision, MonodromyNotIdentity, NotZKnotted, SelfSum)
+                     MonodromyNotIdentity, NotZKnotted)
 from .monodromy import DartPermutation, is_two_disjoint_3cycles, z_monodromy
 from .zigzag import is_z_knotted
 
@@ -88,45 +86,9 @@ def enumerate_special_maps(face: Face, other: Face) -> typing.Tuple[SpecialMap, 
     )
 
 
-_PREFIX = re.compile(r"s(\d+)\.")
-
-
-def _prefix_numbers(labels: typing.Iterable[str]) -> typing.FrozenSet[int]:
-    """Every k such that some label starts with "s<k>."."""
-    match = _PREFIX.match
-    return frozenset(int(found.group(1)) for label in labels
-                     if label[:1] == "s" and (found := match(label)))
-
-
-def _least_free_prefix(taken: typing.FrozenSet[int]) -> str:
-    k = 0
-    while k in taken:
-        k += 1
-    return f"s{k}."
-
-
 def fresh_label_prefix(labels: typing.Iterable[str]) -> str:
     """The smallest "s<k>." prefix that starts no existing label."""
     return _least_free_prefix(_prefix_numbers(labels))
-
-
-def _check_sum_inputs(tri: Triangulation, face: Face,
-                      other_tri: Triangulation, other_face: Face,
-                      gluing: SpecialMap) -> typing.Tuple[Face, Face]:
-    face = make_face(*face)
-    other_face = make_face(*other_face)
-    if tri is other_tri:
-        raise SelfSum("summands must be two triangulation instances; "
-                      "copy the triangulation to glue it with itself")
-    if not tri.has_face(face):
-        raise FaceNotFound(f"face {face!r} not in first summand")
-    if not other_tri.has_face(other_face):
-        raise FaceNotFound(f"face {other_face!r} not in second summand")
-    if gluing.source_face != face or gluing.target_face != other_face:
-        raise InvalidSpecialMap(
-            f"special map {gluing.source_face} -> {gluing.target_face} does not "
-            f"match the glued faces {face} -> {other_face}")
-    return face, other_face
 
 
 def connected_sum(tri: Triangulation, face: Face,
@@ -141,50 +103,16 @@ def connected_sum(tri: Triangulation, face: Face,
     vertices, and its remaining vertices receive fresh labels: an explicit
     ``relabeling`` when replaying a recorded sum, else the old label behind
     the first "s<k>." prefix that starts no host label, so iterated sums
-    never collide.  The prefix numbers a triangulation's labels take are
-    cached with it, and a sum's are the host's plus the fresh labels', so a
-    chain of sums reads each label once.  The result is built locally from
-    the two checked summands (``core._connected_sum`` gives the argument),
-    not validated again; its Euler characteristic is the sum of the
-    summands' minus 2 and it is orientable iff both summands are.
+    never collide.  It is one ``core._Surface.glue`` on a copy of ``tri``,
+    the path of every chain of sums, so the result is not validated again.
+    Its Euler characteristic is the sum of the summands' minus 2; it is
+    orientable iff both are.
     """
-    face, other_face = _check_sum_inputs(tri, face, other_tri, other_face, gluing)
-    glued = set(other_face)
-    loose = [v for v in other_tri.vertices if v not in glued]
-    taken = tri._cache.get("label_prefixes")
-    if relabeling is None:
-        if taken is None:
-            taken = tri._cache["label_prefixes"] = _prefix_numbers(tri.vertices)
-        prefix = _least_free_prefix(taken)
-        fresh = {v: prefix + v for v in loose}
-    else:
-        fresh = dict(relabeling)
-        if set(fresh) != set(loose):
-            raise LabelCollision(
-                "explicit relabeling must cover exactly the non-glued vertices")
-        if not all(isinstance(label, str) and label for label in fresh.values()):
-            raise LabelCollision("explicit relabeling must map to non-empty text")
-        if len(set(fresh.values())) != len(loose):
-            raise LabelCollision("explicit relabeling is not injective")
-    vertices = tri.vertices  # sorted
-    collisions = sorted(label for label in fresh.values()
-                        if (i := bisect.bisect_left(vertices, label)) < len(vertices)
-                        and vertices[i] == label)
-    if collisions:
-        raise LabelCollision(
-            f"fresh labels collide with existing vertices: {collisions}")
-
-    full = dict(fresh)
-    for v in other_face:
-        full[v] = gluing.vertex_inverse(v)
-    result = _connected_sum(tri, face, other_tri, other_face, full)
-
-    expected_chi = euler_characteristic(tri) + euler_characteristic(other_tri) - 2
-    if euler_characteristic(result) != expected_chi:
-        raise AssertionError("connected sum changed the Euler characteristic")
-    if taken is not None:
-        result._cache["label_prefixes"] = taken | _prefix_numbers(fresh.values())
-    return SumResult(result, tuple(sorted(fresh.items())))
+    # ``glue`` checks the rest again, but on a copy it cannot see a SelfSum.
+    _check_sum_inputs(tri, face, other_tri, other_face, gluing)
+    surface = _Surface(tri)
+    _added, fresh = surface.glue(face, other_tri, other_face, gluing, relabeling)
+    return SumResult(surface.freeze(), fresh)
 
 
 def gluing_condition(tri: Triangulation, face: Face,

@@ -157,9 +157,9 @@ class _ZigzagState:
     6 s + k is dart k of the face in slot s, as in the kernel, but slots
     never move: a removed face leaves a tombstone, which steps to itself,
     and the faces of each patch take new slots at the end.  After a sum the
-    steps across the new edges are read off the sum's ``edge_faces`` by
-    ``_link``.  Orbit ids carry no order; every re-walked orbit gets a fresh
-    one.
+    steps across the new edges are read off the glued ``core._Surface``'s
+    ``edge_faces`` by ``_link``.  Orbit ids carry no order; every re-walked
+    orbit gets a fresh one.
     """
 
     __slots__ = ("faces", "slot", "step", "orbit_of", "next_id")
@@ -191,9 +191,9 @@ class _ZigzagState:
             image.append(OMEGA_ROTATION_INVERSE[p - base])
         return tuple(image)
 
-    def splice(self, tri: Triangulation, removed: Face,
-               added: typing.Sequence[Face]) -> typing.Set[int]:
-        """Follow the connected sum ``tri`` that replaced ``removed`` by ``added``.
+    def splice(self, edge_faces: typing.Mapping[Edge, typing.Tuple[Face, ...]],
+               removed: Face, added: typing.Sequence[Face]) -> typing.Set[int]:
+        """Follow the sum that replaced ``removed`` by ``added`` (``edge_faces``).
 
         Only the steps across the edges of the new faces change: those from
         the new faces and from the three host faces across the glued edges.
@@ -206,7 +206,7 @@ class _ZigzagState:
         self.step[gone:gone + 6] = range(gone, gone + 6)
         changed = []
         for edge in face_edges(removed):
-            first, second = tri.edge_faces[edge]
+            first, second = edge_faces[edge]
             changed.append(slot[first] if first in slot else slot[second])
         changed += range(len(faces), len(faces) + len(added))
         for face in added:
@@ -214,7 +214,7 @@ class _ZigzagState:
             faces.append(face)
         self.step += [0] * (6 * len(added))
         self.orbit_of += [-1] * (6 * len(added))
-        _link(self.step, slot, tri.edge_faces,
+        _link(self.step, slot, edge_faces,
               {edge for face in added for edge in face_edges(face)})
         walked = _walk(self.step, self.orbit_of,
                        [6 * s + k for s in changed for k in range(6)], self.next_id)

@@ -1,5 +1,6 @@
 """Shredding loop, patches, and certificate replay."""
 
+import hashlib
 import json
 
 import pytest
@@ -10,6 +11,7 @@ from trizig.errors import InvalidMonodromyType, MalformedDocument
 from trizig import monodromy, zigzag
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
                               ShredCertificate, ShredStep, _bad_faces)
+from trizig.core import _Surface
 from trizig.zigzag import _ZigzagState
 
 
@@ -79,15 +81,19 @@ def test_m7_witness_aligned_map_satisfies_condition():
 
 
 def test_patch_faces_locally_knotted_right_after_a_step():
-    from trizig.shredding import _repair
-
     for tri, face in [(tz.bipyramid(8), ("1", "2", "a")),
                       (tz.bipyramid(6), ("1", "2", "a"))]:
         tag = tz.face_types(tri)[face].tag
         patch = tz.patch_for(tag)
-        repaired, record = _repair(tri, face, tz.z_monodromy(tri, face).image)
+        gluing = tz.find_gluing_map(tri, face, patch)
+        result = tz.connected_sum(tri, face, patch.triangulation,
+                                  patch.designated_face, gluing)
+        repaired = result.triangulation
+        # The same step is the first that shred records: the least bad face.
+        record = tz.shred(tri)[1].steps[0]
+        assert record == ShredStep(face, tag, patch.patch_id, gluing.pairs,
+                                   result.relabeling)
         assert record.bad_type == tag
-        gluing = tz.SpecialMap(face, patch.designated_face, record.vertex_map)
         relabel = dict(record.relabeling)
         for patch_face in patch.triangulation.faces:
             if patch_face == patch.designated_face:
@@ -373,20 +379,29 @@ def _check_splice(state, tri):
 
 
 def _shred_with_checked_splices(tri):
-    """``shred``, checking the zigzag state after every splice."""
-    splice = _ZigzagState.splice
-    spliced = []
+    """``shred``, checking the zigzag state after every splice against a
+    fully validated triangulation of the surface's faces."""
+    glue, splice = _Surface.glue, _ZigzagState.splice
+    surfaces, spliced = [], []
 
-    def checked(state, result, removed, added):
-        touched = splice(state, result, removed, added)
-        _check_splice(state, result)
-        spliced.append(result)
+    def recording(surface, *args, **kwargs):
+        surfaces.append(surface)
+        return glue(surface, *args, **kwargs)
+
+    def checked(state, edge_faces, removed, added):
+        touched = splice(state, edge_faces, removed, added)
+        assert edge_faces is surfaces[-1].edge_faces
+        current = tz.Triangulation(surfaces[-1].faces)
+        _check_splice(state, current)
+        spliced.append(current)
         return touched
 
     with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_Surface, "glue", recording)
         patch.setattr(_ZigzagState, "splice", checked)
         out, certificate = tz.shred(tri)
     assert len(spliced) == len(certificate.steps)
+    assert all(surface is surfaces[0] for surface in surfaces)  # one surface
     assert spliced[-1:] == ([out] if certificate.steps else [])
     return out, certificate
 
@@ -405,6 +420,43 @@ def test_splices_match_a_fresh_kernel_on_sums(surface, data):
     out, certificate = _shred_with_checked_splices(tri)
     assert certificate.steps
     assert tz.verify_certificate(tri, certificate, out).ok
+
+
+def _live_zigzag_count(state):
+    return len({orbit for p, orbit in enumerate(state.orbit_of)
+                if state.faces[p // 6] is not None})
+
+
+def _check_count_identity(tri):
+    """A repair of a face met by k zigzags lowers their count by k - 2."""
+    splice = _ZigzagState.splice
+    drops = []
+
+    def counted(state, edge_faces, removed, added):
+        k = state.orbit_count(state.slot[removed])
+        before = _live_zigzag_count(state)
+        touched = splice(state, edge_faces, removed, added)
+        drops.append((k, before - _live_zigzag_count(state)))
+        return touched
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(_ZigzagState, "splice", counted)
+        _out, certificate = tz.shred(tri)
+    assert len(drops) == len(certificate.steps)
+    assert all(drop == k - 2 for k, drop in drops), drops
+    # So the drops add up from the input's zigzag count to one pair.
+    assert sum(drop for _k, drop in drops) == len(zigzag._kernel(tri).orbits) - 2
+
+
+def test_each_repair_lowers_the_zigzag_count_by_k_minus_2(named_corpus):
+    for tri in named_corpus.values():
+        _check_count_identity(tri)
+
+
+@settings(max_examples=15, deadline=None)
+@given(SURFACES, st.data())
+def test_each_repair_lowers_the_zigzag_count_by_k_minus_2_on_sums(surface, data):
+    _check_count_identity(_draw_sum(*surface, data))
 
 
 def _shred_by_reclassifying(tri):
@@ -460,3 +512,38 @@ def test_shred_checks_the_lemma_after_every_splice(monkeypatch):
     monkeypatch.setattr(_ZigzagState, "splice", broken)
     with pytest.raises(AssertionError, match="stopped being locally z-knotted"):
         tz.shred(tz.bipyramid(8))
+
+
+def _projective_plane_plus_bp6():
+    face, other = ("a", "c", "d"), ("1", "2", "a")
+    gluing = tz.enumerate_special_maps(face, other)[1]
+    return tz.connected_sum(tz.projective_plane_fig5(), face, tz.bipyramid(6),
+                            other, gluing).triangulation
+
+
+def test_outputs_match_their_recorded_digests():
+    # sha256 digests recorded before sums were glued in place on one surface.
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    assert digest(tz.serialize(tz.random_sphere(3, 400))) == (
+        "ef1ff71b1b7d4b7e748f82bad6f5e7c1bcece8869be26d1aa07e4f43fe92ef6e")
+    pinned = [
+        (tz.random_sphere(3, 60), 18,
+         "d3e8b4b09e5ed454449ba7d924bcc27fe3da3c125c873f05f5ebd1c8e07e9ad5",
+         "d260a4d2ed4dc804e4d13087e15b9de0e98442b65db03f41b60a38d6b9bf5c3c"),
+        (tz.torus_grid(4, 5), 8,
+         "9e7505ce4fd7bab4da62fa8a61deb7175e577fdbb1bd8c935de3e6a771decf1e",
+         "57c57b5812ef1a9c43e7375ad489a499b82d4e9a016a34d7d8e8690a0b9c75b9"),
+        (tz.example_sum("m6", 1, 1), 1,
+         "5c484c884f429f7c4342029960bbde79d7afee488806c16f101f54b0480b66fb",
+         "31ba4291f88b49eea990395836212623201da1e4d8b911aa98b24fed3da8ceb8"),
+        (_projective_plane_plus_bp6(), 4,
+         "b0d44e2b8f330215bedda90fbe559420ae28096a26d3b0a1c6e9a7049f7070ab",
+         "8e78a7c0aa5434aaa86ff39659fa0a05b3ca732bf7f161fbfb628e7f1b12f806"),
+    ]
+    for tri, steps, output, certificate in pinned:
+        out, cert = tz.shred(tri)
+        assert len(cert.steps) == steps
+        assert digest(tz.serialize(out)) == output
+        assert digest(cert.to_json()) == certificate

@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trizig as tz
-from trizig import shredding, surgery
+from trizig import core, surgery
 from trizig.errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
                            LabelCollision, MonodromyNotIdentity, NotZKnotted,
                            SelfSum)
-from trizig.surgery import fresh_label_prefix
+from trizig.surgery import _prefix_numbers, fresh_label_prefix
 
 
 def test_enumerate_special_maps_order():
@@ -340,20 +340,36 @@ def test_chained_sums_match_full_validation(pieces, data):
         _assert_matches_full_validation(tri)
 
 
-def test_shred_intermediates_match_full_validation(monkeypatch):
-    intermediates = []
+def _assert_surface_matches_full_validation(surface):
+    reference = tz.Triangulation(surface.faces)
+    assert tuple(surface.faces) == reference.faces
+    assert tuple(sorted(surface.edge_faces)) == reference.edges
+    assert tuple(surface.vertices) == reference.vertices
+    assert surface.edge_faces == reference.edge_faces  # tuple order included
 
-    def recording_sum(*args, **kwargs):
-        result = surgery.connected_sum(*args, **kwargs)
-        intermediates.append(result.triangulation)
+
+def test_shred_intermediates_match_full_validation(monkeypatch):
+    # Every glue of the generator's, the shredder's and the replay's chain.
+    glue = core._Surface.glue
+    surfaces = []
+
+    def checked_glue(surface, *args, **kwargs):
+        result = glue(surface, *args, **kwargs)
+        _assert_surface_matches_full_validation(surface)
+        surfaces.append(surface)
         return result
 
-    monkeypatch.setattr(shredding, "connected_sum", recording_sum)
-    out, certificate = tz.shred(tz.random_sphere(3, 20))
-    assert len(intermediates) == len(certificate.steps) > 0
-    assert intermediates[-1] is out
-    for tri in intermediates:
-        _assert_matches_full_validation(tri)
+    monkeypatch.setattr(core._Surface, "glue", checked_glue)
+    tri = tz.random_sphere(3, 20)
+    assert len(surfaces) == 20
+    _assert_matches_full_validation(tri)
+    out, certificate = tz.shred(tri)
+    steps = len(certificate.steps)
+    assert len(surfaces) == 20 + steps > 20
+    assert out.edge_faces is surfaces[-1].edge_faces  # frozen from the chain
+    _assert_matches_full_validation(out)
+    assert tz.verify_certificate(tri, certificate, out).ok
+    assert len(surfaces) == 20 + 2 * steps
 
 
 def test_sums_run_with_the_constructor_name_wrapped(monkeypatch):
@@ -380,23 +396,20 @@ def test_sums_run_with_the_constructor_name_wrapped(monkeypatch):
 
 
 def test_label_prefixes_are_carried_along_a_chain_of_sums():
-    # Each sum's taken "s<k>." numbers are its host's plus its fresh labels',
-    # so automatic sums keep picking what fresh_label_prefix would.
-    from trizig.surgery import _prefix_numbers
-
-    tri = tz.bipyramid(5)
+    # The surface's taken "s<k>." numbers are its start's plus every glue's
+    # fresh labels', so automatic sums keep picking what fresh_label_prefix
+    # would.
+    surface = core._Surface(tz.bipyramid(5))
     patch = tz.bipyramid(3)
     face = ("1", "2", "a")
     explicit = {"3": "s0.q", "b": "s2.q"}
     for i in range(6):
-        host_face = next(f for f in tri.faces if f[0] in ("1", "2", "3"))
+        host_face = next(f for f in surface.faces if f[0] in ("1", "2", "3"))
         gluing = tz.enumerate_special_maps(host_face, face)[0]
-        expected = fresh_label_prefix(tri.vertices)
-        result = tz.connected_sum(tri, host_face, patch, face, gluing,
-                                  relabeling=explicit if i == 2 else None)
+        expected = fresh_label_prefix(surface.vertices)
+        _added, relabeling = surface.glue(host_face, patch, face, gluing,
+                                          explicit if i == 2 else None)
         if i != 2:
-            assert all(label.startswith(expected) for _v, label in result.relabeling)
-        assert result.triangulation._cache["label_prefixes"] == _prefix_numbers(
-            result.triangulation.vertices)
-        tri = result.triangulation
-    assert tz.validate(tri).ok
+            assert all(label.startswith(expected) for _v, label in relabeling)
+        assert surface.taken == _prefix_numbers(surface.vertices)
+    assert tz.validate(surface.freeze()).ok
