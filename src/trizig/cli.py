@@ -13,9 +13,9 @@ import json
 import os
 import sys
 
-from .core import euler_characteristic, make_face, validate
-from .document import parse, parse_document, serialize
-from .errors import FaceNotFound, MalformedDocument, TrizigError
+from .core import euler_characteristic, make_face
+from .document import parse, serialize
+from .errors import FaceNotFound, MalformedDocument, TrizigError, ValidationFailure
 from .generators import (bipyramid, example_sum, platonic,
                          projective_plane_fig5, random_sphere, torus_grid)
 from .monodromy import face_types
@@ -115,10 +115,13 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    doc = parse_document(_read(args.file))
-    report = validate(doc["faces"])
-    print(report)
-    return 0 if report.ok else 1
+    try:
+        parse(_read(args.file))
+    except ValidationFailure as failure:
+        print(failure.report)
+        return 1
+    print("ok")
+    return 0
 
 
 def _cmd_euler(args) -> int:

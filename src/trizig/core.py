@@ -177,16 +177,63 @@ def _reach(start, neighbours) -> set:
     return reached
 
 
+def _walk_corners(faces: typing.List[Face],
+                  edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]],
+                  ) -> typing.Optional[typing.List[Vertex]]:
+    """The sorted vertices if every link is one cycle and the faces are
+    connected, else None.  Needs (E1) and (E2).
+
+    Under (E1) and (E2) the faces at v form disjoint cycles (the link of v)
+    in which faces sharing an edge vy are neighbours; each step crosses vy
+    and moves y to the next face's third vertex.  The walk starts at
+    ``faces[0]``, walks the link of each vertex it reaches once, from the
+    face where the vertex was first met, and reaches every link neighbour.
+    Each link walk counts one cycle of distinct corners (vertex, face), so
+    the count is 3F, every corner, exactly when every vertex was reached
+    and its link is a single cycle.  Single-cycle links join the faces at
+    each vertex, and a vertex graph connected through them joins all faces,
+    so then the surface is also face-connected; conversely a connected
+    surface with single-cycle links has every vertex reached.
+    """
+    start = faces[0]
+    found = dict.fromkeys(start, start)
+    stack = list(start)
+    corners = 0
+    while stack:
+        v = stack.pop()
+        face = found[v]
+        a, b, c = face
+        x, y = (b, c) if v == a else (a, c) if v == b else (a, b)
+        corners += 1
+        while y != x:
+            first, second = edge_faces[(v, y) if v < y else (y, v)]
+            face = second if first is face else first  # one object per face
+            p, q, r = face
+            y = p if p != v and p != y else q if q != v and q != y else r
+            corners += 1
+            if y not in found:
+                found[y] = face
+                stack.append(y)
+    return sorted(found) if corners == 3 * len(faces) else None
+
+
 def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
                                   typing.Dict[Edge, typing.Tuple[Face, ...]],
-                                  typing.List[Violation]]:
+                                  typing.List[Vertex], typing.List[Violation]]:
     """Canonicalize a face list, derive its incidence once and validate it.
 
     Accepts a ``Triangulation`` or any iterable of vertex triples.  Returns
     the sorted faces, the sorted edges, the edge -> incident-faces map (in
-    sorted-face order) and every violation, in rule order: NonTriangleInput
-    and DuplicateFace by input position, EdgeDegreeViolation by edge,
-    NonManifoldVertex by vertex, then Disconnected.
+    sorted-face order), the sorted vertices (empty unless valid) and every
+    violation, in rule order: NonTriangleInput and DuplicateFace by input
+    position, EdgeDegreeViolation by edge, NonManifoldVertex by vertex,
+    then Disconnected.
+
+    A face list that passes the per-face and edge-degree checks is
+    certified by one walk over its corners (``_walk_corners``), which
+    proves at once that every link is one cycle and that the faces are
+    connected.  Only when it falls short do the link and connectivity
+    report passes run, to name what is wrong.
     """
     raw = faces.faces if isinstance(faces, Triangulation) else faces
     violations = []
@@ -194,7 +241,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
     try:
         entries = [tuple(item) for item in raw]
     except TypeError as exc:
-        return [], [], {}, [Violation(
+        return [], [], {}, [], [Violation(
             NON_TRIANGLE, (), f"face list is not a list of vertex triples: {exc}")]
     for i, entry in enumerate(entries):
         if len(entry) != 3:
@@ -202,21 +249,31 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
                 NON_TRIANGLE, (i, entry),
                 f"face #{i} has {len(entry)} vertices, expected 3"))
             continue
-        try:
-            labels = tuple(map(_canonical_label, entry))
-        except TypeError as exc:
-            violations.append(Violation(NON_TRIANGLE, (i, entry), f"face #{i}: {exc}"))
-            continue
-        face = typing.cast(Face, tuple(sorted(labels)))
-        if face[0] == "":
+        a, b, c = entry
+        if a.__class__ is not str or b.__class__ is not str or c.__class__ is not str:
+            try:
+                a, b, c = map(_canonical_label, entry)
+            except (TypeError, ValueError) as exc:
+                # ValueError: an int too long for CPython's int -> str limit.
+                violations.append(Violation(NON_TRIANGLE, (i, entry), f"face #{i}: {exc}"))
+                continue
+        labels = a, b, c
+        if a > b:
+            a, b = b, a
+        if b > c:
+            b, c = c, b
+        if a > b:
+            a, b = b, a
+        if a == "":
             violations.append(Violation(
                 NON_TRIANGLE, (i, entry), f"face #{i} has an empty vertex label"))
             continue
-        if face[0] == face[1] or face[1] == face[2]:
+        if a == b or b == c:
             violations.append(Violation(
                 NON_TRIANGLE, (i, entry),
                 f"face #{i} repeats a vertex: {labels}"))
             continue
+        face = a, b, c
         if face in seen:
             violations.append(Violation(
                 DUPLICATE_FACE, (seen[face], i, face),
@@ -226,25 +283,33 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
 
     faces = sorted(seen)
     edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]] = {}
+    get = edge_faces.get
     for face in faces:
-        for edge in face_edges(face):
-            edge_faces[edge] = edge_faces.get(edge, ()) + (face,)
+        a, b, c = face
+        edge = a, b
+        edge_faces[edge] = get(edge, ()) + (face,)
+        edge = a, c
+        edge_faces[edge] = get(edge, ()) + (face,)
+        edge = b, c
+        edge_faces[edge] = get(edge, ()) + (face,)
     edges = sorted(edge_faces)
     if not faces:
         violations.append(Violation(NON_TRIANGLE, (), "empty face list"))
-        return faces, edges, edge_faces, violations
-    for edge in edges:
-        incident = edge_faces[edge]
-        if len(incident) != 2:
-            violations.append(Violation(
-                EDGE_DEGREE, (edge,),
-                f"edge {edge} lies in {len(incident)} face(s), expected 2 (E1)"))
+        return faces, edges, edge_faces, [], violations
+    if any(len(incident) != 2 for incident in edge_faces.values()):
+        for edge in edges:
+            incident = edge_faces[edge]
+            if len(incident) != 2:
+                violations.append(Violation(
+                    EDGE_DEGREE, (edge,),
+                    f"edge {edge} lies in {len(incident)} face(s), expected 2 (E1)"))
 
     if not violations:
-        # Under (E1) the faces at v form disjoint cycles (the link of v) in
-        # which faces sharing an edge vy are neighbours; each step crosses vy
-        # and moves y to the next face's third vertex.  v is a manifold point
-        # iff the cycle walked from one face at v holds all of its faces.
+        vertices = _walk_corners(faces, edge_faces)
+        if vertices is not None:
+            return faces, edges, edge_faces, vertices, violations
+        # Under (E1) v is a manifold point iff the link cycle walked from one
+        # face at v holds all of its faces.
         faces_at = collections.Counter(itertools.chain.from_iterable(faces))
         pinched = []
         for start in faces:
@@ -286,7 +351,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
             DISCONNECTED, tuple(missing_faces),
             f"face adjacency graph is disconnected; "
             f"{len(missing_faces)} unreachable face(s)"))
-    return faces, edges, edge_faces, violations
+    return faces, edges, edge_faces, [], violations
 
 
 def validate(faces) -> ValidationReport:
@@ -314,14 +379,13 @@ class Triangulation:
     __slots__ = ("faces", "edges", "edge_faces", "vertices", "_face_set", "_cache")
 
     def __init__(self, faces):
-        faces, edges, edge_faces, violations = _check(faces)
+        faces, edges, edge_faces, vertices, violations = _check(faces)
         if violations:
             raise ValidationFailure(ValidationReport(tuple(violations)))
         self.faces: typing.Tuple[Face, ...] = tuple(faces)
         self.edges: typing.Tuple[Edge, ...] = tuple(edges)
         self.edge_faces: typing.Dict[Edge, typing.Tuple[Face, Face]] = edge_faces
-        self.vertices: typing.Tuple[str, ...] = tuple(
-            sorted(set(itertools.chain.from_iterable(faces))))
+        self.vertices: typing.Tuple[str, ...] = tuple(vertices)
         self._face_set = frozenset(faces)
         self._cache: dict = {}
 

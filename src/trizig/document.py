@@ -14,6 +14,7 @@ from .core import Triangulation
 from .errors import MalformedDocument
 
 FORMAT = "tri-json/1"
+_LABELS = {str, int}
 
 
 def serialize(tri: Triangulation,
@@ -48,18 +49,20 @@ def parse_document(text: str) -> dict:
     faces = doc.get("faces")
     if not isinstance(faces, list):
         raise MalformedDocument('document has no "faces" array')
+    # The decoder makes exact types, so exact classes are compared; a bool
+    # is no int here.
     for i, face in enumerate(faces):
-        if not isinstance(face, list) or len(face) != 3:
+        if face.__class__ is not list or len(face) != 3:
             raise MalformedDocument(f"faces[{i}] is not an array of 3 labels")
-        for x in face:
-            if not isinstance(x, (str, int)) or isinstance(x, bool):
-                raise MalformedDocument(
-                    f"faces[{i}] contains a non-label entry {x!r}")
+        a, b, c = face
+        if a.__class__ not in _LABELS or b.__class__ not in _LABELS \
+                or c.__class__ not in _LABELS:
+            bad = next(x for x in face if x.__class__ not in _LABELS)
+            raise MalformedDocument(f"faces[{i}] contains a non-label entry {bad!r}")
     vertices = doc.get("vertices")
     if vertices is not None and (
-            not isinstance(vertices, list)
-            or any(not isinstance(v, (str, int)) or isinstance(v, bool)
-                   for v in vertices)):
+            vertices.__class__ is not list
+            or any(v.__class__ not in _LABELS for v in vertices)):
         raise MalformedDocument('"vertices" must be an array of labels')
     return doc
 
@@ -74,9 +77,6 @@ def parse(text: str) -> Triangulation:
     doc = parse_document(text)
     tri = Triangulation(doc["faces"])
     declared = doc.get("vertices")
-    if declared is not None:
-        labels = sorted(str(v) for v in declared)
-        if labels != list(tri.vertices):
-            raise MalformedDocument(
-                "declared vertex list does not match the face list")
+    if declared is not None and sorted(map(str, declared)) != list(tri.vertices):
+        raise MalformedDocument("declared vertex list does not match the face list")
     return tri

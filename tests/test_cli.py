@@ -83,7 +83,11 @@ def test_validate_exit_codes(bp3_file, broken_file, tmp_path, capsys):
     garbage.write_text("{")
     undecodable = tmp_path / "latin1.json"
     undecodable.write_bytes(b'{"faces": "\xe9"}')
-    for path in (garbage, tmp_path / "missing.json", undecodable):
+    mismatched = tmp_path / "mismatched.json"
+    doc = json.loads(tz.serialize(tz.bipyramid(3)))
+    doc["vertices"].append("z")
+    mismatched.write_text(json.dumps(doc))
+    for path in (garbage, tmp_path / "missing.json", undecodable, mismatched):
         assert main(["validate", str(path)]) == 2
         assert json.loads(capsys.readouterr().err)["error"]["type"] == "MalformedDocument"
 

@@ -112,6 +112,15 @@ def test_validate_reports_without_raising():
     assert tz.validate(tri).ok
     assert tz.validate(tz.platonic("octahedron")).ok
 
+    # An int label too long to write as text is a bad entry, not a crash.
+    huge = [(10 ** 5000, 1, 2)] + TETRA
+    report = tz.validate(huge)
+    assert [(v.rule, v.subject[0]) for v in report.violations] == [(NON_TRIANGLE, 0)]
+    assert str(report).startswith("NonTriangleInput: face #0: ")
+    with pytest.raises(ValidationFailure) as info:
+        tz.Triangulation(huge)
+    assert info.value.report.violations == report.violations
+
 
 def test_face_rotation_golden():
     face = ("a", "b", "c")

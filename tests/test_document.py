@@ -1,6 +1,7 @@
 """tri-json/1 parsing and canonical serialization."""
 
 import json
+import random
 
 import pytest
 
@@ -26,6 +27,29 @@ def test_serialize_is_canonical_and_stable():
         [("a", "2", "1"), ("b", "3", "2"), ("3", "1", "a"),
          ("2", "1", "b"), ("2", "3", "a"), ("1", "3", "b")])
     assert tz.serialize(shuffled) == one
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tz.torus_grid(7, 8),
+    tz.projective_plane_fig5,
+    lambda: tz.example_sum("m6", 1, 1),
+], ids=["torus_7_8", "projective_plane", "m6_1_1"])
+def test_parse_of_a_shuffled_document_keeps_incidence_order(build):
+    tri = build()
+    rng = random.Random(3)
+    faces = [list(face) for face in tri.faces]
+    rng.shuffle(faces)
+    for face in faces:
+        rng.shuffle(face)
+    vertices = list(tri.vertices)
+    rng.shuffle(vertices)
+    parsed = tz.parse(json.dumps(
+        {"format": "tri-json/1", "vertices": vertices, "faces": faces}))
+    assert parsed.faces == tri.faces
+    assert parsed.edges == tri.edges
+    assert parsed.vertices == tri.vertices
+    # Equal dicts of tuples: each edge's two faces in the same order.
+    assert parsed.edge_faces == tri.edge_faces
 
 
 def test_document_shape():
