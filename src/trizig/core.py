@@ -244,10 +244,11 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
         return [], [], {}, [], [Violation(
             NON_TRIANGLE, (), f"face list is not a list of vertex triples: {exc}")]
     for i, entry in enumerate(entries):
+        # The subject holds the entry only once its labels are known to be
+        # text or ints short enough to write: repr() fails on longer ones.
         if len(entry) != 3:
             violations.append(Violation(
-                NON_TRIANGLE, (i, entry),
-                f"face #{i} has {len(entry)} vertices, expected 3"))
+                NON_TRIANGLE, (i,), f"face #{i} has {len(entry)} vertices, expected 3"))
             continue
         a, b, c = entry
         if a.__class__ is not str or b.__class__ is not str or c.__class__ is not str:
@@ -255,7 +256,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
                 a, b, c = map(_canonical_label, entry)
             except (TypeError, ValueError) as exc:
                 # ValueError: an int too long for CPython's int -> str limit.
-                violations.append(Violation(NON_TRIANGLE, (i, entry), f"face #{i}: {exc}"))
+                violations.append(Violation(NON_TRIANGLE, (i,), f"face #{i}: {exc}"))
                 continue
         labels = a, b, c
         if a > b:

@@ -19,8 +19,9 @@ The same fact lets ``shred`` classify the input once.  Every later bad face
 is one of the input's bad faces, and a face is bad iff its six seed
 positions meet more than two zigzags.  So the loop keeps the zigzag step
 table and orbit ids as int lists (``zigzag._ZigzagState``), re-walks after
-each sum only the orbits through the glued faces, and walks the monodromy
-of only the face it repairs next.
+each sum only the orbits through the patch, and walks the monodromy of only
+the face it repairs next.  Each repair is checked by one count: the patch
+must carry exactly one zigzag pair.
 """
 
 import functools
@@ -225,9 +226,11 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     The input is classified once.  By the lemma of ``shred_step`` the least
     bad face is the first of the input's bad faces still met by more than
     two zigzags, which ``_ZigzagState`` tells after each splice.  Each splice
-    checks the lemma on every face whose zigzags it re-walked: a face not
-    among the input's bad faces yet to come must be locally z-knotted.  All
-    patches are glued onto one ``core._Surface``, frozen once at the end.
+    counts the zigzags through the patch, which are the k through the
+    repaired face cut and rejoined, and must count one pair.  Orbits that
+    miss the face do not move, so the count falls by k - 2 and every face
+    met only by one pair before is met only by one pair after: the lemma.
+    All patches are glued onto one ``core._Surface``, frozen once at the end.
     """
     steps = []
     current = tri
@@ -235,9 +238,7 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     if bad:
         surface = _Surface(tri)
         state = _ZigzagState(tri)
-        pending = {face for face, _tag in bad}
         for face, _tag in bad:
-            pending.remove(face)
             s = state.slot[face]
             if state.orbit_count(s) == 2:
                 continue
@@ -248,12 +249,11 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
             added, fresh = surface.glue(face, patch.triangulation,
                                         patch.designated_face, gluing)
             steps.append(ShredStep(face, bad_type, patch.patch_id, gluing.pairs, fresh))
-            for touched in state.splice(surface.edge_faces, face, added):
-                if (state.orbit_count(touched) != 2
-                        and state.faces[touched] not in pending):
-                    raise AssertionError(
-                        f"face {state.faces[touched]!r} stopped being locally "
-                        f"z-knotted after repairing {face!r}")
+            through = state.splice(surface.edge_faces, face, added)
+            if through != 2:
+                raise AssertionError(
+                    f"repairing {face!r} left {through} zigzags through the "
+                    f"patch, not one pair")
         current = surface.freeze()
 
     knotted = is_z_knotted(current)

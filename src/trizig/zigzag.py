@@ -192,23 +192,21 @@ class _ZigzagState:
         return tuple(image)
 
     def splice(self, edge_faces: typing.Mapping[Edge, typing.Tuple[Face, ...]],
-               removed: Face, added: typing.Sequence[Face]) -> typing.Set[int]:
+               removed: Face, added: typing.Sequence[Face]) -> int:
         """Follow the sum that replaced ``removed`` by ``added`` (``edge_faces``).
 
-        Only the steps across the edges of the new faces change: those from
-        the new faces and from the three host faces across the glued edges.
-        So only the orbits through these faces are re-walked.  Returns the
-        slots of the faces with a seed on one of them.
+        Besides the removed face's, now a tombstone, only the steps across
+        the new faces' edges change, and each starts or ends in a new face.
+        So the orbits through the new faces are exactly those that changed:
+        the old orbits through ``removed``, cut and rejoined through the
+        patch.  Only they are re-walked; returns how many there are, 2 when
+        the sum joined them into one pair.
         """
         slot, faces = self.slot, self.faces
         gone = 6 * slot.pop(removed)
         faces[gone // 6] = None
         self.step[gone:gone + 6] = range(gone, gone + 6)
-        changed = []
-        for edge in face_edges(removed):
-            first, second = edge_faces[edge]
-            changed.append(slot[first] if first in slot else slot[second])
-        changed += range(len(faces), len(faces) + len(added))
+        first_new = len(faces)
         for face in added:
             slot[face] = len(faces)
             faces.append(face)
@@ -217,9 +215,9 @@ class _ZigzagState:
         _link(self.step, slot, edge_faces,
               {edge for face in added for edge in face_edges(face)})
         walked = _walk(self.step, self.orbit_of,
-                       [6 * s + k for s in changed for k in range(6)], self.next_id)
+                       range(6 * first_new, 6 * len(faces)), self.next_id)
         self.next_id += len(walked)
-        return {p // 6 for orbit in walked for p in orbit}
+        return len(walked)
 
 
 def _cached(tri: Triangulation, key: str, build):

@@ -117,6 +117,9 @@ def test_validate_reports_without_raising():
     report = tz.validate(huge)
     assert [(v.rule, v.subject[0]) for v in report.violations] == [(NON_TRIANGLE, 0)]
     assert str(report).startswith("NonTriangleInput: face #0: ")
+    assert repr(report).startswith("ValidationReport(")
+    for entry in [(None, 10 ** 5000, 2), (10 ** 5000, 1)]:
+        assert repr(tz.validate([entry])).startswith("ValidationReport(")
     with pytest.raises(ValidationFailure) as info:
         tz.Triangulation(huge)
     assert info.value.report.violations == report.violations

@@ -8,10 +8,11 @@ from hypothesis import given, settings, strategies as st
 
 import trizig as tz
 from trizig.errors import InvalidMonodromyType, MalformedDocument
-from trizig import monodromy, zigzag
+from trizig import monodromy, shredding, zigzag
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
                               ShredCertificate, ShredStep, _bad_faces)
 from trizig.core import _Surface
+from trizig.surgery import _glues
 from trizig.zigzag import _ZigzagState
 
 
@@ -389,12 +390,12 @@ def _shred_with_checked_splices(tri):
         return glue(surface, *args, **kwargs)
 
     def checked(state, edge_faces, removed, added):
-        touched = splice(state, edge_faces, removed, added)
+        through = splice(state, edge_faces, removed, added)
         assert edge_faces is surfaces[-1].edge_faces
         current = tz.Triangulation(surfaces[-1].faces)
         _check_splice(state, current)
         spliced.append(current)
-        return touched
+        return through
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_Surface, "glue", recording)
@@ -435,17 +436,17 @@ def _check_count_identity(tri):
     def counted(state, edge_faces, removed, added):
         k = state.orbit_count(state.slot[removed])
         before = _live_zigzag_count(state)
-        touched = splice(state, edge_faces, removed, added)
-        drops.append((k, before - _live_zigzag_count(state)))
-        return touched
+        through = splice(state, edge_faces, removed, added)
+        drops.append((k, before - _live_zigzag_count(state), through))
+        return through
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(_ZigzagState, "splice", counted)
         _out, certificate = tz.shred(tri)
     assert len(drops) == len(certificate.steps)
-    assert all(drop == k - 2 for k, drop in drops), drops
+    assert all(drop == k - 2 and through == 2 for k, drop, through in drops), drops
     # So the drops add up from the input's zigzag count to one pair.
-    assert sum(drop for _k, drop in drops) == len(zigzag._kernel(tri).orbits) - 2
+    assert sum(drop for _k, drop, _through in drops) == len(zigzag._kernel(tri).orbits) - 2
 
 
 def test_each_repair_lowers_the_zigzag_count_by_k_minus_2(named_corpus):
@@ -499,18 +500,40 @@ def test_shred_classifies_the_whole_surface_at_most_twice(monkeypatch):
     assert built == [tri, out]
 
 
-def test_shred_checks_the_lemma_after_every_splice(monkeypatch):
-    # A patch face that a splice left met by three zigzags must stop the loop.
-    splice = _ZigzagState.splice
+@pytest.mark.parametrize("make, args", [(tz.bipyramid, (6,)), (tz.random_sphere, (3, 40))],
+                         ids=["bp6", "random-sphere-3-40"])
+def test_shred_refuses_a_map_that_fails_the_gluing_condition(monkeypatch, make, args):
+    # Every special map glues the identity-face patch onto an M5/M6 face, so
+    # only an M7 face can take a wrong one; M5/M6 faces keep the right map.
+    first_gluing = shredding._first_gluing
+    wrong = []
 
-    def broken(state, result, removed, added):
-        touched = splice(state, result, removed, added)
-        base = 6 * state.slot[added[0]]
-        state.orbit_of[base:base + 3] = [-3, -2, -1]
-        return touched
+    def failing(face, monodromy, patch):
+        other = tz.z_monodromy(patch.triangulation, patch.designated_face).image
+        gluing = next((gluing for gluing in tz.enumerate_special_maps(
+            face, patch.designated_face) if not _glues(monodromy, other, gluing)), None)
+        wrong.append(gluing)
+        return first_gluing(face, monodromy, patch) if gluing is None else gluing
 
-    monkeypatch.setattr(_ZigzagState, "splice", broken)
-    with pytest.raises(AssertionError, match="stopped being locally z-knotted"):
+    monkeypatch.setattr(shredding, "_first_gluing", failing)
+    with pytest.raises(AssertionError, match="repairing"):
+        tz.shred(make(*args))
+    assert wrong[-1] is not None
+
+
+def test_shred_refuses_a_splice_that_breaks_the_patch_pair(monkeypatch):
+    # A splice links its new edges from a set; swapping two step entries of
+    # the last added face afterwards keeps a permutation but reroutes orbits.
+    link = zigzag._link
+
+    def swapped(step, slot, edge_faces, edges):
+        link(step, slot, edge_faces, edges)
+        if isinstance(edges, set):
+            b = len(step) - 6
+            step[b], step[b + 1] = step[b + 1], step[b]
+
+    monkeypatch.setattr(zigzag, "_link", swapped)
+    with pytest.raises(AssertionError, match="repairing"):
         tz.shred(tz.bipyramid(8))
 
 
