@@ -93,11 +93,9 @@ def third_vertex(face: Face, u: Vertex, v: Vertex) -> Vertex:
 
 
 # Dart k of a face (a, b, c) in omega order ab, bc, ca, ba, cb, ac: its
-# (tail, head) vertex slots, the sorted slots of its undirected edge, and the
-# face rotation D, D^-1 and negation as permutations of k; the same for every
-# face, as (ab, bc, ca) is a D-cycle.
+# (tail, head) vertex slots, and the face rotation D, D^-1 and negation as
+# permutations of k; the same for every face, as (ab, bc, ca) is a D-cycle.
 OMEGA_SLOTS = ((0, 1), (1, 2), (2, 0), (1, 0), (2, 1), (0, 2))
-OMEGA_EDGE_SLOTS = ((0, 1), (1, 2), (0, 2), (0, 1), (1, 2), (0, 2))
 OMEGA_ROTATION = (1, 2, 0, 5, 3, 4)
 OMEGA_ROTATION_INVERSE = (2, 0, 1, 4, 5, 3)
 OMEGA_NEGATION = (3, 4, 5, 0, 1, 2)

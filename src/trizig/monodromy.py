@@ -172,12 +172,18 @@ _SHAPES = _shape_table()
 _WITNESS_FREE_TYPES = {tag: MonodromyType(tag) for tag in _WITNESS_FREE}
 
 
-def _monodromy_type(face: Face, image: typing.Tuple[int, ...]) -> MonodromyType:
+def _shape(face: Face, image: typing.Tuple[int, ...]
+           ) -> typing.Tuple[str, typing.Optional[typing.Tuple[int, int, int]]]:
+    """The (tag, witness indices) entry of ``_SHAPES`` for a face's monodromy."""
     shape = _SHAPES.get(image)
     if shape is None:
         raise UnclassifiableMonodromy(
             f"monodromy {image} of face {face} (local dart indices) matches no shape")
-    tag, witness = shape
+    return shape
+
+
+def _monodromy_type(face: Face, image: typing.Tuple[int, ...]) -> MonodromyType:
+    tag, witness = _shape(face, image)
     if witness is None:
         return _WITNESS_FREE_TYPES[tag]
     return MonodromyType(tag, tuple(_zz._dart(face, k) for k in witness))
@@ -203,6 +209,11 @@ def _build_monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]
     return [tuple(image[base:base + 6]) for base in range(0, len(image), 6)]
 
 
+def _monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]]:
+    """``_build_monodromies(tri)``, computed once per triangulation."""
+    return _zz._cached(tri, "monodromies", _build_monodromies)
+
+
 def z_monodromy(tri: Triangulation, face: Face) -> DartPermutation:
     """The z-monodromy of a face.
 
@@ -212,8 +223,7 @@ def z_monodromy(tri: Triangulation, face: Face) -> DartPermutation:
     face = make_face(*face)
     if not tri.has_face(face):
         raise FaceNotFound(f"face {face!r} not in triangulation")
-    monodromies = _zz._cached(tri, "monodromies", _build_monodromies)
-    return DartPermutation._of(face, monodromies[_zz._face_index(tri, face)])
+    return DartPermutation._of(face, _monodromies(tri)[_zz._face_index(tri, face)])
 
 
 def classify(monodromy: DartPermutation) -> MonodromyType:
@@ -231,9 +241,8 @@ def is_two_disjoint_3cycles(permutation: DartPermutation) -> bool:
 
 
 def _build_face_types(tri: Triangulation) -> typing.Mapping[Face, MonodromyType]:
-    monodromies = _zz._cached(tri, "monodromies", _build_monodromies)
     return types.MappingProxyType({face: _monodromy_type(face, image)
-                                   for face, image in zip(tri.faces, monodromies)})
+                                   for face, image in zip(tri.faces, _monodromies(tri))})
 
 
 def face_types(tri: Triangulation) -> typing.Mapping[Face, MonodromyType]:

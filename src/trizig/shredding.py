@@ -18,10 +18,11 @@ surface.  Every step is logged in a replayable certificate.
 The same fact lets ``shred`` classify the input once.  Every later bad face
 is one of the input's bad faces, and a face is bad iff its six seed
 positions meet more than two zigzags.  So the loop keeps the zigzag step
-table and orbit ids as int lists (``zigzag._ZigzagState``), re-walks after
-each sum only the orbits through the patch, and walks the monodromy of only
-the face it repairs next.  Each repair is checked by one count: the patch
-must carry exactly one zigzag pair.
+table and zigzag-pair classes as int lists (``zigzag._ZigzagState``) and
+walks the monodromy of only the face it repairs next.  That monodromy fixes
+how the zigzags through the repaired face run between its visits, so each
+splice walks only the patch's positions.  Each repair is checked by one
+count: the patch must carry exactly one zigzag pair.
 """
 
 import functools
@@ -34,7 +35,7 @@ from .document import load_json
 from .errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
                      NoValidMap, TrizigError)
 from .generators import bipyramid, example_sum
-from .monodromy import _monodromy_type, face_types, z_monodromy
+from .monodromy import _monodromies, _shape, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, connected_sum, enumerate_special_maps
 from .zigzag import _ZigzagState, _kernel, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
@@ -219,18 +220,22 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     """Construct a z-knotted shredding of the triangulation.
 
     Repeatedly repairs the least bad face in canonical order until no face
-    classifies M5/M6/M7, then verifies the result twice over: every face must
-    classify M1..M4 and the orbit count must be exactly one zigzag pair.
-    A z-knotted input comes back unchanged with an empty certificate.
+    classifies M5/M6/M7, then verifies the result twice over: every face's
+    monodromy must match one of M1..M4 and the orbit count must be exactly
+    one zigzag pair.  A z-knotted input comes back unchanged with an empty
+    certificate.
 
     The input is classified once.  By the lemma of ``shred_step`` the least
     bad face is the first of the input's bad faces still met by more than
     two zigzags, which ``_ZigzagState`` tells after each splice.  Each splice
-    counts the zigzags through the patch, which are the k through the
-    repaired face cut and rejoined, and must count one pair.  Orbits that
-    miss the face do not move, so the count falls by k - 2 and every face
-    met only by one pair before is met only by one pair after: the lemma.
-    All patches are glued onto one ``core._Surface``, frozen once at the end.
+    is handed the repaired face's monodromy, walks the patch's positions
+    only, and counts the zigzags through the patch, which are the k through
+    the repaired face cut and rejoined; they must count one pair.  Orbits
+    that miss the face do not move, so the count falls by k - 2 and every
+    face met only by one pair before is met only by one pair after: the
+    lemma.  All patches are glued onto one ``core._Surface``, frozen once at
+    the end; its monodromies are matched against the shape table without
+    building a ``MonodromyType`` per face.
     """
     steps = []
     current = tri
@@ -243,13 +248,13 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
             if state.orbit_count(s) == 2:
                 continue
             monodromy = state.monodromy(s)
-            bad_type = _monodromy_type(face, monodromy).tag
+            bad_type = _shape(face, monodromy)[0]
             patch = patch_for(bad_type)
             gluing = _first_gluing(face, monodromy, patch)
             added, fresh = surface.glue(face, patch.triangulation,
                                         patch.designated_face, gluing)
             steps.append(ShredStep(face, bad_type, patch.patch_id, gluing.pairs, fresh))
-            through = state.splice(surface.edge_faces, face, added)
+            through = state.splice(surface.edge_faces, face, added, monodromy)
             if through != 2:
                 raise AssertionError(
                     f"repairing {face!r} left {through} zigzags through the "
@@ -257,7 +262,9 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
         current = surface.freeze()
 
     knotted = is_z_knotted(current)
-    types_ok = not _bad_faces(current)
+    tags = {_shape(face, image)[0]
+            for face, image in zip(current.faces, _monodromies(current))}
+    types_ok = tags.isdisjoint(BAD_TAGS)
     if not (knotted and types_ok):
         raise AssertionError(
             f"shredding postcondition failed: z-knotted={knotted}, "

@@ -18,7 +18,7 @@ import bisect
 import collections
 import typing
 
-from .core import (OMEGA_EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION_INVERSE,
+from .core import (OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
                    OMEGA_SLOTS, Dart, Edge, Face, Triangulation, face_edges,
                    face_rotation_inverse, make_face, omega, third_vertex)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
@@ -89,18 +89,18 @@ def _link(step, slot, edge_faces, edges) -> None:
         step[there + out2], step[there + back2] = here + out_next, here + back_next
 
 
-def _walk(step, orbit_of, starts, first: int) -> typing.List[typing.List[int]]:
-    """Number the orbits through ``starts`` that hold ids below ``first``
-    from ``first`` on, in the order of ``starts``, and return them, each in
-    step order from the first of ``starts`` on it."""
+def _walk(step, orbit_of, starts) -> typing.List[typing.List[int]]:
+    """Number the orbits through ``starts`` not yet numbered (id -1) in the
+    order of ``starts``, and return them, each in step order from the first
+    of ``starts`` on it."""
     orbits: typing.List[typing.List[int]] = []
     for start in starts:
-        if orbit_of[start] >= first:
+        if orbit_of[start] >= 0:
             continue
         orbit = []
-        orbit_id = first + len(orbits)
+        orbit_id = len(orbits)
         p = start
-        while orbit_of[p] < first:
+        while orbit_of[p] < 0:
             orbit_of[p] = orbit_id
             orbit.append(p)
             p = step[p]
@@ -144,25 +144,48 @@ class _Kernel:
         keys.sort()
 
         orbit_of = [-1] * count
-        self.orbits = _walk(step_table, orbit_of, (key % count for key in keys), 0)
+        self.orbits = _walk(step_table, orbit_of, (key % count for key in keys))
         # Packed: as a list the table would keep 4E int objects alive.
         self.step = array.array("i", step_table)
         self.orbit_of = orbit_of
 
 
-class _ZigzagState:
-    """The zigzags of a surface under repair, kept current across sums.
+def _partners(kernel: _Kernel) -> typing.List[int]:
+    """The orbit of each kernel orbit's reverse, checked to be a
+    fixed-point-free involution."""
+    # reverse_position, (d, F) -> (-D^-1(d), F), maps each orbit onto its reverse.
+    reversal = [OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE]
+    partners = [kernel.orbit_of[p - p % 6 + reversal[p % 6]]
+                for p in (orbit[0] for orbit in kernel.orbits)]
+    if any(partner == i or partners[partner] != i
+           for i, partner in enumerate(partners)):
+        raise AssertionError("reversal pairing is not a fixed-point-free "
+                             "involution on the orbit set")
+    return partners
 
-    Starts as a copy of the ``_Kernel`` step table and orbit ids.  Position
-    6 s + k is dart k of the face in slot s, as in the kernel, but slots
-    never move: a removed face leaves a tombstone, which steps to itself,
-    and the faces of each patch take new slots at the end.  After a sum the
-    steps across the new edges are read off the glued ``core._Surface``'s
-    ``edge_faces`` by ``_link``.  Orbit ids carry no order; every re-walked
-    orbit gets a fresh one.
+
+def _root(parent: typing.List[int], c: int) -> int:
+    """The root of class c in the union-find forest ``parent``, halving its path."""
+    while parent[c] != c:
+        parent[c] = c = parent[parent[c]]
+    return c
+
+
+class _ZigzagState:
+    """The zigzag pairs of a surface under repair, kept current across sums.
+
+    Starts as a copy of the ``_Kernel`` step table.  Position 6 s + k is
+    dart k of the face in slot s, as in the kernel, but slots never move: a
+    removed face leaves a tombstone, which steps to itself, and the faces of
+    each patch take new slots at the end.  After a sum the steps across the
+    new edges are read off the glued ``core._Surface``'s ``edge_faces`` by
+    ``_link``.  ``orbit_of[p]`` is a class of zigzag pairs, not an orbit:
+    at the start each kernel orbit joined with its reverse, and after every
+    sum the classes through the removed face merged into one.  ``parent``
+    is the union-find forest (Tarjan, J. ACM 1975) over the class ids.
     """
 
-    __slots__ = ("faces", "slot", "step", "orbit_of", "next_id")
+    __slots__ = ("faces", "slot", "step", "orbit_of", "parent")
 
     def __init__(self, tri: Triangulation):
         kernel = _kernel(tri)
@@ -170,54 +193,99 @@ class _ZigzagState:
         self.slot = {face: s for s, face in enumerate(tri.faces)}
         self.step = list(kernel.step)
         self.orbit_of = list(kernel.orbit_of)
-        self.next_id = len(kernel.orbits)
+        self.parent = [min(i, partner) for i, partner in enumerate(_partners(kernel))]
 
     def orbit_count(self, s: int) -> int:
         """How many zigzags meet the face in slot s: 2 iff it is locally
-        z-knotted."""
-        return len(set(self.orbit_of[6 * s:6 * s + 6]))
+        z-knotted.  They are closed under reversal, so twice their pairs."""
+        parent = self.parent
+        return 2 * len({_root(parent, c) for c in self.orbit_of[6 * s:6 * s + 6]})
 
     def monodromy(self, s: int) -> typing.Tuple[int, ...]:
         """The z-monodromy of the face in slot s as in
         ``monodromy._build_monodromies``: seed k maps to D^-1 of the dart of
-        the next position in the face."""
+        the next position in the face.  Three seeds are walked: the reversed
+        zigzag runs each arc backwards, so M(e) = e' gives M(-e') = -e."""
         step = self.step
-        base = 6 * s
-        image = []
-        for p in range(base, base + 6):
-            p = step[p]
-            while not base <= p < base + 6:
-                p = step[p]
-            image.append(OMEGA_ROTATION_INVERSE[p - base])
+        base, end = 6 * s, 6 * s + 6
+        image = [-1] * 6
+        for k in range(6):
+            if image[k] < 0:
+                p = step[base + k]
+                while not base <= p < end:
+                    p = step[p]
+                e = OMEGA_ROTATION_INVERSE[p - base]
+                image[k] = e
+                image[OMEGA_NEGATION[e]] = OMEGA_NEGATION[k]
         return tuple(image)
 
     def splice(self, edge_faces: typing.Mapping[Edge, typing.Tuple[Face, ...]],
-               removed: Face, added: typing.Sequence[Face]) -> int:
-        """Follow the sum that replaced ``removed`` by ``added`` (``edge_faces``).
+               removed: Face, added: typing.Sequence[Face],
+               monodromy: typing.Sequence[int]) -> int:
+        """Follow the sum that replaced ``removed``, of z-monodromy
+        ``monodromy``, by ``added`` (``edge_faces``), in O(patch).
 
         Besides the removed face's, now a tombstone, only the steps across
         the new faces' edges change, and each starts or ends in a new face.
-        So the orbits through the new faces are exactly those that changed:
-        the old orbits through ``removed``, cut and rejoined through the
-        patch.  Only they are re-walked; returns how many there are, 2 when
-        the sum joined them into one pair.
+        So the orbits through the new faces are the old ones through
+        ``removed``, cut and rejoined through the patch, and every host arc
+        between two of their visits to ``removed`` is unchanged: the arc
+        that left seed r comes back just before seed D(M(r)).  Only the
+        patch positions are walked, each host arc in one jump; returns how
+        many orbits they make, 2 when the sum joined them into one pair.
+        The removed face's classes merge into a fresh one, which every
+        patch position takes.
         """
-        slot, faces = self.slot, self.faces
-        gone = 6 * slot.pop(removed)
-        faces[gone // 6] = None
-        self.step[gone:gone + 6] = range(gone, gone + 6)
-        first_new = len(faces)
+        slot, faces, step, orbit_of, parent = (
+            self.slot, self.faces, self.step, self.orbit_of, self.parent)
+        s = slot.pop(removed)
+        gone = 6 * s
+        faces[s] = None
+        # The host positions after and before each seed r of the removed
+        # face; the ones before lie on its three neighbours, as those after.
+        exits = step[gone:gone + 6]
+        entries = [0] * 6
+        for base in {p - p % 6 for p in exits}:
+            for p in range(base, base + 6):
+                if gone <= step[p] < gone + 6:
+                    entries[step[p] - gone] = p
+        step[gone:gone + 6] = range(gone, gone + 6)
+        first = len(step)
         for face in added:
             slot[face] = len(faces)
             faces.append(face)
-        self.step += [0] * (6 * len(added))
-        self.orbit_of += [-1] * (6 * len(added))
-        _link(self.step, slot, edge_faces,
+        step += [0] * (6 * len(added))
+        _link(step, slot, edge_faces,
               {edge for face in added for edge in face_edges(face)})
-        walked = _walk(self.step, self.orbit_of,
-                       range(6 * first_new, 6 * len(faces)), self.next_id)
-        self.next_id += len(walked)
-        return len(walked)
+
+        resume = {exits[r]: entries[OMEGA_ROTATION[monodromy[r]]] for r in range(6)}
+        seen = bytearray(len(step) - first)
+        through = 0
+        for start in range(first, len(step)):
+            if seen[start - first]:
+                continue
+            through += 1
+            p = start
+            while True:
+                seen[p - first] = 1
+                p = step[p]
+                if p < first:
+                    if p not in resume:
+                        raise AssertionError(
+                            f"a patch step leaves the patch for host position "
+                            f"{p}, which did not follow {removed!r}")
+                    p = step[resume[p]]
+                if p == start:
+                    break
+                if p < first or seen[p - first]:
+                    raise AssertionError("step map failed to be a permutation")
+
+        fresh = len(parent)
+        parent.append(fresh)
+        for c in orbit_of[gone:gone + 6]:
+            parent[_root(parent, c)] = fresh
+        orbit_of += [fresh] * (len(step) - first)
+        return through
 
 
 def _cached(tri: Triangulation, key: str, build):
@@ -241,12 +309,6 @@ def _dart(face: Face, k: int) -> Dart:
     """Dart k of a face in ``omega`` order."""
     tail, head = OMEGA_SLOTS[k]
     return Dart(face[tail], face[head])
-
-
-def _edge(face: Face, k: int) -> Edge:
-    """The undirected edge of dart k of a face in ``omega`` order."""
-    low, high = OMEGA_EDGE_SLOTS[k]
-    return face[low], face[high]
 
 
 def _zigzag(faces: typing.Sequence[Face], orbit: typing.List[int]) -> "Zigzag":
@@ -367,15 +429,7 @@ class ZigzagAtlas:
 
 def _build_atlas(tri: Triangulation) -> ZigzagAtlas:
     kernel = _kernel(tri)
-    # reverse_position, (d, F) -> (-D^-1(d), F), maps each orbit onto its reverse.
-    reversal = [OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE]
-    partners = [kernel.orbit_of[p - p % 6 + reversal[p % 6]]
-                for p in (orbit[0] for orbit in kernel.orbits)]
-    if any(partner == i or partners[partner] != i
-           for i, partner in enumerate(partners)):
-        raise AssertionError("reversal pairing is not a fixed-point-free "
-                             "involution on the orbit set")
-    return ZigzagAtlas(tri.faces, kernel.orbits, partners)
+    return ZigzagAtlas(tri.faces, kernel.orbits, _partners(kernel))
 
 
 def trace(tri: Triangulation, position: Position) -> Zigzag:
@@ -396,14 +450,19 @@ def is_z_knotted(tri: Triangulation) -> bool:
     """Whether there is a single zigzag up to reversal.
 
     When true, each of the two directed zigzags traverses every edge exactly
-    twice; that consequence is re-checked here rather than trusted.
+    twice; that consequence is re-checked here rather than trusted, on the
+    index of each position's edge in ``tri.edges``.
     """
     orbits = _kernel(tri).orbits
     if len(orbits) != 2:
         return False
-    faces = tri.faces
+    edge_id = {edge: i for i, edge in enumerate(tri.edges)}
+    edge_at = []  # edge_at[6 f + k]: the edge of dart k of face f, in omega order
+    for a, b, c in tri.faces:
+        ab, bc, ac = edge_id[a, b], edge_id[b, c], edge_id[a, c]
+        edge_at += (ab, bc, ac, ab, bc, ac)
     for orbit in orbits:
-        counts = collections.Counter(_edge(faces[p // 6], p % 6) for p in orbit)
+        counts = collections.Counter(map(edge_at.__getitem__, orbit))
         if len(counts) != len(tri.edges) or set(counts.values()) != {2}:
             raise AssertionError(
                 "single zigzag pair that does not traverse every edge twice")

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trizig as tz
-from trizig.errors import InvalidMonodromyType, MalformedDocument
+from trizig.errors import InvalidMonodromyType, MalformedDocument, UnclassifiableMonodromy
 from trizig import monodromy, shredding, zigzag
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
                               ShredCertificate, ShredStep, _bad_faces)
@@ -355,15 +355,20 @@ def test_shred_sums_of_tori_and_projective_planes(surface, data):
 def _check_splice(state, tri):
     """The spliced state against a fresh kernel and classification of ``tri``."""
     assert sorted(face for face in state.faces if face is not None) == list(tri.faces)
-    orbits = {}
-    for p, orbit in enumerate(state.orbit_of):
+    pairs = {}
+    for p, c in enumerate(state.orbit_of):
         face = state.faces[p // 6]
         if face is not None:
-            orbits.setdefault(orbit, set()).add((face, p % 6))
+            pairs.setdefault(zigzag._root(state.parent, c), set()).add((face, p % 6))
+    # The state's pair classes are the fresh orbits, each joined with its reverse.
     kernel = zigzag._Kernel(tri)
-    assert ({frozenset(orbit) for orbit in orbits.values()}
-            == {frozenset((tri.faces[p // 6], p % 6) for p in orbit)
-                for orbit in kernel.orbits})
+    partners = zigzag._partners(kernel)
+    fresh_pairs = {}
+    for i, orbit in enumerate(kernel.orbits):
+        fresh_pairs.setdefault(min(i, partners[i]), set()).update(
+            (tri.faces[p // 6], p % 6) for p in orbit)
+    assert ({frozenset(pair) for pair in pairs.values()}
+            == {frozenset(pair) for pair in fresh_pairs.values()})
     # The step table itself, entry by entry, as (face, k) -> (face, k).
     index = {face: f for f, face in enumerate(tri.faces)}
     for s, face in enumerate(state.faces):
@@ -389,8 +394,8 @@ def _shred_with_checked_splices(tri):
         surfaces.append(surface)
         return glue(surface, *args, **kwargs)
 
-    def checked(state, edge_faces, removed, added):
-        through = splice(state, edge_faces, removed, added)
+    def checked(state, edge_faces, removed, added, monodromy):
+        through = splice(state, edge_faces, removed, added, monodromy)
         assert edge_faces is surfaces[-1].edge_faces
         current = tz.Triangulation(surfaces[-1].faces)
         _check_splice(state, current)
@@ -414,6 +419,12 @@ def test_splices_match_a_fresh_kernel(named_corpus):
         assert tz.is_z_knotted(out)
 
 
+def test_splices_match_a_fresh_kernel_on_random_spheres(random_corpus):
+    for tri in random_corpus[::8] + [tz.random_sphere(3, 40)]:
+        out, _certificate = _shred_with_checked_splices(tri)
+        assert tz.is_z_knotted(out)
+
+
 @settings(max_examples=15, deadline=None)
 @given(SURFACES, st.data())
 def test_splices_match_a_fresh_kernel_on_sums(surface, data):
@@ -423,25 +434,29 @@ def test_splices_match_a_fresh_kernel_on_sums(surface, data):
     assert tz.verify_certificate(tri, certificate, out).ok
 
 
-def _live_zigzag_count(state):
-    return len({orbit for p, orbit in enumerate(state.orbit_of)
-                if state.faces[p // 6] is not None})
-
-
 def _check_count_identity(tri):
-    """A repair of a face met by k zigzags lowers their count by k - 2."""
-    splice = _ZigzagState.splice
+    """A repair of a face met by k zigzags lowers their count by k - 2, on
+    fresh kernels of the surface before and after each sum."""
+    glue, splice = _Surface.glue, _ZigzagState.splice
     drops = []
 
-    def counted(state, edge_faces, removed, added):
-        k = state.orbit_count(state.slot[removed])
-        before = _live_zigzag_count(state)
-        through = splice(state, edge_faces, removed, added)
-        drops.append((k, before - _live_zigzag_count(state), through))
+    def counted_glue(surface, face, *args, **kwargs):
+        before = tz.Triangulation(surface.faces)
+        result = glue(surface, face, *args, **kwargs)
+        after = zigzag._Kernel(tz.Triangulation(surface.faces))
+        drops.append([len(zigzag._face_orbit_ids(before, face)),
+                      len(zigzag._kernel(before).orbits) - len(after.orbits)])
+        return result
+
+    def counted_splice(state, edge_faces, removed, added, monodromy):
+        assert state.orbit_count(state.slot[removed]) == drops[-1][0]
+        through = splice(state, edge_faces, removed, added, monodromy)
+        drops[-1].append(through)
         return through
 
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(_ZigzagState, "splice", counted)
+        patch.setattr(_Surface, "glue", counted_glue)
+        patch.setattr(_ZigzagState, "splice", counted_splice)
         _out, certificate = tz.shred(tri)
     assert len(drops) == len(certificate.steps)
     assert all(drop == k - 2 and through == 2 for k, drop, through in drops), drops
@@ -491,13 +506,38 @@ def test_shred_classifies_the_whole_surface_at_most_twice(monkeypatch):
     tri = tz.random_sphere(3, 20)
     for tag in ("M5", "M7"):
         tz.patch_for(tag)
-    build = monodromy._build_face_types
-    built = []
+    build_types, build_maps = monodromy._build_face_types, monodromy._build_monodromies
+    typed, mapped = [], []
     monkeypatch.setattr(monodromy, "_build_face_types",
-                        lambda surface: built.append(surface) or build(surface))
+                        lambda surface: typed.append(surface) or build_types(surface))
+    monkeypatch.setattr(monodromy, "_build_monodromies",
+                        lambda surface: mapped.append(surface) or build_maps(surface))
     out, certificate = tz.shred(tri)
     assert len(certificate.steps) > 1
-    assert built == [tri, out]
+    # The output's monodromies are matched against the shapes, not typed.
+    assert typed == [tri]
+    assert mapped == [tri, out]
+
+
+@pytest.mark.parametrize("image, error, message", [
+    (monodromy._SHAPE_SLOTS["M5"], AssertionError, "postcondition"),
+    ((1, 0, 2, 3, 4, 5), UnclassifiableMonodromy, "matches no shape"),
+], ids=["M5", "unclassifiable"])
+def test_shred_refuses_an_output_face_of_a_bad_shape(monkeypatch, image, error, message):
+    tri = tz.bipyramid(8)
+    for tag in ("M5", "M7"):
+        tz.patch_for(tag)
+    build = monodromy._build_monodromies
+
+    def forced(surface):
+        images = build(surface)
+        if surface is not tri:
+            images[0] = image
+        return images
+
+    monkeypatch.setattr(monodromy, "_build_monodromies", forced)
+    with pytest.raises(error, match=message):
+        tz.shred(tri)
 
 
 @pytest.mark.parametrize("make, args", [(tz.bipyramid, (6,)), (tz.random_sphere, (3, 40))],
@@ -519,6 +559,25 @@ def test_shred_refuses_a_map_that_fails_the_gluing_condition(monkeypatch, make, 
     with pytest.raises(AssertionError, match="repairing"):
         tz.shred(make(*args))
     assert wrong[-1] is not None
+
+
+@pytest.mark.parametrize("make, args", [(tz.bipyramid, (8,)), (tz.random_sphere, (3, 40)),
+                                        (tz.torus_grid, (4, 5))],
+                         ids=["bp8", "random-sphere-3-40", "torus-4-5"])
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 3), (2, 5)])
+def test_shred_refuses_a_splice_given_a_wrong_monodromy(monkeypatch, make, args, i, j):
+    # A splice jumps each host arc by the monodromy; with two images
+    # transposed the arcs rejoin wrongly and the patch count is off.
+    splice = _ZigzagState.splice
+
+    def transposed(state, edge_faces, removed, added, monodromy):
+        image = list(monodromy)
+        image[i], image[j] = image[j], image[i]
+        return splice(state, edge_faces, removed, added, image)
+
+    monkeypatch.setattr(_ZigzagState, "splice", transposed)
+    with pytest.raises(AssertionError, match="repairing"):
+        tz.shred(make(*args))
 
 
 def test_shred_refuses_a_splice_that_breaks_the_patch_pair(monkeypatch):

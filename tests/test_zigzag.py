@@ -3,6 +3,7 @@
 import collections
 import gc
 import random
+import types
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import given, strategies as st
 import trizig as tz
 from trizig.core import Dart
 from trizig.errors import FaceNotFound, InvalidPosition, NotZKnotted
+from trizig import zigzag
 from trizig.zigzag import Position, Zigzag, _kernel, least_rotation
 
 PAPER_BP3_CYCLE = ("a", "1", "2", "b", "3", "1", "a", "2", "3",
@@ -226,6 +228,20 @@ def test_is_z_knotted():
     assert tz.is_z_knotted(tz.bipyramid(3))
     assert not tz.is_z_knotted(tz.bipyramid(8))
     assert not tz.is_z_knotted(tz.platonic("tetrahedron"))
+
+
+def test_is_z_knotted_refuses_a_pair_that_misses_an_edge(monkeypatch):
+    # A stubbed kernel keeps the two orbits of bp3 minus every position on
+    # one edge: still two orbits, but the edge-coverage recheck must fail.
+    tri = tz.bipyramid(3)
+    orbits = _kernel(tri).orbits
+    edge = tri.edges[0]
+    missed = [[p for p in orbit if zigzag._dart(tri.faces[p // 6], p % 6).edge != edge]
+              for orbit in orbits]
+    assert [len(orbit) for orbit in missed] == [len(orbit) - 2 for orbit in orbits]
+    monkeypatch.setattr(zigzag, "_kernel", lambda _tri: types.SimpleNamespace(orbits=missed))
+    with pytest.raises(AssertionError, match="every edge twice"):
+        tz.is_z_knotted(tri)
 
 
 def test_zigzags_of_face_counts():
