@@ -194,19 +194,22 @@ def _build_monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]
 
     The position just before the zigzag through seed (e, F) next returns to
     F, at dart e', reads D^-1(e') on an edge of F, and no earlier position
-    after the seed lies on one; so M(e) = D^-1(e').  Walking each orbit
-    backwards twice, each position of the second lap meets the next visit
-    to its face; the first lap primes ``following``, its images overwritten.
+    after the seed lies on one; so M(e) = D^-1(e').  Each orbit is walked
+    backwards once, ``following[f]`` holding the next position in face f;
+    a light backward pass first primes it with each face's first position
+    on the orbit, the next visit after its last one.
     """
     kernel = _zz._kernel(tri)
     image = [0] * len(kernel.orbit_of)
-    following = list(range(0, len(image), 6))
+    following = [0] * (len(image) // 6)
     for orbit in kernel.orbits:
-        for p in reversed(orbit + orbit):
+        for p in reversed(orbit):
+            following[p // 6] = p
+        for p in reversed(orbit):
             f = p // 6
-            image[p] = OMEGA_ROTATION_INVERSE[following[f] - 6 * f]
+            image[p] = OMEGA_ROTATION_INVERSE[following[f] % 6]
             following[f] = p
-    return [tuple(image[base:base + 6]) for base in range(0, len(image), 6)]
+    return list(zip(*[iter(image)] * 6))  # one tuple per face, six images at a time
 
 
 def _monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]]:

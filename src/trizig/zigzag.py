@@ -89,12 +89,16 @@ def _link(step, slot, edge_faces, edges) -> None:
         step[there + out2], step[there + back2] = here + out_next, here + back_next
 
 
-def _walk(step, orbit_of, starts) -> typing.List[typing.List[int]]:
-    """Number the orbits through ``starts`` not yet numbered (id -1) in the
-    order of ``starts``, and return them, each in step order from the first
-    of ``starts`` on it."""
+def _walk(step) -> typing.Tuple[typing.List[typing.List[int]], typing.List[int]]:
+    """The orbits of the permutation ``step``, and the orbit of each position.
+
+    Positions are taken in increasing order, so each orbit is listed in step
+    order from its least position, and orbit o holds the least position on
+    none of orbits 0..o-1.
+    """
+    orbit_of = [-1] * len(step)
     orbits: typing.List[typing.List[int]] = []
-    for start in starts:
+    for start in range(len(step)):
         if orbit_of[start] >= 0:
             continue
         orbit = []
@@ -107,7 +111,7 @@ def _walk(step, orbit_of, starts) -> typing.List[typing.List[int]]:
         if p != start:
             raise AssertionError("step map failed to be a permutation")
         orbits.append(orbit)
-    return orbits
+    return orbits, orbit_of
 
 
 class _Kernel:
@@ -116,38 +120,25 @@ class _Kernel:
     Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
     6F = 4E this numbers the positions exactly.  ``step[p]`` is the position
     after p, read off ``tri.edge_faces`` by ``_link``; ``orbits[o]`` lists
-    the positions of orbit o in step order, from its least position in
-    (tail, head, face) order, and ``orbit_of[p]`` is the orbit of p.  Orbits
-    are numbered in the order of their least positions, so every output
-    derived from them is deterministic.
+    the positions of orbit o in step order, and ``orbit_of[p]`` is the orbit
+    of p, both from ``_walk``.  Orbit ids follow int position order: orbit o
+    holds the least position on none of orbits 0..o-1, and is listed from
+    it.  That order is deterministic and costs no sort; only
+    ``ZigzagAtlas`` lists zigzags in (tail, head, face) order, and it sorts
+    them when it builds them.
     """
 
     __slots__ = ("step", "orbit_of", "orbits")
 
     def __init__(self, tri: Triangulation):
         faces = tri.faces
-        count = 6 * len(faces)
-        step_table = [0] * count
+        step_table = [0] * (6 * len(faces))
         _link(step_table, {face: f for f, face in enumerate(faces)},
               tri.edge_faces, tri.edges)
 
-        # Sort positions by (tail, head, face) as the int key
-        # (tail id * V + head id) * 6F + p, darts in omega order.
-        vertices = len(tri.vertices)
-        rank = {vertex: i * count for i, vertex in enumerate(tri.vertices)}
-        keys = []
-        for base, (a, b, c) in zip(range(0, count, 6), faces):
-            a, b, c = rank[a], rank[b], rank[c]
-            keys += (a * vertices + b + base, b * vertices + c + base + 1,
-                     c * vertices + a + base + 2, b * vertices + a + base + 3,
-                     c * vertices + b + base + 4, a * vertices + c + base + 5)
-        keys.sort()
-
-        orbit_of = [-1] * count
-        self.orbits = _walk(step_table, orbit_of, (key % count for key in keys))
+        self.orbits, self.orbit_of = _walk(step_table)
         # Packed: as a list the table would keep 4E int objects alive.
         self.step = array.array("i", step_table)
-        self.orbit_of = orbit_of
 
 
 def _partners(kernel: _Kernel) -> typing.List[int]:
@@ -377,15 +368,16 @@ class Zigzag:
 class ZigzagAtlas:
     """All directed zigzags of a triangulation plus the reversal pairing.
 
-    The zigzag tuple is in deterministic discovery order; ``pairing`` is a
-    fixed-point-free involution matching each zigzag with its reverse, so
-    ``atlas.pairing[z]`` is the reverse of ``z``.  The orbit lengths always
-    sum to 4E.
+    The zigzag tuple lists the zigzags in the (tail, head, face) order of
+    their least positions; ``pairing`` is a fixed-point-free involution
+    matching each zigzag with its reverse, so ``atlas.pairing[z]`` is the
+    reverse of ``z``.  The orbit lengths always sum to 4E.
 
-    The atlas keeps the int orbits and the sorted face tuple, not the
-    triangulation: ``count``, ``pair_count`` and ``len`` read the orbits, and
-    the ``Zigzag`` objects are built on the first read of ``zigzags``,
-    iteration or ``pairing``, then kept.
+    The atlas keeps the kernel's int orbits, in position order, their
+    partners and the sorted face tuple, not the triangulation: ``count``,
+    ``pair_count`` and ``len`` read the orbits.  The ``Zigzag`` objects are
+    built and sorted, and the partners renumbered to match, on the first
+    read of ``zigzags``, iteration or ``pairing``, then kept.
     """
 
     __slots__ = ("_faces", "_orbits", "_partners", "_zigzags", "_pairing")
@@ -401,7 +393,8 @@ class ZigzagAtlas:
     @property
     def zigzags(self) -> typing.Tuple[Zigzag, ...]:
         if self._zigzags is None:
-            self._zigzags = tuple(_zigzag(self._faces, orbit) for orbit in self._orbits)
+            self._zigzags, self._partners = _in_canonical_order(
+                self._faces, self._orbits, self._partners)
         return self._zigzags
 
     @property
@@ -425,6 +418,34 @@ class ZigzagAtlas:
 
     def __len__(self):
         return len(self._orbits)
+
+
+def _in_canonical_order(faces: typing.Sequence[Face],
+                        orbits: typing.List[typing.List[int]], partners: typing.List[int]
+                        ) -> typing.Tuple[typing.Tuple[Zigzag, ...], typing.List[int]]:
+    """The ``Zigzag`` of each int orbit, and ``partners`` renumbered to
+    match, in the (tail, head, face) order of the orbits' least positions.
+
+    An orbit's least position holds its least dart, the first of its
+    ``Zigzag``.  A dart has two positions, one in each face of its edge, so
+    orbits tie on their least dart only when each holds one of them; the
+    int position 6 f + k of that dart (f indexing the sorted faces) then
+    orders them as the face does.
+    """
+    dart_at = [Dart(face[t], face[h]) for face in faces for t, h in OMEGA_SLOTS]
+    keys, zigzags = [], []
+    for orbit in orbits:
+        darts = tuple(map(dart_at.__getitem__, orbit))
+        zigzag = Zigzag(darts)
+        least = zigzag.darts[0]
+        keys.append((least, orbit[darts.index(least)]))
+        zigzags.append(zigzag)
+    order = sorted(range(len(orbits)), key=keys.__getitem__)
+    rank = [0] * len(order)
+    for new, old in enumerate(order):
+        rank[old] = new
+    return (tuple(zigzags[old] for old in order),
+            [rank[partners[old]] for old in order])
 
 
 def _build_atlas(tri: Triangulation) -> ZigzagAtlas:

@@ -3,7 +3,8 @@
 Every reference here walks the public ``step()``, which reads the
 triangulation's edge-to-faces map, and never touches the cached int tables.
 The surfaces cover tori, projective planes with random bipyramids summed on,
-and random spheres, so non-sphere surfaces are checked too.
+random spheres and two z-knotted shredding outputs, so non-sphere surfaces
+are checked too.
 """
 
 import random
@@ -41,6 +42,10 @@ def _surfaces():
     surfaces += [(f"random_sphere({seed}, {seed % 5})",
                   lambda seed=seed: tz.random_sphere(seed, seed % 5))
                  for seed in range(10)]
+    # Z-knotted: one orbit pair visits every face several times, so each
+    # monodromy image wraps around the orbit's end.
+    surfaces += [("shred(bipyramid(8))", lambda: tz.shred(tz.bipyramid(8))[0]),
+                 ("shred(torus_grid(3, 4))", lambda: tz.shred(tz.torus_grid(3, 4))[0])]
     return surfaces
 
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 import trizig as tz
 from trizig.errors import InvalidMonodromyType, MalformedDocument, UnclassifiableMonodromy
 from trizig import monodromy, shredding, zigzag
+from trizig.cli import main
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
                               ShredCertificate, ShredStep, _bad_faces)
 from trizig.core import _Surface
@@ -629,3 +630,24 @@ def test_outputs_match_their_recorded_digests():
         assert len(cert.steps) == steps
         assert digest(tz.serialize(out)) == output
         assert digest(cert.to_json()) == certificate
+
+
+def test_zigzag_listings_match_their_recorded_digests(tmp_path, capsys):
+    # sha256 of `trizig zigzags --json`, recorded while the kernel still
+    # numbered its orbits in (tail, head, face) order of their least positions.
+    pinned = [
+        (tz.torus_grid(20, 21),
+         "a0ec07384c597f9ebe56211c36e3958ece9bfa4549adb2c301ff2584e47b280c"),
+        (tz.random_sphere(3, 60),
+         "0eae5b921ef33bfaea1f22b5d639ca67e715089def8a994d40b3dd9fa9b539c2"),
+        (tz.projective_plane_fig5(),
+         "9d5d01c7633c72e230a098bb55d99f419ce71d2e0e6c1ff017e6576dc2a86adf"),
+        (tz.example_sum("m6", 1, 1),
+         "283205f92a1fdff8b503a656ba10dea5728faf32abc02bd586c112efae56199c"),
+    ]
+    path = tmp_path / "in.json"
+    for tri, expected in pinned:
+        path.write_text(tz.serialize(tri))
+        assert main(["zigzags", "--json", str(path)]) == 0
+        listing = capsys.readouterr().out
+        assert hashlib.sha256(listing.encode()).hexdigest() == expected

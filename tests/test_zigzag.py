@@ -183,6 +183,26 @@ def test_counting_builds_no_zigzag(monkeypatch):
         atlas.zigzags
 
 
+def test_order_free_reads_never_sort_the_atlas(monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("the atlas was put in canonical order")
+
+    monkeypatch.setattr("trizig.zigzag._in_canonical_order", refuse)
+    tri = tz.torus_grid(4, 5)
+    face = tri.faces[0]
+    atlas = tz.all_zigzags(tri)
+    assert atlas.count == 20
+    assert not tz.is_z_knotted(tri)
+    assert tz.classify(tz.z_monodromy(tri, face)).tag == "M5"
+    assert {mtype.tag for mtype in tz.face_types(tri).values()} == {"M5"}
+    assert len(tz.zigzags_of_face(tri, face)) == 6
+    assert tz.trace(tri, Position(tz.omega(face)[0], face)).length == 8
+    out, certificate = tz.shred(tri)
+    assert tz.is_z_knotted(out) and certificate.final_zigzag_length == 2 * len(out.edges)
+    with pytest.raises(AssertionError, match="canonical order"):
+        atlas.zigzags
+
+
 def _eager_zigzags(tri):
     """One ``Zigzag`` per kernel orbit, built directly from the int positions."""
     faces = tri.faces
@@ -193,11 +213,17 @@ def _eager_zigzags(tri):
 def test_materialized_zigzags_match_the_kernel_orbits(full_corpus):
     for i, tri in enumerate(full_corpus):
         eager = _eager_zigzags(tri)
-        orbit_of = _kernel(tri).orbit_of
+        kernel = _kernel(tri)
+        orbit_of = kernel.orbit_of
+        # The atlas lists the orbits by their least (tail, head, face) position.
+        least = [min(Position(tz.omega(tri.faces[p // 6])[p % 6], tri.faces[p // 6])
+                     for p in orbit) for orbit in kernel.orbits]
+        in_order = [eager[o] for o in sorted(range(len(eager)), key=least.__getitem__)]
         atlas = tz.all_zigzags(tri)
         assert atlas.count == len(eager)
-        assert list(atlas.zigzags) == eager
-        assert list(atlas) == eager
+        assert list(atlas.zigzags) == in_order
+        assert list(atlas) == in_order
+        assert list(atlas.pairing) == in_order
         assert atlas.pairing == {zigzag: zigzag.reverse() for zigzag in eager}
         # Per-face reads build their own zigzags: check a spread of faces.
         for f in range(i % 7, len(tri.faces), 7):
