@@ -36,28 +36,30 @@ def _write_outputs(*outputs) -> None:
     """Write each (text, path) pair, to stdout where the path is None.
 
     Every file is opened before any is written, without truncating it, so
-    when one path cannot be written no file is created or changed.
+    when one path cannot be opened no file is created or changed; when one
+    opens but cannot be written (``/dev/full``), none after it is.
     """
-    opened = []
+    opened = []  # (handle, existed) of each file not yet written
     try:
         for _text, path in outputs:
             if path is not None:
                 existed = os.path.exists(path)
                 opened.append((open(path, "a", encoding="utf-8"), existed))
+        for text, path in outputs:
+            if path is None:
+                sys.stdout.write(text)
+                continue
+            with opened.pop(0)[0] as handle:
+                handle.truncate(0)
+                handle.write(text)
     except OSError as exc:
         for handle, existed in opened:
             handle.close()
             if not existed:
                 os.remove(handle.name)
+        if path is None:  # standard output, which main reports
+            raise
         raise MalformedDocument(f"cannot write {path}: {exc}") from None
-    handles = iter(opened)
-    for text, path in outputs:
-        if path is None:
-            sys.stdout.write(text)
-            continue
-        with next(handles)[0] as handle:
-            handle.truncate(0)
-            handle.write(text)
 
 
 def _same_file(first: str, second: str) -> bool:
@@ -274,14 +276,18 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except TrizigError as exc:
-        error = {"error": {"type": type(exc).__name__, "message": str(exc)}}
-        print(json.dumps(error, sort_keys=True), file=sys.stderr)
-        return 2
-    except BrokenPipeError:
-        # The reader is gone; the output still buffered goes nowhere, so
-        # the interpreter's last flush does not raise again.
+        error = exc
+    except OSError as exc:
+        # Reads and file outputs report their own failures, so standard
+        # output failed: its reader is gone, or it is full.  Its buffer goes
+        # nowhere, so the interpreter's last flush does not raise again.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        if isinstance(exc, BrokenPipeError):
+            return 1
+        error = MalformedDocument(f"cannot write standard output: {exc}")
+    print(json.dumps({"error": {"type": type(error).__name__, "message": str(error)}},
+                     sort_keys=True), file=sys.stderr)
+    return 2
 
 
 if __name__ == "__main__":

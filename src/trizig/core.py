@@ -32,7 +32,7 @@ import typing
 from dataclasses import dataclass
 
 from .errors import (EdgeNotInFace, FaceNotFound, InvalidSpecialMap,
-                     LabelCollision, SelfSum, ValidationFailure)
+                     LabelCollision, ValidationFailure)
 
 Vertex = str
 Edge = typing.Tuple[str, str]
@@ -373,9 +373,13 @@ class Triangulation:
     are glued onto a ``_Surface`` and handed over by ``_Surface.freeze``.
     Instances are value objects (equality and hash by face set) and safe to
     share between threads; every operation on them is a pure function.
+
+    ``edge_faces`` is the only face lookup: ``has_face(face)`` holds iff
+    ``face`` is a tuple among the faces of the edge ``face[:2]``, so only a
+    canonical (sorted) triple of the triangulation is found.
     """
 
-    __slots__ = ("faces", "edges", "edge_faces", "vertices", "_face_set", "_cache")
+    __slots__ = ("faces", "edges", "edge_faces", "vertices", "_cache")
 
     def __init__(self, faces):
         faces, edges, edge_faces, vertices, violations = _check(faces)
@@ -385,11 +389,10 @@ class Triangulation:
         self.edges: typing.Tuple[Edge, ...] = tuple(edges)
         self.edge_faces: typing.Dict[Edge, typing.Tuple[Face, Face]] = edge_faces
         self.vertices: typing.Tuple[str, ...] = tuple(vertices)
-        self._face_set = frozenset(faces)
         self._cache: dict = {}
 
     def has_face(self, face: Face) -> bool:
-        return face in self._face_set
+        return isinstance(face, tuple) and face in self.edge_faces.get(face[:2], ())
 
     def __eq__(self, other):
         return isinstance(other, Triangulation) and self.faces == other.faces
@@ -424,9 +427,6 @@ def _check_sum_inputs(host, face: Face, other_tri: Triangulation,
     """The glued faces, canonical, checked against the summands and the map."""
     face = make_face(*face)
     other_face = make_face(*other_face)
-    if host is other_tri:
-        raise SelfSum("summands must be two triangulation instances; "
-                      "copy the triangulation to glue it with itself")
     if not host.has_face(face):
         raise FaceNotFound(f"face {face!r} not in first summand")
     if not other_tri.has_face(other_face):
@@ -469,8 +469,7 @@ class _Surface:
         self.vertices: typing.List[Vertex] = list(tri.vertices)
         self.taken = _prefix_numbers(tri.vertices)
 
-    def has_face(self, face: Face) -> bool:
-        return face in self.edge_faces.get(face[:2], ())
+    has_face = Triangulation.has_face
 
     def glue(self, face: Face, patch: Triangulation, patch_face: Face, gluing,
              relabeling: typing.Optional[typing.Mapping[str, str]] = None,
@@ -537,7 +536,6 @@ class _Surface:
         tri.edges = tuple(sorted(self.edge_faces))
         tri.edge_faces = self.edge_faces
         tri.vertices = tuple(self.vertices)
-        tri._face_set = frozenset(self.faces)
         tri._cache = {}
         return tri
 

@@ -61,42 +61,38 @@ class Patch:
     designated_type: str
 
 
+# The repair patch of each bad type: id, a function making the sphere, the
+# designated face and its type.  M5 and M6 share one entry: one ``Patch``.
+_SPHERE_M1 = (PATCH_SPHERE_M1, functools.partial(example_sum, "m1", 3, 3),
+              ("2", "3", "a"), "M1")
+_PATCHES = {"M5": _SPHERE_M1, "M6": _SPHERE_M1,
+            "M7": (PATCH_BP3_M3, functools.partial(bipyramid, 3), ("1", "2", "a"), "M3")}
+
+
 @functools.lru_cache(maxsize=None)
-def _load_patch(patch_id: str) -> Patch:
-    if patch_id == PATCH_SPHERE_M1:
-        tri = example_sum("m1", 3, 3)
-        patch = Patch(patch_id, tri, make_face("a", "2", "3"), "M1")
-    elif patch_id == PATCH_BP3_M3:
-        patch = Patch(patch_id, bipyramid(3), make_face("a", "1", "2"), "M3")
-    else:
-        raise InvalidMonodromyType(f"unknown patch id {patch_id!r}")
-    _verify_patch(patch)
-    return patch
-
-
-def _verify_patch(patch: Patch) -> None:
-    tri = patch.triangulation
+def _load_patch(entry) -> Patch:
+    """The ``Patch`` of a ``_PATCHES`` entry, built and checked once."""
+    patch_id, build, face, tag = entry
+    tri = build()
     if not is_z_knotted(tri):
-        raise AssertionError(f"patch {patch.patch_id} is not z-knotted")
+        raise AssertionError(f"patch {patch_id} is not z-knotted")
     if euler_characteristic(tri) != 2:
-        raise AssertionError(f"patch {patch.patch_id} is not a sphere")
-    types = face_types(tri)
-    if types[patch.designated_face].tag != patch.designated_type:
-        raise AssertionError(
-            f"patch {patch.patch_id}: designated face classifies as "
-            f"{types[patch.designated_face].tag}, expected {patch.designated_type}")
-    if not all(is_essential(tri, face) for face in tri.faces):
-        raise AssertionError(f"patch {patch.patch_id} has a non-essential face")
+        raise AssertionError(f"patch {patch_id} is not a sphere")
+    found = face_types(tri)[face].tag
+    if found != tag:
+        raise AssertionError(f"patch {patch_id}: designated face classifies as "
+                             f"{found}, expected {tag}")
+    if not all(is_essential(tri, other) for other in tri.faces):
+        raise AssertionError(f"patch {patch_id} has a non-essential face")
+    return Patch(patch_id, tri, face, tag)
 
 
 def patch_for(bad_type: str) -> Patch:
     """The repair patch for a face of type M5, M6 or M7."""
-    if bad_type in ("M5", "M6"):
-        return _load_patch(PATCH_SPHERE_M1)
-    if bad_type == "M7":
-        return _load_patch(PATCH_BP3_M3)
-    raise InvalidMonodromyType(
-        f"no patch for type {bad_type!r}; expected M5, M6 or M7")
+    if not isinstance(bad_type, str) or bad_type not in _PATCHES:
+        raise InvalidMonodromyType(
+            f"no patch for type {bad_type!r}; expected M5, M6 or M7")
+    return _load_patch(_PATCHES[bad_type])
 
 
 def find_gluing_map(tri: Triangulation, face: Face, patch: Patch) -> SpecialMap:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from .core import (OMEGA_SLOTS, Face, Triangulation, _check_sum_inputs,
                    _least_free_prefix, _prefix_numbers, _Surface, make_face)
 from .errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
-                     MonodromyNotIdentity, NotZKnotted)
+                     MonodromyNotIdentity, NotZKnotted, SelfSum)
 from .monodromy import DartPermutation, is_two_disjoint_3cycles, z_monodromy
 from .zigzag import is_z_knotted
 
@@ -108,8 +108,10 @@ def connected_sum(tri: Triangulation, face: Face,
     Its Euler characteristic is the sum of the summands' minus 2; it is
     orientable iff both are.
     """
-    # ``glue`` checks the rest again, but on a copy it cannot see a SelfSum.
-    _check_sum_inputs(tri, face, other_tri, other_face, gluing)
+    # ``glue`` checks the rest, but on a copy of ``tri``.
+    if tri is other_tri:
+        raise SelfSum("summands must be two triangulation instances; "
+                      "copy the triangulation to glue it with itself")
     surface = _Surface(tri)
     _added, fresh = surface.glue(face, other_tri, other_face, gluing, relabeling)
     return SumResult(surface.freeze(), fresh)

@@ -141,12 +141,15 @@ class _Kernel:
         self.step = array.array("i", step_table)
 
 
+# The reversal R of ``reverse_position``, (d, F) -> (-D^-1(d), F), on dart
+# indices; it maps each orbit onto its reverse, so R(step[R(p)]) precedes p.
+_REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
+
+
 def _partners(kernel: _Kernel) -> typing.List[int]:
     """The orbit of each kernel orbit's reverse, checked to be a
     fixed-point-free involution."""
-    # reverse_position, (d, F) -> (-D^-1(d), F), maps each orbit onto its reverse.
-    reversal = [OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE]
-    partners = [kernel.orbit_of[p - p % 6 + reversal[p % 6]]
+    partners = [kernel.orbit_of[p - p % 6 + _REVERSAL[p % 6]]
                 for p in (orbit[0] for orbit in kernel.orbits)]
     if any(partner == i or partners[partner] != i
            for i, partner in enumerate(partners)):
@@ -168,19 +171,20 @@ class _ZigzagState:
     Starts as a copy of the ``_Kernel`` step table.  Position 6 s + k is
     dart k of the face in slot s, as in the kernel, but slots never move: a
     removed face leaves a tombstone, which steps to itself, and the faces of
-    each patch take new slots at the end.  After a sum the steps across the
-    new edges are read off the glued ``core._Surface``'s ``edge_faces`` by
-    ``_link``.  ``orbit_of[p]`` is a class of zigzag pairs, not an orbit:
-    at the start each kernel orbit joined with its reverse, and after every
-    sum the classes through the removed face merged into one.  ``parent``
-    is the union-find forest (Tarjan, J. ACM 1975) over the class ids.
+    each patch take new slots from ``len(step) // 6`` on.  ``slot``, face
+    -> slot, is the only record of the faces; a tombstone has none.  After
+    a sum the steps across the new edges are read off the glued
+    ``core._Surface``'s ``edge_faces`` by ``_link``.  ``orbit_of[p]`` is a
+    class of zigzag pairs, not an orbit: at the start each kernel orbit
+    joined with its reverse, and after every sum the classes through the
+    removed face merged into one.  ``parent`` is the union-find forest
+    (Tarjan, J. ACM 1975) over the class ids.
     """
 
-    __slots__ = ("faces", "slot", "step", "orbit_of", "parent")
+    __slots__ = ("slot", "step", "orbit_of", "parent")
 
     def __init__(self, tri: Triangulation):
         kernel = _kernel(tri)
-        self.faces: typing.List[typing.Optional[Face]] = list(tri.faces)
         self.slot = {face: s for s, face in enumerate(tri.faces)}
         self.step = list(kernel.step)
         self.orbit_of = list(kernel.orbit_of)
@@ -225,26 +229,18 @@ class _ZigzagState:
         patch positions are walked, each host arc in one jump; returns how
         many orbits they make, 2 when the sum joined them into one pair.
         The removed face's classes merge into a fresh one, which every
-        patch position takes.
+        patch position takes.  The host arcs' ends are the removed face's
+        step entries: seed r steps out to step[r] and in from R(step[R(r)]).
         """
-        slot, faces, step, orbit_of, parent = (
-            self.slot, self.faces, self.step, self.orbit_of, self.parent)
-        s = slot.pop(removed)
-        gone = 6 * s
-        faces[s] = None
-        # The host positions after and before each seed r of the removed
-        # face; the ones before lie on its three neighbours, as those after.
+        slot, step, orbit_of, parent = self.slot, self.step, self.orbit_of, self.parent
+        gone = 6 * slot.pop(removed)
+        # The host positions after and before each seed r of the removed face.
         exits = step[gone:gone + 6]
-        entries = [0] * 6
-        for base in {p - p % 6 for p in exits}:
-            for p in range(base, base + 6):
-                if gone <= step[p] < gone + 6:
-                    entries[step[p] - gone] = p
+        entries = [p - p % 6 + _REVERSAL[p % 6] for p in map(exits.__getitem__, _REVERSAL)]
         step[gone:gone + 6] = range(gone, gone + 6)
         first = len(step)
-        for face in added:
-            slot[face] = len(faces)
-            faces.append(face)
+        for s, face in enumerate(added, first // 6):
+            slot[face] = s
         step += [0] * (6 * len(added))
         _link(step, slot, edge_faces,
               {edge for face in added for edge in face_edges(face)})

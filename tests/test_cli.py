@@ -1,6 +1,7 @@
 """Command-line surface: subcommands, formats, exit codes."""
 
 import json
+import os
 
 import pytest
 
@@ -49,6 +50,15 @@ def test_gen_writes_documents(tmp_path, capsys):
     assert main(["gen", "projective-plane"]) == 0
     printed = capsys.readouterr().out
     assert tz.parse(printed) == tz.projective_plane_fig5()
+
+
+@pytest.mark.parametrize("family, k, k2", [("m1", 3, 5), ("m2", 1, 3), ("m6", 3, 1)])
+def test_gen_example_sums(family, k, k2, tmp_path):
+    out = tmp_path / f"{family}.json"
+    assert main(["gen", family, str(k), str(k2), "-o", str(out)]) == 0
+    assert tz.parse(out.read_text()) == tz.example_sum(family, k, k2)
+    assert json.loads(out.read_text())["metadata"] == {
+        "family": f"{family}-sum", "k": k, "k2": k2}
 
 
 def test_gen_is_deterministic(capsys):
@@ -178,6 +188,12 @@ def test_consum_matches_library(bp3_file, tmp_path, capsys):
     assert "InvalidSpecialMap" in capsys.readouterr().err
     assert main(["consum", bp3_file, "--face", "1,2,a",
                  str(other), "--face", "1,2,a", "--map", "nonsense"]) == 2
+    capsys.readouterr()
+    assert main(["consum", bp3_file, str(other), "--face", "1,2,a",
+                 "--map", "1:1,2:2,a:a"]) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == {
+        "type": "MalformedDocument",
+        "message": "consum wants --face twice: first file's face, then second file's face"}
 
 
 def test_shred_cli(octa_file, tmp_path, capsys):
@@ -253,6 +269,38 @@ def test_closed_stdout_ends_quietly(bp8_file):
     child.stderr.close()
     assert child.wait() == 1
     assert err == b""
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("argv, to_stdout", [
+    (["gen", "bp", "5"], True),
+    (["gen", "torus", "20", "21"], True),  # more than one stdout buffer
+    (["gen", "bp", "5", "-o", "/dev/full"], False),
+    (["shred", "{octa}", "-o", "/dev/full", "--certificate", "{cert}"], False),
+    (["shred", "{octa}", "--certificate", "{cert}"], True),
+], ids=["gen-stdout", "gen-stdout-large", "gen-file", "shred-file", "shred-stdout"])
+def test_a_full_device_is_a_clean_error(octa_file, tmp_path, argv, to_stdout):
+    # The write fails only after its file opened: a JSON error and exit 2,
+    # with no traceback and nothing from the interpreter's last flush.
+    import pathlib
+    import subprocess
+    import sys
+
+    cert = tmp_path / "c.json"
+    argv = [arg.format(octa=octa_file, cert=cert) for arg in argv]
+    source = str(pathlib.Path(tz.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    with open("/dev/full", "w") as full:
+        child = subprocess.run(
+            [sys.executable, "-m", "trizig.cli", *argv],
+            stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=path))
+    assert child.returncode == 2
+    error = json.loads(child.stderr)["error"]
+    assert error["type"] == "MalformedDocument"
+    assert error["message"].startswith(
+        "cannot write standard output" if to_stdout else "cannot write /dev/full")
+    assert not cert.exists()
 
 
 @pytest.mark.parametrize("bad", ["output", "certificate"])

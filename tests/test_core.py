@@ -5,7 +5,7 @@ from hypothesis import given, strategies as st
 
 import trizig as tz
 from trizig.core import (DISCONNECTED, DUPLICATE_FACE, EDGE_DEGREE,
-                         NON_MANIFOLD_VERTEX, NON_TRIANGLE, Dart)
+                         NON_MANIFOLD_VERTEX, NON_TRIANGLE, Dart, _Surface)
 from trizig.errors import EdgeNotInFace, ValidationFailure
 
 TETRA = [(1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4)]
@@ -205,6 +205,22 @@ def test_triangulation_value_semantics():
     assert one != tz.bipyramid(5)
     copy = tz.Triangulation(one)
     assert copy == one and copy is not one
+
+
+def test_has_face_finds_every_face(full_corpus):
+    # Most corpus surfaces are sums, frozen from a ``_Surface``.
+    for tri in full_corpus:
+        surface = _Surface(tri)
+        assert all(tri.has_face(face) and surface.has_face(face) for face in tri.faces)
+
+
+def test_has_face_finds_only_canonical_faces():
+    bp3 = tz.bipyramid(3)
+    assert bp3.has_face(("1", "2", "a"))
+    for face in (("2", "1", "a"), ("a", "1", "2"), ("1", "2", "3"), ("1", "2"),
+                 ("1", "2", "a", "b"), "12a", None, 5):
+        assert not bp3.has_face(face), face
+        assert not _Surface(bp3).has_face(face), face
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),

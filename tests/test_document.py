@@ -109,6 +109,11 @@ def test_parse_checks_declared_vertices():
                       "faces": [[1, 2, 3], [1, 2, 4], [1, 3, 4], [2, 3, 4]]})
     with pytest.raises(MalformedDocument):
         tz.parse(bad)
+    for vertices in (["1", "2", "3", 4.5], ["1", "2", "3", None], "1234"):
+        doc = json.loads(good)
+        doc["vertices"] = vertices
+        with pytest.raises(MalformedDocument, match="array of labels"):
+            tz.parse(json.dumps(doc))
 
 
 def test_parse_document_returns_raw_faces():

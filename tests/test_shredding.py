@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trizig as tz
-from trizig.errors import InvalidMonodromyType, MalformedDocument, UnclassifiableMonodromy
+from trizig.errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
+                           UnclassifiableMonodromy)
 from trizig import monodromy, shredding, zigzag
 from trizig.cli import main
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
@@ -23,11 +24,12 @@ def test_patch_for():
         assert patch.patch_id == PATCH_SPHERE_M1
         assert patch.designated_face == ("2", "3", "a")
         assert patch.designated_type == "M1"
+    assert tz.patch_for("M5") is tz.patch_for("M6")
     m7_patch = tz.patch_for("M7")
     assert m7_patch.patch_id == PATCH_BP3_M3
     assert m7_patch.designated_face == ("1", "2", "a")
     assert m7_patch.designated_type == "M3"
-    for tag in ("M1", "M2", "M3", "M4", "junk"):
+    for tag in ("M1", "M2", "M3", "M4", "junk", None, ["M5"]):
         with pytest.raises(InvalidMonodromyType):
             tz.patch_for(tag)
 
@@ -120,6 +122,11 @@ def test_shred_step_rejects_good_faces():
     bp3 = tz.bipyramid(3)
     with pytest.raises(InvalidMonodromyType):
         tz.shred_step(bp3, ("1", "2", "a"))
+
+
+def test_shred_step_rejects_an_absent_face():
+    with pytest.raises(FaceNotFound):
+        tz.shred_step(tz.bipyramid(8), ("1", "2", "9"))
 
 
 def test_shred_zero_steps_on_knotted_input():
@@ -232,7 +239,8 @@ def test_certificate_requires_arrays_for_steps_and_faces():
 def test_verify_certificate_round_trip():
     bp8 = tz.bipyramid(8)
     out, certificate = tz.shred(bp8)
-    assert tz.verify_certificate(bp8, certificate, out).ok
+    result = tz.verify_certificate(bp8, certificate, out)
+    assert result.ok and bool(result) and result.problems == ()
 
 
 def test_verify_certificate_rejects_tampering():
@@ -250,6 +258,7 @@ def test_verify_certificate_rejects_tampering():
                                 certificate.final_zigzag_length)
     result = tz.verify_certificate(bp8, tampered, out)
     assert not result.ok
+    assert not result
     assert result.problems
 
     # wrong claimed output
@@ -355,10 +364,14 @@ def test_shred_sums_of_tori_and_projective_planes(surface, data):
 
 def _check_splice(state, tri):
     """The spliced state against a fresh kernel and classification of ``tri``."""
-    assert sorted(face for face in state.faces if face is not None) == list(tri.faces)
+    assert sorted(state.slot) == list(tri.faces)
+    faces = [None] * (len(state.step) // 6)  # slot -> face, None at a tombstone
+    for face, s in state.slot.items():
+        assert faces[s] is None
+        faces[s] = face
     pairs = {}
     for p, c in enumerate(state.orbit_of):
-        face = state.faces[p // 6]
+        face = faces[p // 6]
         if face is not None:
             pairs.setdefault(zigzag._root(state.parent, c), set()).add((face, p % 6))
     # The state's pair classes are the fresh orbits, each joined with its reverse.
@@ -372,11 +385,11 @@ def _check_splice(state, tri):
             == {frozenset(pair) for pair in fresh_pairs.values()})
     # The step table itself, entry by entry, as (face, k) -> (face, k).
     index = {face: f for f, face in enumerate(tri.faces)}
-    for s, face in enumerate(state.faces):
+    for s, face in enumerate(faces):
         for k in range(6 if face is not None else 0):
             spliced = state.step[6 * s + k]
             fresh = kernel.step[6 * index[face] + k]
-            assert ((state.faces[spliced // 6], spliced % 6)
+            assert ((faces[spliced // 6], spliced % 6)
                     == (tri.faces[fresh // 6], fresh % 6))
     types = tz.face_types(tri)
     for face in tri.faces:

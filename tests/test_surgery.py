@@ -94,10 +94,38 @@ def test_connected_sum_errors():
         tz.connected_sum(bp3, ("1", "2", "9"), other, face,
                          tz.SpecialMap(("1", "2", "9"), face,
                                        (("1", "1"), ("2", "2"), ("9", "a"))))
+    with pytest.raises(FaceNotFound, match="second summand"):
+        tz.connected_sum(bp3, face, other, ("1", "2", "9"),
+                         tz.SpecialMap(face, ("1", "2", "9"),
+                                       (("1", "1"), ("2", "2"), ("a", "9"))))
     wrong_face = tz.SpecialMap(("1", "2", "b"), face,
                                (("1", "1"), ("2", "2"), ("b", "a")))
     with pytest.raises(InvalidSpecialMap):
         tz.connected_sum(bp3, face, other, face, wrong_face)
+
+
+def test_self_sum_is_refused_before_the_face_and_map_checks():
+    bp3 = tz.bipyramid(3)
+    face, absent = ("1", "2", "a"), ("1", "2", "9")
+    cases = [
+        ((absent, face, tz.SpecialMap(absent, face, (("1", "1"), ("2", "2"), ("9", "a")))),
+         FaceNotFound),
+        ((face, absent, tz.SpecialMap(face, absent, (("1", "1"), ("2", "2"), ("a", "9")))),
+         FaceNotFound),
+        ((face, face, tz.SpecialMap(("1", "2", "b"), face,
+                                    (("1", "1"), ("2", "2"), ("b", "a")))),
+         InvalidSpecialMap),
+        ((("1", "1", "a"), face, tz.enumerate_special_maps(face, face)[0]), ValueError),
+    ]
+    for (first, second, gluing), error in cases:
+        with pytest.raises(SelfSum):
+            tz.connected_sum(bp3, first, bp3, second, gluing)
+        with pytest.raises(error):
+            tz.connected_sum(bp3, first, tz.Triangulation(bp3), second, gluing)
+    # The gluing condition reads two monodromies; one instance may give both.
+    g = tz.enumerate_special_maps(face, face)[0]
+    assert (tz.gluing_condition(bp3, face, bp3, face, g)
+            == tz.gluing_condition(bp3, face, tz.Triangulation(bp3), face, g))
 
 
 def test_connected_sum_relabeling_controls():
@@ -308,7 +336,6 @@ def _assert_matches_full_validation(tri):
     assert tri.edges == reference.edges
     assert tri.vertices == reference.vertices
     assert tri.edge_faces == reference.edge_faces  # tuple order included
-    assert tri._face_set == reference._face_set
     assert tz.validate(tri).ok
 
 
