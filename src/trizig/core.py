@@ -12,8 +12,9 @@ pinched together at a vertex satisfy E1 and E2 but are no surface there)
 and the faces to be connected across edges.
 
 Under (E1)/(E2) the face set alone determines all incidence, so a
-``Triangulation`` stores nothing but its sorted faces; edges, the
-edge-to-faces map and the vertex set are derived at construction time.
+``Triangulation`` stores nothing but its sorted faces; the edge-to-faces
+map and the vertex set are derived at construction time, and the sorted
+edges are read off that map on demand.
 Vertex labels are strings ordered lexicographically; integer labels are
 canonicalized to their decimal text so that relabeling during surgery stays
 stable.
@@ -215,17 +216,16 @@ def _walk_corners(faces: typing.List[Face],
     return sorted(found) if corners == 3 * len(faces) else None
 
 
-def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
+def _check(faces) -> typing.Tuple[typing.List[Face],
                                   typing.Dict[Edge, typing.Tuple[Face, ...]],
                                   typing.List[Vertex], typing.List[Violation]]:
     """Canonicalize a face list, derive its incidence once and validate it.
 
-    Accepts a ``Triangulation`` or any iterable of vertex triples.  Returns
-    the sorted faces, the sorted edges, the edge -> incident-faces map (in
-    sorted-face order), the sorted vertices (empty unless valid) and every
-    violation, in rule order: NonTriangleInput and DuplicateFace by input
-    position, EdgeDegreeViolation by edge, NonManifoldVertex by vertex,
-    then Disconnected.
+    Accepts a ``Triangulation`` or any iterable of vertex triples.  Returns the
+    sorted faces, the edge -> incident-faces map (in sorted-face order), the
+    sorted vertices (empty unless valid) and every violation, in rule order:
+    NonTriangleInput and DuplicateFace by input position, EdgeDegreeViolation
+    by edge, NonManifoldVertex by vertex, then Disconnected.
 
     A face list that passes the per-face and edge-degree checks is
     certified by one walk over its corners (``_walk_corners``), which
@@ -239,7 +239,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
     try:
         entries = [tuple(item) for item in raw]
     except TypeError as exc:
-        return [], [], {}, [], [Violation(
+        return [], {}, [], [Violation(
             NON_TRIANGLE, (), f"face list is not a list of vertex triples: {exc}")]
     for i, entry in enumerate(entries):
         # The subject holds the entry only once its labels are known to be
@@ -291,12 +291,11 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
         edge_faces[edge] = get(edge, ()) + (face,)
         edge = b, c
         edge_faces[edge] = get(edge, ()) + (face,)
-    edges = sorted(edge_faces)
     if not faces:
         violations.append(Violation(NON_TRIANGLE, (), "empty face list"))
-        return faces, edges, edge_faces, [], violations
+        return faces, edge_faces, [], violations
     if any(len(incident) != 2 for incident in edge_faces.values()):
-        for edge in edges:
+        for edge in sorted(edge_faces):
             incident = edge_faces[edge]
             if len(incident) != 2:
                 violations.append(Violation(
@@ -306,7 +305,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
     if not violations:
         vertices = _walk_corners(faces, edge_faces)
         if vertices is not None:
-            return faces, edges, edge_faces, vertices, violations
+            return faces, edge_faces, vertices, violations
         # Under (E1) v is a manifold point iff the link cycle walked from one
         # face at v holds all of its faces.
         faces_at = collections.Counter(itertools.chain.from_iterable(faces))
@@ -336,7 +335,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
         edge_faces[f[0], f[1]] + edge_faces[f[0], f[2]] + edge_faces[f[1], f[2]]))
     if len(face_reached) != len(faces):
         adjacency: typing.Dict[str, set] = {}
-        for (u, v) in edges:
+        for (u, v) in edge_faces:
             adjacency.setdefault(u, set()).add(v)
             adjacency.setdefault(v, set()).add(u)
         reached = _reach(min(adjacency), adjacency.__getitem__)
@@ -350,7 +349,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.List[Edge],
             DISCONNECTED, tuple(missing_faces),
             f"face adjacency graph is disconnected; "
             f"{len(missing_faces)} unreachable face(s)"))
-    return faces, edges, edge_faces, [], violations
+    return faces, edge_faces, [], violations
 
 
 def validate(faces) -> ValidationReport:
@@ -368,28 +367,32 @@ class Triangulation:
     """A validated triangulation, immutable and hashable.
 
     Construction canonicalizes the face list, validates it strictly and
-    derives all incidence; an invalid face list raises ``ValidationFailure``
-    instead of producing an object.  Connected sums skip that pass: they
+    derives ``edge_faces`` and the vertices; an invalid face list raises
+    ``ValidationFailure`` instead of producing an object.  Connected sums skip that pass: they
     are glued onto a ``_Surface`` and handed over by ``_Surface.freeze``.
     Instances are value objects (equality and hash by face set) and safe to
     share between threads; every operation on them is a pure function.
 
-    ``edge_faces`` is the only face lookup: ``has_face(face)`` holds iff
+    ``edge_faces`` is the only edge record and the only face lookup:
+    ``edges`` sorts its keys on each read, and ``has_face(face)`` holds iff
     ``face`` is a tuple among the faces of the edge ``face[:2]``, so only a
     canonical (sorted) triple of the triangulation is found.
     """
 
-    __slots__ = ("faces", "edges", "edge_faces", "vertices", "_cache")
+    __slots__ = ("faces", "edge_faces", "vertices", "_cache")
 
     def __init__(self, faces):
-        faces, edges, edge_faces, vertices, violations = _check(faces)
+        faces, edge_faces, vertices, violations = _check(faces)
         if violations:
             raise ValidationFailure(ValidationReport(tuple(violations)))
         self.faces: typing.Tuple[Face, ...] = tuple(faces)
-        self.edges: typing.Tuple[Edge, ...] = tuple(edges)
         self.edge_faces: typing.Dict[Edge, typing.Tuple[Face, Face]] = edge_faces
         self.vertices: typing.Tuple[str, ...] = tuple(vertices)
         self._cache: dict = {}
+
+    @property
+    def edges(self) -> typing.Tuple[Edge, ...]:
+        return tuple(sorted(self.edge_faces))
 
     def has_face(self, face: Face) -> bool:
         return isinstance(face, tuple) and face in self.edge_faces.get(face[:2], ())
@@ -402,7 +405,7 @@ class Triangulation:
 
     def __repr__(self):
         return (f"Triangulation({len(self.vertices)} vertices, "
-                f"{len(self.edges)} edges, {len(self.faces)} faces)")
+                f"{len(self.edge_faces)} edges, {len(self.faces)} faces)")
 
 
 _PREFIX = re.compile(r"s(\d+)\.")
@@ -533,7 +536,6 @@ class _Surface:
         ``edge_faces`` is handed over, so glue nothing after freezing."""
         tri = object.__new__(Triangulation)
         tri.faces = tuple(self.faces)
-        tri.edges = tuple(sorted(self.edge_faces))
         tri.edge_faces = self.edge_faces
         tri.vertices = tuple(self.vertices)
         tri._cache = {}
@@ -542,7 +544,7 @@ class _Surface:
 
 def euler_characteristic(tri: Triangulation) -> int:
     """V - E + F."""
-    return len(tri.vertices) - len(tri.edges) + len(tri.faces)
+    return len(tri.vertices) - len(tri.edge_faces) + len(tri.faces)
 
 
 def is_orientable(tri: Triangulation) -> bool:

@@ -18,11 +18,9 @@ surface.  Every step is logged in a replayable certificate.
 The same fact lets ``shred`` classify the input once.  Every later bad face
 is one of the input's bad faces, and a face is bad iff its six seed
 positions meet more than two zigzags.  So the loop keeps the zigzag step
-table and zigzag-pair classes as int lists (``zigzag._ZigzagState``) and
-walks the monodromy of only the face it repairs next.  That monodromy fixes
-how the zigzags through the repaired face run between its visits, so each
-splice walks only the patch's positions.  Each repair is checked by one
-count: the patch must carry exactly one zigzag pair.
+table and zigzag-pair classes as int lists (``zigzag._ZigzagState``), and
+``_repair``, the one repair step, walks the monodromy of only the face it
+repairs and splices only the patch's positions.
 """
 
 import functools
@@ -36,11 +34,11 @@ from .errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
                      NoValidMap, TrizigError)
 from .generators import bipyramid, example_sum
 from .monodromy import _monodromies, _shape, face_types, z_monodromy
-from .surgery import SpecialMap, _glues, connected_sum, enumerate_special_maps
-from .zigzag import _ZigzagState, _kernel, is_essential, is_z_knotted
+from .surgery import SpecialMap, _glues, enumerate_special_maps
+from .zigzag import _ZigzagState, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
 from .document import serialize  # noqa: F401
-from .surgery import gluing_condition  # noqa: F401
+from .surgery import connected_sum, gluing_condition  # noqa: F401
 from .zigzag import all_zigzags  # noqa: F401
 
 CERTIFICATE_FORMAT = "tri-shred-cert/1"
@@ -193,23 +191,40 @@ def _bad_faces(tri: Triangulation) -> typing.List[typing.Tuple[Face, str]]:
             for face in tri.faces if types[face].tag in BAD_TAGS]
 
 
-def shred_step(tri: Triangulation, face: Face) -> Triangulation:
-    """Repair one face of type M5/M6/M7 by gluing its patch.
+def _repair(surface: _Surface, state: _ZigzagState, face: Face) -> ShredStep:
+    """Repair ``face`` on ``surface`` and ``state`` with the patch of its type.
 
-    The count of faces with types in {M5, M6, M7} strictly decreases: the
-    patched face disappears, the patch's faces arrive locally z-knotted, and
-    no locally z-knotted face of the host loses that property.
+    The face's monodromy is walked on ``state``, and its type and the first
+    gluing map are read off it; a face of type M1..M4 has no patch and
+    raises before anything is glued.  That monodromy fixes how the zigzags
+    through the face run between its visits, so the splice walks the
+    patch's positions only.  It counts the zigzags through the patch: the k
+    through the repaired face, cut and rejoined, must make one pair.
+    Orbits that miss the face do not move, so the zigzag count falls by
+    k - 2 and every face met by one pair stays so: the module docstring's
+    lemma, by which the count of M5/M6/M7 faces strictly decreases.
     """
+    monodromy = state.monodromy(state.slot[face])
+    bad_type = _shape(face, monodromy)[0]
+    patch = patch_for(bad_type)
+    gluing = _first_gluing(face, monodromy, patch)
+    added, fresh = surface.glue(face, patch.triangulation, patch.designated_face, gluing)
+    through = state.splice(surface.edge_faces, face, added, monodromy)
+    if through != 2:
+        raise AssertionError(
+            f"repairing {face!r} left {through} zigzags through the patch, "
+            f"not one pair")
+    return ShredStep(face, bad_type, patch.patch_id, gluing.pairs, fresh)
+
+
+def shred_step(tri: Triangulation, face: Face) -> Triangulation:
+    """Repair one face of type M5/M6/M7 by gluing its patch (``_repair``)."""
     face = make_face(*face)
-    mtype = face_types(tri).get(face)
-    if mtype is None:
+    if not tri.has_face(face):
         raise FaceNotFound(f"face {face!r} not in triangulation")
-    if mtype.tag not in BAD_TAGS:
-        raise InvalidMonodromyType(
-            f"face {face!r} has type {mtype.tag}, nothing to repair")
-    patch = patch_for(mtype.tag)
-    return connected_sum(tri, face, patch.triangulation, patch.designated_face,
-                         find_gluing_map(tri, face, patch)).triangulation
+    surface = _Surface(tri)
+    _repair(surface, _ZigzagState(tri), face)
+    return surface.freeze()
 
 
 def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
@@ -221,17 +236,14 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     one zigzag pair.  A z-knotted input comes back unchanged with an empty
     certificate.
 
-    The input is classified once.  By the lemma of ``shred_step`` the least
-    bad face is the first of the input's bad faces still met by more than
-    two zigzags, which ``_ZigzagState`` tells after each splice.  Each splice
-    is handed the repaired face's monodromy, walks the patch's positions
-    only, and counts the zigzags through the patch, which are the k through
-    the repaired face cut and rejoined; they must count one pair.  Orbits
-    that miss the face do not move, so the count falls by k - 2 and every
-    face met only by one pair before is met only by one pair after: the
-    lemma.  All patches are glued onto one ``core._Surface``, frozen once at
-    the end; its monodromies are matched against the shape table without
-    building a ``MonodromyType`` per face.
+    The input is classified once.  By the module docstring's lemma, which
+    ``_repair`` checks at each step, the least bad face is the first of the
+    input's bad faces still met by more than two zigzags, which
+    ``_ZigzagState`` tells after each splice.  All patches are glued onto one
+    ``core._Surface``, frozen once at the end; its monodromies are matched
+    against the shape table without building a ``MonodromyType`` per face.
+    The recorded zigzag length is 2E, as ``is_z_knotted`` checks that the
+    zigzag runs every edge twice.
     """
     steps = []
     current = tri
@@ -240,21 +252,8 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
         surface = _Surface(tri)
         state = _ZigzagState(tri)
         for face, _tag in bad:
-            s = state.slot[face]
-            if state.orbit_count(s) == 2:
-                continue
-            monodromy = state.monodromy(s)
-            bad_type = _shape(face, monodromy)[0]
-            patch = patch_for(bad_type)
-            gluing = _first_gluing(face, monodromy, patch)
-            added, fresh = surface.glue(face, patch.triangulation,
-                                        patch.designated_face, gluing)
-            steps.append(ShredStep(face, bad_type, patch.patch_id, gluing.pairs, fresh))
-            through = state.splice(surface.edge_faces, face, added, monodromy)
-            if through != 2:
-                raise AssertionError(
-                    f"repairing {face!r} left {through} zigzags through the "
-                    f"patch, not one pair")
+            if state.orbit_count(state.slot[face]) > 2:
+                steps.append(_repair(surface, state, face))
         current = surface.freeze()
 
     knotted = is_z_knotted(current)
@@ -265,8 +264,7 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
         raise AssertionError(
             f"shredding postcondition failed: z-knotted={knotted}, "
             f"all faces M1..M4={types_ok}")
-    final_length = len(_kernel(current).orbits[0])
-    return current, ShredCertificate(tuple(steps), final_length)
+    return current, ShredCertificate(tuple(steps), 2 * len(current.edge_faces))
 
 
 @dataclass(frozen=True)
@@ -318,7 +316,7 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
         if not is_z_knotted(target):
             problems.append("target is not z-knotted")
         else:
-            actual = len(_kernel(target).orbits[0])
+            actual = 2 * len(target.edge_faces)
             if actual != certificate.final_zigzag_length:
                 problems.append(
                     f"certificate records zigzag length "

@@ -134,7 +134,7 @@ class _Kernel:
         faces = tri.faces
         step_table = [0] * (6 * len(faces))
         _link(step_table, {face: f for f, face in enumerate(faces)},
-              tri.edge_faces, tri.edges)
+              tri.edge_faces, tri.edge_faces)
 
         self.orbits, self.orbit_of = _walk(step_table)
         # Packed: as a list the table would keep 4E int objects alive.
@@ -468,19 +468,19 @@ def is_z_knotted(tri: Triangulation) -> bool:
 
     When true, each of the two directed zigzags traverses every edge exactly
     twice; that consequence is re-checked here rather than trusted, on the
-    index of each position's edge in ``tri.edges``.
+    index of each position's edge in ``tri.edge_faces``.
     """
     orbits = _kernel(tri).orbits
     if len(orbits) != 2:
         return False
-    edge_id = {edge: i for i, edge in enumerate(tri.edges)}
+    edge_id = {edge: i for i, edge in enumerate(tri.edge_faces)}
     edge_at = []  # edge_at[6 f + k]: the edge of dart k of face f, in omega order
     for a, b, c in tri.faces:
         ab, bc, ac = edge_id[a, b], edge_id[b, c], edge_id[a, c]
         edge_at += (ab, bc, ac, ab, bc, ac)
     for orbit in orbits:
         counts = collections.Counter(map(edge_at.__getitem__, orbit))
-        if len(counts) != len(tri.edges) or set(counts.values()) != {2}:
+        if len(counts) != len(edge_id) or set(counts.values()) != {2}:
             raise AssertionError(
                 "single zigzag pair that does not traverse every edge twice")
     return True

@@ -45,8 +45,12 @@ def test_build_rejects_edge_degree_violation():
     rules = {v.rule for v in info.value.report.violations}
     assert EDGE_DEGREE in rules
     # the bad edges are named
-    subjects = {v.subject for v in info.value.report.violations if v.rule == EDGE_DEGREE}
+    subjects = [v.subject for v in info.value.report.violations if v.rule == EDGE_DEGREE]
     assert (("1", "3"),) in subjects
+    # In sorted-edge order, not in the order the faces first meet the edges.
+    assert subjects == sorted(subjects) == [(("1", "3"),), (("1", "4"),),
+                                            (("2", "3"),), (("2", "4"),)]
+    assert [v.subject for v in tz.validate([(1, 2, 3), (1, 2, 4)]).violations] == subjects
 
 
 def test_build_rejects_duplicate_face():
@@ -177,8 +181,18 @@ def test_orientability():
 
 
 def test_three_f_equals_two_e_everywhere(full_corpus):
-    for tri in full_corpus:
+    # The edges are read off edge_faces on demand, on every kind of surface:
+    # generated, parsed, summed, random and shredded (frozen unvalidated).
+    summed = tz.connected_sum(tz.bipyramid(5), ("1", "2", "a"),
+                              tz.bipyramid(4), ("1", "2", "a"),
+                              tz.enumerate_special_maps(("1", "2", "a"),
+                                                        ("1", "2", "a"))[0])
+    extra = [tz.parse(tz.serialize(tz.torus_grid(3, 4))), summed.triangulation,
+             tz.random_sphere(7, 12), tz.shred(tz.torus_grid(3, 3))[0],
+             tz.shred(tz.projective_plane_fig5())[0]]
+    for tri in list(full_corpus) + extra:
         assert 3 * len(tri.faces) == 2 * len(tri.edges)
+        assert tri.edges == tuple(sorted(tri.edge_faces))
 
 
 def test_chi_parity_matches_orientability_on_known_surfaces():

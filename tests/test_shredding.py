@@ -116,6 +116,33 @@ def test_shred_step_bp8():
     # measured bad-face count drops 16 -> 12.
     assert len(_bad_faces(repaired)) == 12
     assert tz.euler_characteristic(repaired) == 2
+    # Any vertex order names the same face.
+    assert tz.shred_step(bp8, ("a", "2", "1")) == repaired
+
+
+@pytest.mark.parametrize("build", [
+    lambda: tz.bipyramid(8), lambda: tz.torus_grid(3, 3),
+    tz.projective_plane_fig5, lambda: tz.random_sphere(3, 20),
+], ids=["bp8", "torus_3_3", "projective_plane", "random_3_20"])
+def test_shred_step_is_the_connected_sum_of_the_first_gluing(build):
+    # shred_step repairs through shred's step, and gives what a classify,
+    # first gluing map and connected sum give on every bad face.
+    tri = build()
+    bad = _bad_faces(tri)
+    assert bad
+    sums = []
+    for face, tag in bad:
+        patch = tz.patch_for(tag)
+        gluing = tz.find_gluing_map(tri, face, patch)
+        result = tz.connected_sum(tri, face, patch.triangulation,
+                                  patch.designated_face, gluing)
+        assert tz.serialize(tz.shred_step(tri, face)) == tz.serialize(result.triangulation)
+        sums.append((gluing, result))
+    # Its first bad face is shred's first logged step: same map, same labels.
+    (face, tag), (gluing, result) = bad[0], sums[0]
+    record = tz.shred(tri)[1].steps[0]
+    assert record == ShredStep(face, tag, tz.patch_for(tag).patch_id,
+                               gluing.pairs, result.relabeling)
 
 
 def test_shred_step_rejects_good_faces():
