@@ -15,13 +15,13 @@ import sys
 
 from .core import euler_characteristic, make_face
 from .document import parse, serialize
-from .errors import FaceNotFound, MalformedDocument, TrizigError, ValidationFailure
+from .errors import MalformedDocument, TrizigError, ValidationFailure
 from .generators import (bipyramid, example_sum, platonic,
                          projective_plane_fig5, random_sphere, torus_grid)
 from .monodromy import face_types
 from .shredding import shred
 from .surgery import SpecialMap, connected_sum
-from .zigzag import all_zigzags, gauss_code, is_z_knotted
+from .zigzag import _face_index, all_zigzags, gauss_code, is_z_knotted
 
 
 def _read(path: str) -> str:
@@ -163,9 +163,7 @@ def _cmd_monodromy(args) -> int:
     tri = parse(_read(args.file))
     types = face_types(tri)
     if args.face is not None:
-        face = _parse_face(args.face)
-        if face not in types:
-            raise FaceNotFound(f"face {face!r} not in triangulation")
+        face = tri.faces[_face_index(tri, _parse_face(args.face))]
         types = {face: types[face]}
     for face, mtype in sorted(types.items()):
         print(f"{','.join(face)}\t{mtype.tag}")

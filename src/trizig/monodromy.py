@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from . import zigzag as _zz
 from .core import (OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE, Dart,
                    Face, Triangulation, make_face, omega)
-from .errors import FaceNotFound, UnclassifiableMonodromy
+from .errors import UnclassifiableMonodromy
 
 _IDENTITY = (0, 1, 2, 3, 4, 5)
 
@@ -145,6 +145,8 @@ class MonodromyType:
         witness = darts[:3] if self.tag in _WITNESS_FREE else self.witness
         if witness is None:
             raise ValueError(f"type {self.tag} requires a witness")
+        if not set(witness) <= set(darts):
+            raise ValueError(f"witness {witness!r} is not on face {face!r}")
         return DartPermutation._of(face, _shape_image(self.tag, *map(darts.index, witness)))
 
 
@@ -223,10 +225,8 @@ def z_monodromy(tri: Triangulation, face: Face) -> DartPermutation:
     Bijective, never maps a dart to its own negation, satisfies the negation
     law M(e) = e' => M(-e') = -e, and has no cycle longer than 3.
     """
-    face = make_face(*face)
-    if not tri.has_face(face):
-        raise FaceNotFound(f"face {face!r} not in triangulation")
-    return DartPermutation._of(face, _monodromies(tri)[_zz._face_index(tri, face)])
+    f = _zz._face_index(tri, face)
+    return DartPermutation._of(tri.faces[f], _monodromies(tri)[f])
 
 
 def classify(monodromy: DartPermutation) -> MonodromyType:

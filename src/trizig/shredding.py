@@ -30,12 +30,11 @@ from dataclasses import dataclass
 
 from .core import Face, Triangulation, _Surface, euler_characteristic, make_face
 from .document import load_json
-from .errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
-                     NoValidMap, TrizigError)
+from .errors import InvalidMonodromyType, MalformedDocument, NoValidMap, TrizigError
 from .generators import bipyramid, example_sum
 from .monodromy import _monodromies, _shape, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, enumerate_special_maps
-from .zigzag import _ZigzagState, is_essential, is_z_knotted
+from .zigzag import _face_index, _ZigzagState, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
 from .document import serialize  # noqa: F401
 from .surgery import connected_sum, gluing_condition  # noqa: F401
@@ -204,7 +203,7 @@ def _repair(surface: _Surface, state: _ZigzagState, face: Face) -> ShredStep:
     k - 2 and every face met by one pair stays so: the module docstring's
     lemma, by which the count of M5/M6/M7 faces strictly decreases.
     """
-    monodromy = state.monodromy(state.slot[face])
+    monodromy = state.monodromy(face)
     bad_type = _shape(face, monodromy)[0]
     patch = patch_for(bad_type)
     gluing = _first_gluing(face, monodromy, patch)
@@ -219,9 +218,7 @@ def _repair(surface: _Surface, state: _ZigzagState, face: Face) -> ShredStep:
 
 def shred_step(tri: Triangulation, face: Face) -> Triangulation:
     """Repair one face of type M5/M6/M7 by gluing its patch (``_repair``)."""
-    face = make_face(*face)
-    if not tri.has_face(face):
-        raise FaceNotFound(f"face {face!r} not in triangulation")
+    face = tri.faces[_face_index(tri, face)]
     surface = _Surface(tri)
     _repair(surface, _ZigzagState(tri), face)
     return surface.freeze()
@@ -252,7 +249,7 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
         surface = _Surface(tri)
         state = _ZigzagState(tri)
         for face, _tag in bad:
-            if state.orbit_count(state.slot[face]) > 2:
+            if state.orbit_count(face) > 2:
                 steps.append(_repair(surface, state, face))
         current = surface.freeze()
 

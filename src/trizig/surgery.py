@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 from .core import (OMEGA_SLOTS, Face, Triangulation, _check_sum_inputs,
                    _least_free_prefix, _prefix_numbers, _Surface, make_face)
-from .errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
-                     MonodromyNotIdentity, NotZKnotted, SelfSum)
+from .errors import (InvalidMonodromyType, InvalidSpecialMap, MonodromyNotIdentity,
+                     NotZKnotted, SelfSum)
 from .monodromy import DartPermutation, is_two_disjoint_3cycles, z_monodromy
-from .zigzag import is_z_knotted
+from .zigzag import _face_index, is_z_knotted
 
 # Decisions of the connected-sum table for faces of z-knotted triangulations.
 ALL = "ALL"
@@ -174,9 +174,7 @@ def refine_identity_face(tri: Triangulation, face: Face) -> SumResult:
     disjoint 3-cycles for every map, so the result stays z-knotted, and the
     three new faces all classify as M4.
     """
-    face = make_face(*face)
-    if not tri.has_face(face):
-        raise FaceNotFound(f"face {face!r} not in triangulation")
+    face = tri.faces[_face_index(tri, face)]
     if not is_z_knotted(tri):
         raise NotZKnotted("refinement is defined for z-knotted triangulations")
     if not z_monodromy(tri, face).is_identity:

@@ -114,6 +114,11 @@ def _walk(step) -> typing.Tuple[typing.List[typing.List[int]], typing.List[int]]
     return orbits, orbit_of
 
 
+# The reversal R of ``reverse_position``, (d, F) -> (-D^-1(d), F), on dart
+# indices; it maps each orbit onto its reverse, so R(step[R(p)]) precedes p.
+_REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
+
+
 class _Kernel:
     """The zigzag orbits as int lists, cached per triangulation.
 
@@ -121,14 +126,16 @@ class _Kernel:
     6F = 4E this numbers the positions exactly.  ``step[p]`` is the position
     after p, read off ``tri.edge_faces`` by ``_link``; ``orbits[o]`` lists
     the positions of orbit o in step order, and ``orbit_of[p]`` is the orbit
-    of p, both from ``_walk``.  Orbit ids follow int position order: orbit o
-    holds the least position on none of orbits 0..o-1, and is listed from
-    it.  That order is deterministic and costs no sort; only
+    of p, both from ``_walk``.  ``partners[o]``, the orbit of orbit o's
+    reverse (through R of its first position), is checked to be a
+    fixed-point-free involution once here.  Orbit ids follow int position
+    order: orbit o holds the least position on none of orbits 0..o-1, and
+    is listed from it.  That order is deterministic and costs no sort; only
     ``ZigzagAtlas`` lists zigzags in (tail, head, face) order, and it sorts
     them when it builds them.
     """
 
-    __slots__ = ("step", "orbit_of", "orbits")
+    __slots__ = ("step", "orbit_of", "orbits", "partners")
 
     def __init__(self, tri: Triangulation):
         faces = tri.faces
@@ -139,23 +146,12 @@ class _Kernel:
         self.orbits, self.orbit_of = _walk(step_table)
         # Packed: as a list the table would keep 4E int objects alive.
         self.step = array.array("i", step_table)
-
-
-# The reversal R of ``reverse_position``, (d, F) -> (-D^-1(d), F), on dart
-# indices; it maps each orbit onto its reverse, so R(step[R(p)]) precedes p.
-_REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
-
-
-def _partners(kernel: _Kernel) -> typing.List[int]:
-    """The orbit of each kernel orbit's reverse, checked to be a
-    fixed-point-free involution."""
-    partners = [kernel.orbit_of[p - p % 6 + _REVERSAL[p % 6]]
-                for p in (orbit[0] for orbit in kernel.orbits)]
-    if any(partner == i or partners[partner] != i
-           for i, partner in enumerate(partners)):
-        raise AssertionError("reversal pairing is not a fixed-point-free "
-                             "involution on the orbit set")
-    return partners
+        self.partners = partners = [self.orbit_of[p - p % 6 + _REVERSAL[p % 6]]
+                                    for p in (orbit[0] for orbit in self.orbits)]
+        if any(partner == i or partners[partner] != i
+               for i, partner in enumerate(partners)):
+            raise AssertionError("reversal pairing is not a fixed-point-free "
+                                 "involution on the orbit set")
 
 
 def _root(parent: typing.List[int], c: int) -> int:
@@ -172,7 +168,8 @@ class _ZigzagState:
     dart k of the face in slot s, as in the kernel, but slots never move: a
     removed face leaves a tombstone, which steps to itself, and the faces of
     each patch take new slots from ``len(step) // 6`` on.  ``slot``, face
-    -> slot, is the only record of the faces; a tombstone has none.  After
+    -> slot, is the state's own record of the faces, which a tombstone
+    lacks; its queries take a face and look its slot up there.  After
     a sum the steps across the new edges are read off the glued
     ``core._Surface``'s ``edge_faces`` by ``_link``.  ``orbit_of[p]`` is a
     class of zigzag pairs, not an orbit: at the start each kernel orbit
@@ -188,21 +185,21 @@ class _ZigzagState:
         self.slot = {face: s for s, face in enumerate(tri.faces)}
         self.step = list(kernel.step)
         self.orbit_of = list(kernel.orbit_of)
-        self.parent = [min(i, partner) for i, partner in enumerate(_partners(kernel))]
+        self.parent = [min(i, partner) for i, partner in enumerate(kernel.partners)]
 
-    def orbit_count(self, s: int) -> int:
-        """How many zigzags meet the face in slot s: 2 iff it is locally
-        z-knotted.  They are closed under reversal, so twice their pairs."""
-        parent = self.parent
-        return 2 * len({_root(parent, c) for c in self.orbit_of[6 * s:6 * s + 6]})
+    def orbit_count(self, face: Face) -> int:
+        """How many zigzags meet ``face``: 2 iff it is locally z-knotted.
+        They are closed under reversal, so twice their pairs."""
+        parent, base = self.parent, 6 * self.slot[face]
+        return 2 * len({_root(parent, c) for c in self.orbit_of[base:base + 6]})
 
-    def monodromy(self, s: int) -> typing.Tuple[int, ...]:
-        """The z-monodromy of the face in slot s as in
-        ``monodromy._build_monodromies``: seed k maps to D^-1 of the dart of
-        the next position in the face.  Three seeds are walked: the reversed
-        zigzag runs each arc backwards, so M(e) = e' gives M(-e') = -e."""
-        step = self.step
-        base, end = 6 * s, 6 * s + 6
+    def monodromy(self, face: Face) -> typing.Tuple[int, ...]:
+        """The z-monodromy of ``face`` as in ``monodromy._build_monodromies``:
+        seed k maps to D^-1 of the dart of the next position in the face.
+        Three seeds are walked: the reversed zigzag runs each arc backwards,
+        so M(e) = e' gives M(-e') = -e."""
+        step, base = self.step, 6 * self.slot[face]
+        end = base + 6
         image = [-1] * 6
         for k in range(6):
             if image[k] < 0:
@@ -288,7 +285,13 @@ def _kernel(tri: Triangulation) -> _Kernel:
 
 
 def _face_index(tri: Triangulation, face: Face) -> int:
-    """The index of a face of ``tri`` in ``tri.faces`` (which is sorted)."""
+    """The index in the sorted ``tri.faces`` of ``face``, its vertices in any
+    order: the one check of a face argument.  ``make_face`` raises first, on
+    a repeated vertex or a wrong length; a face ``tri`` lacks raises
+    ``FaceNotFound``."""
+    face = make_face(*face)
+    if not tri.has_face(face):
+        raise FaceNotFound(f"face {face!r} not in triangulation")
     return bisect.bisect_left(tri.faces, face)
 
 
@@ -446,7 +449,7 @@ def _in_canonical_order(faces: typing.Sequence[Face],
 
 def _build_atlas(tri: Triangulation) -> ZigzagAtlas:
     kernel = _kernel(tri)
-    return ZigzagAtlas(tri.faces, kernel.orbits, _partners(kernel))
+    return ZigzagAtlas(tri.faces, kernel.orbits, kernel.partners)
 
 
 def trace(tri: Triangulation, position: Position) -> Zigzag:
@@ -490,9 +493,6 @@ def _face_orbit_ids(tri: Triangulation, face: Face) -> typing.Set[int]:
     """Orbits of the six seed positions (dart of face, face): also those of
     every position with its dart on an edge of the face, since one read in
     the neighbouring face steps to a seed."""
-    face = make_face(*face)
-    if not tri.has_face(face):
-        raise FaceNotFound(f"face {face!r} not in triangulation")
     base = 6 * _face_index(tri, face)
     return set(_kernel(tri).orbit_of[base:base + 6])
 

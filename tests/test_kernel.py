@@ -187,6 +187,9 @@ def test_expand_rejects_a_witness_that_is_no_rotation_cycle():
     for tag in ("M3", "M4", "M6", "M7"):
         with pytest.raises(ValueError):
             MonodromyType(tag, (e, e, other)).expand(face)
+        with pytest.raises(ValueError, match=r"witness .*1>9.* is not on face "
+                                             r"\('1', '2', 'a'\)"):
+            MonodromyType(tag, (e, other, Dart("1", "9"))).expand(face)
 
 
 def test_surfaces_include_non_spheres():

@@ -1,5 +1,7 @@
 """Z-monodromy values, the seven-shape classification, and its laws."""
 
+import re
+
 import pytest
 
 import trizig as tz
@@ -120,8 +122,25 @@ def test_monodromy_matches_naive_stepping(named_corpus, random_corpus):
 
 
 def test_monodromy_face_not_found():
-    with pytest.raises(FaceNotFound):
-        tz.z_monodromy(tz.bipyramid(3), ("1", "2", "9"))
+    # Every caller taking a face argument resolves it the same way: in any
+    # vertex order, and with the same errors for an absent, a degenerate
+    # and a wrong-length face.
+    bp3 = tz.bipyramid(3)
+    for call, tri, face in ((tz.z_monodromy, bp3, ("1", "2", "a")),
+                            (tz.zigzags_of_face, bp3, ("1", "2", "a")),
+                            (tz.is_locally_z_knotted, bp3, ("1", "2", "a")),
+                            (tz.is_essential, bp3, ("1", "2", "a")),
+                            (tz.shred_step, tz.bipyramid(8), ("1", "2", "a")),
+                            (tz.refine_identity_face, tz.example_sum("m1", 3, 3),
+                             ("2", "3", "a"))):
+        assert call(tri, face[::-1]) == call(tri, face)
+        with pytest.raises(FaceNotFound,
+                           match=re.escape("face ('1', '2', '9') not in triangulation")):
+            call(tri, ("1", "2", "9"))
+        with pytest.raises(ValueError, match="degenerate face"):
+            call(tri, ("1", "1", "a"))
+        with pytest.raises(TypeError):
+            call(tri, ("1", "2"))
 
 
 def test_classify_rejects_shapeless_permutation():

@@ -387,6 +387,53 @@ def test_shred_sums_of_tori_and_projective_planes(surface, data):
     assert tz.is_z_knotted(shredded)
     assert tz.euler_characteristic(shredded) == chi
     assert tz.verify_certificate(tri, certificate, shredded).ok
+    assert _odd_gauss_gaps(shredded) == 0 or cross_caps
+
+
+def _odd_gauss_gaps(tri):
+    """How many symbols of ``gauss_code(tri)`` recur after an odd gap,
+    checking the Gauss-code parity law at every symbol.
+
+    Symbol "u-v" names edge (u, v).  Cyclically, edges e_i and e_i+1 lie in
+    one face F_i, and the crossing from F_i-1 into F_i across e_i is
+    incoherent when both faces, each run a -> b -> c -> a by its sorted
+    triple (a, b, c), run e_i the same way.  For the occurrences i < j of a
+    symbol, the incoherent crossings i+1..j-1, and the one from F_j-1 back
+    into F_i across e_i when those faces differ, close a loop of faces; the
+    law is that their count has the parity of the gap j - i - 1.
+    """
+    word = [tuple(symbol.split("-")) for symbol in tz.gauss_code(tri)]
+    n = len(word)
+    faces = [tz.make_face(*set(word[i]) | set(word[(i + 1) % n])) for i in range(n)]
+    assert all(tri.has_face(face) for face in faces)
+
+    def incoherent(one, two, edge):
+        # A sorted triple (a, b, c) runs its edge (a, c) backwards, c -> a.
+        return (edge == (one[0], one[2])) == (edge == (two[0], two[2]))
+
+    first, odd = {}, 0
+    for j, edge in enumerate(word):
+        i = first.setdefault(edge, j)
+        if i == j:
+            continue
+        count = sum(incoherent(faces[k - 1], faces[k], word[k]) for k in range(i + 1, j))
+        if faces[j - 1] != faces[i]:
+            count += incoherent(faces[j - 1], faces[i], edge)
+        assert count % 2 == (j - i - 1) % 2, (edge, i, j)
+        odd += (j - i - 1) % 2
+    assert n == 2 * len(first)
+    return odd
+
+
+def test_gauss_code_parity_law(named_corpus):
+    # Every gap is even on an orientable surface; the projective plane and
+    # the Klein bottle (its sum with a second copy) have odd gaps.
+    rp2, other = tz.projective_plane_fig5(), tz.projective_plane_fig5()
+    gluing = tz.enumerate_special_maps(rp2.faces[0], other.faces[0])[0]
+    klein = tz.connected_sum(rp2, rp2.faces[0], other, other.faces[0], gluing)
+    for tri in list(named_corpus.values()) + [klein.triangulation]:
+        shredded, _certificate = tz.shred(tri)
+        assert (_odd_gauss_gaps(shredded) == 0) == tz.is_orientable(tri)
 
 
 def _check_splice(state, tri):
@@ -403,7 +450,7 @@ def _check_splice(state, tri):
             pairs.setdefault(zigzag._root(state.parent, c), set()).add((face, p % 6))
     # The state's pair classes are the fresh orbits, each joined with its reverse.
     kernel = zigzag._Kernel(tri)
-    partners = zigzag._partners(kernel)
+    partners = kernel.partners
     fresh_pairs = {}
     for i, orbit in enumerate(kernel.orbits):
         fresh_pairs.setdefault(min(i, partners[i]), set()).update(
@@ -420,9 +467,8 @@ def _check_splice(state, tri):
                     == (tri.faces[fresh // 6], fresh % 6))
     types = tz.face_types(tri)
     for face in tri.faces:
-        s = state.slot[face]
-        assert (state.orbit_count(s) > 2) == (types[face].tag in BAD_TAGS)
-        assert state.monodromy(s) == tz.z_monodromy(tri, face).image
+        assert (state.orbit_count(face) > 2) == (types[face].tag in BAD_TAGS)
+        assert state.monodromy(face) == tz.z_monodromy(tri, face).image
 
 
 def _shred_with_checked_splices(tri):
@@ -490,7 +536,7 @@ def _check_count_identity(tri):
         return result
 
     def counted_splice(state, edge_faces, removed, added, monodromy):
-        assert state.orbit_count(state.slot[removed]) == drops[-1][0]
+        assert state.orbit_count(removed) == drops[-1][0]
         through = splice(state, edge_faces, removed, added, monodromy)
         drops[-1].append(through)
         return through
