@@ -232,10 +232,16 @@ def _check(faces) -> typing.Tuple[typing.List[Face],
     proves at once that every link is one cycle and that the faces are
     connected.  Only when it falls short do the link and connectivity
     report passes run, to name what is wrong.
+
+    Every face, edge and vertex returned holds one string object per vertex
+    label, the first one met (``one``), so the input's other copies of it,
+    one per occurrence in a parsed document, can be freed.  The per-entry
+    copies are dropped before the edge map is built.
     """
     raw = faces.faces if isinstance(faces, Triangulation) else faces
     violations = []
     seen: typing.Dict[Face, int] = {}
+    one = {}.setdefault  # one(x, x): the first label object met equal to x
     try:
         entries = [tuple(item) for item in raw]
     except TypeError as exc:
@@ -272,7 +278,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face],
                 NON_TRIANGLE, (i, entry),
                 f"face #{i} repeats a vertex: {labels}"))
             continue
-        face = a, b, c
+        face = one(a, a), one(b, b), one(c, c)
         if face in seen:
             violations.append(Violation(
                 DUPLICATE_FACE, (seen[face], i, face),
@@ -281,6 +287,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face],
         seen[face] = i
 
     faces = sorted(seen)
+    del entries, seen, one
     edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]] = {}
     get = edge_faces.get
     for face in faces:

@@ -124,13 +124,14 @@ def _shape_image(tag: str, e1: int, e2: int, e3: int) -> typing.Tuple[int, ...]:
     return tuple(darts[_SHAPE_SLOTS[tag][darts.index(k)]] for k in range(6))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MonodromyType:
     """A monodromy shape tag M1..M7 plus the cycle witnessing it.
 
     The witness is the dart triple (e1, e2, e3) appearing in the shape's
     formula; M1, M2 and M5 need none.  ``expand`` rebuilds the permutation
     from the tag and witness, so a classification can always be replayed.
+    Slotted, so an instance carries no ``__dict__``.
     """
 
     tag: str
@@ -145,6 +146,9 @@ class MonodromyType:
         witness = darts[:3] if self.tag in _WITNESS_FREE else self.witness
         if witness is None:
             raise ValueError(f"type {self.tag} requires a witness")
+        if len(witness) != 3:
+            raise ValueError(f"witness {witness!r} on face {face!r} has "
+                             f"{len(witness)} darts, expected 3")
         if not set(witness) <= set(darts):
             raise ValueError(f"witness {witness!r} is not on face {face!r}")
         return DartPermutation._of(face, _shape_image(self.tag, *map(darts.index, witness)))
@@ -169,6 +173,10 @@ def _shape_table():
 
 
 _SHAPES = _shape_table()
+
+# Each valid image mapped to itself, the ``_SHAPES`` key object: every face of
+# that monodromy shares it (``_build_monodromies``).
+_SHARED_IMAGES = {image: image for image in _SHAPES}
 
 # One frozen type per witness-free tag, shared by every face of that shape.
 _WITNESS_FREE_TYPES = {tag: MonodromyType(tag) for tag in _WITNESS_FREE}
@@ -199,19 +207,28 @@ def _build_monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]
     after the seed lies on one; so M(e) = D^-1(e').  Each orbit is walked
     backwards once, ``following[f]`` holding the next position in face f;
     a light backward pass first primes it with each face's first position
-    on the orbit, the next visit after its last one.
+    on the orbit, the next visit after its last one.  Each packed orbit is
+    unpacked once, by ``tolist()``, for both passes.
+
+    The images are shared with ``_SHAPES``: a face whose image is a valid
+    shape gets the ``_SHAPES`` key equal to it, so all faces share at most
+    15 tuples; an unknown image keeps its own tuple, on which ``_shape``
+    raises.
     """
     kernel = _zz._kernel(tri)
     image = [0] * len(kernel.orbit_of)
     following = [0] * (len(image) // 6)
     for orbit in kernel.orbits:
+        orbit = orbit.tolist()
         for p in reversed(orbit):
             following[p // 6] = p
         for p in reversed(orbit):
             f = p // 6
             image[p] = OMEGA_ROTATION_INVERSE[following[f] % 6]
             following[f] = p
-    return list(zip(*[iter(image)] * 6))  # one tuple per face, six images at a time
+    # One tuple per face, six images at a time, swapped for its _SHAPES key.
+    shared = _SHARED_IMAGES.get
+    return [shared(m, m) for m in zip(*[iter(image)] * 6)]
 
 
 def _monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]]:

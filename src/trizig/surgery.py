@@ -21,7 +21,8 @@ from .core import (OMEGA_SLOTS, Face, Triangulation, _check_sum_inputs,
                    _least_free_prefix, _prefix_numbers, _Surface, make_face)
 from .errors import (InvalidMonodromyType, InvalidSpecialMap, MonodromyNotIdentity,
                      NotZKnotted, SelfSum)
-from .monodromy import DartPermutation, is_two_disjoint_3cycles, z_monodromy
+from .monodromy import (_IDENTITY, DartPermutation, _monodromies, is_two_disjoint_3cycles,
+                        z_monodromy)
 from .zigzag import _face_index, is_z_knotted
 
 # Decisions of the connected-sum table for faces of z-knotted triangulations.
@@ -174,10 +175,11 @@ def refine_identity_face(tri: Triangulation, face: Face) -> SumResult:
     disjoint 3-cycles for every map, so the result stays z-knotted, and the
     three new faces all classify as M4.
     """
-    face = tri.faces[_face_index(tri, face)]
+    f = _face_index(tri, face)
+    face = tri.faces[f]
     if not is_z_knotted(tri):
         raise NotZKnotted("refinement is defined for z-knotted triangulations")
-    if not z_monodromy(tri, face).is_identity:
+    if _monodromies(tri)[f] != _IDENTITY:
         raise MonodromyNotIdentity(
             f"face {face!r} does not have identity z-monodromy")
     tetrahedron = Triangulation(_TETRAHEDRON_FACES)

@@ -9,8 +9,9 @@ zigzags are its orbits; everything else here (knottedness, per-face zigzag
 sets, essential faces, Gauss codes) is read off the orbit partition.
 
 Internally position (omega(F)[k], F) is the int 6 f + k, where f indexes F
-in the sorted face tuple, and the step map and orbits are int lists; darts
-and positions are built only where the public API returns them.
+in the sorted face tuple; the step map and each orbit are packed int arrays
+(``array("i")``), so no int object per position stays alive, and darts and
+positions are built only where the public API returns them.
 """
 
 import array
@@ -89,15 +90,18 @@ def _link(step, slot, edge_faces, edges) -> None:
         step[there + out2], step[there + back2] = here + out_next, here + back_next
 
 
-def _walk(step) -> typing.Tuple[typing.List[typing.List[int]], typing.List[int]]:
+def _walk(step: typing.List[int]
+          ) -> typing.Tuple[typing.List[array.array], typing.List[int]]:
     """The orbits of the permutation ``step``, and the orbit of each position.
 
     Positions are taken in increasing order, so each orbit is listed in step
     order from its least position, and orbit o holds the least position on
-    none of orbits 0..o-1.
+    none of orbits 0..o-1.  Each orbit is packed into an ``array("i")`` as it
+    closes, so it keeps no int object alive; ``step`` is read as a list,
+    whose subscripts are faster than an array's.
     """
     orbit_of = [-1] * len(step)
-    orbits: typing.List[typing.List[int]] = []
+    orbits: typing.List[array.array] = []
     for start in range(len(step)):
         if orbit_of[start] >= 0:
             continue
@@ -110,7 +114,7 @@ def _walk(step) -> typing.Tuple[typing.List[typing.List[int]], typing.List[int]]
             p = step[p]
         if p != start:
             raise AssertionError("step map failed to be a permutation")
-        orbits.append(orbit)
+        orbits.append(array.array("i", orbit))
     return orbits, orbit_of
 
 
@@ -120,15 +124,17 @@ _REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
 
 
 class _Kernel:
-    """The zigzag orbits as int lists, cached per triangulation.
+    """The zigzag orbits as packed int arrays, cached per triangulation.
 
     Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
     6F = 4E this numbers the positions exactly.  ``step[p]`` is the position
     after p, read off ``tri.edge_faces`` by ``_link``; ``orbits[o]`` lists
     the positions of orbit o in step order, and ``orbit_of[p]`` is the orbit
-    of p, both from ``_walk``.  ``partners[o]``, the orbit of orbit o's
-    reverse (through R of its first position), is checked to be a
-    fixed-point-free involution once here.  Orbit ids follow int position
+    of p, both from ``_walk``.  ``step`` and each orbit are ``array("i")``s,
+    so the kernel holds no int object per position; ``orbit_of`` is a list,
+    but of orbit ids, one int object per orbit.  ``partners[o]``, the orbit
+    of orbit o's reverse (through R of its first position), is checked to be
+    a fixed-point-free involution once here.  Orbit ids follow int position
     order: orbit o holds the least position on none of orbits 0..o-1, and
     is listed from it.  That order is deterministic and costs no sort; only
     ``ZigzagAtlas`` lists zigzags in (tail, head, face) order, and it sorts
@@ -144,7 +150,8 @@ class _Kernel:
               tri.edge_faces, tri.edge_faces)
 
         self.orbits, self.orbit_of = _walk(step_table)
-        # Packed: as a list the table would keep 4E int objects alive.
+        # Packed, like the orbits: as a list the table would keep the 4E int
+        # objects alive that the packed orbits let go.
         self.step = array.array("i", step_table)
         self.partners = partners = [self.orbit_of[p - p % 6 + _REVERSAL[p % 6]]
                                     for p in (orbit[0] for orbit in self.orbits)]
@@ -301,7 +308,7 @@ def _dart(face: Face, k: int) -> Dart:
     return Dart(face[tail], face[head])
 
 
-def _zigzag(faces: typing.Sequence[Face], orbit: typing.List[int]) -> "Zigzag":
+def _zigzag(faces: typing.Sequence[Face], orbit: typing.Sequence[int]) -> "Zigzag":
     """The ``Zigzag`` of an int orbit, with ``faces`` the sorted face tuple."""
     return Zigzag(_dart(faces[p // 6], p % 6) for p in orbit)
 
@@ -372,7 +379,7 @@ class ZigzagAtlas:
     matching each zigzag with its reverse, so ``atlas.pairing[z]`` is the
     reverse of ``z``.  The orbit lengths always sum to 4E.
 
-    The atlas keeps the kernel's int orbits, in position order, their
+    The atlas keeps the kernel's packed int orbits, in position order, their
     partners and the sorted face tuple, not the triangulation: ``count``,
     ``pair_count`` and ``len`` read the orbits.  The ``Zigzag`` objects are
     built and sorted, and the partners renumbered to match, on the first
@@ -382,7 +389,7 @@ class ZigzagAtlas:
     __slots__ = ("_faces", "_orbits", "_partners", "_zigzags", "_pairing")
 
     def __init__(self, faces: typing.Tuple[Face, ...],
-                 orbits: typing.List[typing.List[int]], partners: typing.List[int]):
+                 orbits: typing.List[array.array], partners: typing.List[int]):
         self._faces = faces
         self._orbits = orbits
         self._partners = partners
@@ -420,7 +427,7 @@ class ZigzagAtlas:
 
 
 def _in_canonical_order(faces: typing.Sequence[Face],
-                        orbits: typing.List[typing.List[int]], partners: typing.List[int]
+                        orbits: typing.List[array.array], partners: typing.List[int]
                         ) -> typing.Tuple[typing.Tuple[Zigzag, ...], typing.List[int]]:
     """The ``Zigzag`` of each int orbit, and ``partners`` renumbered to
     match, in the (tail, head, face) order of the orbits' least positions.
@@ -457,7 +464,9 @@ def trace(tri: Triangulation, position: Position) -> Zigzag:
     _check_position(tri, position)
     dart, face = position
     kernel = _kernel(tri)
-    orbit_id = kernel.orbit_of[6 * _face_index(tri, face) + omega(face).index(dart)]
+    # _check_position found ``face`` among the faces, so it is canonical.
+    f = bisect.bisect_left(tri.faces, face)
+    orbit_id = kernel.orbit_of[6 * f + omega(face).index(dart)]
     return _zigzag(tri.faces, kernel.orbits[orbit_id])
 
 

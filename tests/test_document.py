@@ -1,7 +1,9 @@
 """tri-json/1 parsing and canonical serialization."""
 
+import gc
 import json
 import random
+import tracemalloc
 
 import pytest
 
@@ -120,3 +122,35 @@ def test_parse_document_returns_raw_faces():
     doc = parse_document(json.dumps(
         {"format": "tri-json/1", "faces": [["1", "2", "3"], ["1", "2", "3"]]}))
     assert len(doc["faces"]) == 2  # duplicates preserved for validation
+
+
+def test_a_parsed_surface_keeps_one_object_per_label():
+    tri = tz.parse(tz.serialize(tz.torus_grid(5, 6)))
+    assert len({id(v) for face in tri.faces for v in face}) == len(tri.vertices)
+    # Fresh strings: a label built anew for every occurrence.
+    tri = tz.Triangulation([tuple(f"v{v}" for v in face) for face in tz.bipyramid(9).faces])
+    assert len({id(v) for face in tri.faces for v in face}) == len(tri.vertices)
+    assert ({id(v) for edge in tri.edge_faces for v in edge}
+            == {id(v) for v in tri.vertices})
+
+
+def test_an_analysed_document_holds_few_bytes_per_face():
+    # Parse, zigzag kernel, monodromies and types of a 1 860-face torus,
+    # measured as the bytes still allocated once garbage is collected.
+    text = tz.serialize(tz.torus_grid(30, 31))
+    gc.collect()
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tri = tz.parse(text)
+        tz.is_z_knotted(tri)
+        tz.all_zigzags(tri).count
+        tz.face_types(tri)
+        gc.collect()
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert held / len(tri.faces) <= 650

@@ -7,13 +7,16 @@ random spheres and two z-knotted shredding outputs, so non-sphere surfaces
 are checked too.
 """
 
+import array
+import dataclasses
 import random
 
 import pytest
 
 import trizig as tz
+from trizig import zigzag
 from trizig.core import Dart
-from trizig.monodromy import _SHAPES, DartPermutation, MonodromyType
+from trizig.monodromy import _SHAPES, DartPermutation, MonodromyType, _monodromies
 from trizig.zigzag import Position, Zigzag
 
 
@@ -190,6 +193,36 @@ def test_expand_rejects_a_witness_that_is_no_rotation_cycle():
         with pytest.raises(ValueError, match=r"witness .*1>9.* is not on face "
                                              r"\('1', '2', 'a'\)"):
             MonodromyType(tag, (e, other, Dart("1", "9"))).expand(face)
+        with pytest.raises(ValueError, match=r"witness \(1>2, 2>a\) on face "
+                                             r"\('1', '2', 'a'\) has 2 darts"):
+            MonodromyType(tag, (e, other)).expand(face)
+        with pytest.raises(ValueError, match=r"witness \(1>2, 2>a, 2>1, a>2\) on "
+                                             r"face \('1', '2', 'a'\) has 4 darts"):
+            MonodromyType(tag, (e, other, -e, -other)).expand(face)
+
+
+def test_monodromy_types_carry_no_dict(knotted_corpus):
+    face = ("1", "2", "a")
+    types = [MonodromyType("M1"), MonodromyType("M3", tz.omega(face)[:3])]
+    types += [mtype for tri in knotted_corpus[:5] for mtype in tz.face_types(tri).values()]
+    for mtype in types:
+        assert not hasattr(mtype, "__dict__")
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            mtype.tag = "M2"
+
+
+def test_kernel_tables_are_packed_int_arrays(full_corpus):
+    for tri in full_corpus:
+        kernel = zigzag._kernel(tri)
+        assert kernel.step.__class__ is array.array and kernel.step.typecode == "i"
+        for orbit in kernel.orbits:
+            assert orbit.__class__ is array.array and orbit.typecode == "i"
+
+
+def test_monodromy_images_are_shape_table_keys(full_corpus):
+    keys = {id(image) for image in _SHAPES}
+    for tri in full_corpus:
+        assert all(id(image) in keys for image in _monodromies(tri))
 
 
 def test_surfaces_include_non_spheres():
