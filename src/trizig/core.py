@@ -11,10 +11,14 @@ Validation also requires every vertex link to be a single cycle (two discs
 pinched together at a vertex satisfy E1 and E2 but are no surface there)
 and the faces to be connected across edges.
 
-Under (E1)/(E2) the face set alone determines all incidence, so a
-``Triangulation`` stores nothing but its sorted faces; the edge-to-faces
-map and the vertex set are derived at construction time, and the sorted
-edges are read off that map on demand.
+Under (E1)/(E2) the face set alone determines all incidence.  A
+``Triangulation`` stores its sorted faces, its sorted vertices and one int
+corner table (Rossignac, Safonova & Szymczak, "3D compression made simple:
+Edgebreaker with Corner-Table", 2001): ``across[3 f + j]`` is the corner
+3 g + i across edge j of face f, that edge being edge i of face g, with
+edges numbered in ``face_edges`` order ab, ac, bc.  Since both faces are
+sorted, the lesser end of the edge is the lesser end in both.  The
+edge-to-faces map and the sorted edges are built from the faces on demand.
 Vertex labels are strings ordered lexicographically; integer labels are
 canonicalized to their decimal text so that relabeling during surgery stays
 stable.
@@ -25,10 +29,12 @@ connected sums is not: it is glued in place on one ``_Surface``, keeping
 every axiom for local reasons, and frozen into a ``Triangulation`` once.
 """
 
+import array
 import bisect
 import collections
 import itertools
 import re
+import types
 import typing
 from dataclasses import dataclass
 
@@ -83,6 +89,16 @@ def face_edges(face: Face) -> typing.Tuple[Edge, Edge, Edge]:
     """The three edges of a canonical face, each in canonical order."""
     a, b, c = face
     return ((a, b), (a, c), (b, c))
+
+
+# The vertex slots of edge j of a sorted face, in ``face_edges`` order; the
+# edge of vertex slots s != t is s + t - 1.
+EDGE_SLOTS = ((0, 1), (0, 2), (1, 2))
+
+# Entry 2 i + h: the vertex slots (s, t) of the ends v and y of a walk that
+# enters a face across its edge i, v being the lesser end of that edge iff
+# h is 0, and y the vertex off it.
+_ENTER_SLOTS = tuple((EDGE_SLOTS[i][h], 2 - i) for i in range(3) for h in (0, 1))
 
 
 def third_vertex(face: Face, u: Vertex, v: Vertex) -> Vertex:
@@ -176,11 +192,10 @@ def _reach(start, neighbours) -> set:
     return reached
 
 
-def _walk_corners(faces: typing.List[Face],
-                  edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]],
+def _walk_corners(faces: typing.List[Face], across: array.array,
                   ) -> typing.Optional[typing.List[Vertex]]:
     """The sorted vertices if every link is one cycle and the faces are
-    connected, else None.  Needs (E1) and (E2).
+    connected, else None.  Needs ``across`` (so (E1)) and (E2).
 
     Under (E1) and (E2) the faces at v form disjoint cycles (the link of v)
     in which faces sharing an edge vy are neighbours; each step crosses vy
@@ -193,50 +208,93 @@ def _walk_corners(faces: typing.List[Face],
     each vertex, and a vertex graph connected through them joins all faces,
     so then the surface is also face-connected; conversely a connected
     surface with single-cycle links has every vertex reached.
+
+    A step reads only ints: in face f, with v and y at vertex slots s and
+    t, edge vy is edge s + t - 1; its partner corner 3 g + i is edge i of
+    face g, where v is again the lesser end iff s < t, and the new y is at
+    the slot 2 - i off that edge (``_ENTER_SLOTS``).
     """
-    start = faces[0]
-    found = dict.fromkeys(start, start)
-    stack = list(start)
+    found = {v: s for s, v in enumerate(faces[0])}  # vertex -> 3 f + its slot in f
+    stack = list(faces[0])
     corners = 0
     while stack:
         v = stack.pop()
-        face = found[v]
-        a, b, c = face
-        x, y = (b, c) if v == a else (a, c) if v == b else (a, b)
+        c = found[v]
+        s = c % 3
+        base = c - s
+        u, t = EDGE_SLOTS[2 - s]  # the slots off s
+        face = faces[base // 3]
+        x, y = face[u], face[t]
         corners += 1
         while y != x:
-            first, second = edge_faces[(v, y) if v < y else (y, v)]
-            face = second if first is face else first  # one object per face
-            p, q, r = face
-            y = p if p != v and p != y else q if q != v and q != y else r
+            d = across[base + s + t - 1]
+            i = d % 3
+            base = d - i
+            s, t = _ENTER_SLOTS[2 * i + (s > t)]
+            y = faces[base // 3][t]
             corners += 1
             if y not in found:
-                found[y] = face
+                found[y] = base + t
                 stack.append(y)
     return sorted(found) if corners == 3 * len(faces) else None
 
 
-def _check(faces) -> typing.Tuple[typing.List[Face],
-                                  typing.Dict[Edge, typing.Tuple[Face, ...]],
+def _corner_table(faces: typing.List[Face]) -> typing.Optional[array.array]:
+    """``across`` of the sorted faces, or None unless every edge lies in
+    exactly two faces (E1).
+
+    Corners meet through a per-edge dict of each edge's first corner, which
+    is dropped on return.  A third face on an edge finds that first corner
+    already paired; an edge in one face leaves the dict with fewer than
+    3F/2 edges.
+    """
+    across = array.array("i", [-1]) * (3 * len(faces))  # -1: not paired yet
+    first: typing.Dict[Edge, int] = {}
+    meet = first.setdefault
+    corner = 0
+    for a, b, c in faces:
+        for edge in ((a, b), (a, c), (b, c)):
+            other = meet(edge, corner)
+            if other != corner:
+                if across[other] >= 0:
+                    return None
+                across[other] = corner
+                across[corner] = other
+            corner += 1
+    return across if 2 * len(first) == corner else None
+
+
+def _edge_faces(faces: typing.Iterable[Face]) -> typing.Dict[Edge, typing.Tuple[Face, ...]]:
+    """The edge -> incident-faces map of sorted faces, each tuple in face order."""
+    edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]] = {}
+    get = edge_faces.get
+    for face in faces:
+        a, b, c = face
+        for edge in ((a, b), (a, c), (b, c)):
+            edge_faces[edge] = get(edge, ()) + (face,)
+    return edge_faces
+
+
+def _check(faces) -> typing.Tuple[typing.List[Face], typing.Optional[array.array],
                                   typing.List[Vertex], typing.List[Violation]]:
     """Canonicalize a face list, derive its incidence once and validate it.
 
     Accepts a ``Triangulation`` or any iterable of vertex triples.  Returns the
-    sorted faces, the edge -> incident-faces map (in sorted-face order), the
-    sorted vertices (empty unless valid) and every violation, in rule order:
+    sorted faces, their corner table ``across`` and the sorted vertices (None
+    and empty unless valid) and every violation, in rule order:
     NonTriangleInput and DuplicateFace by input position, EdgeDegreeViolation
     by edge, NonManifoldVertex by vertex, then Disconnected.
 
-    A face list that passes the per-face and edge-degree checks is
-    certified by one walk over its corners (``_walk_corners``), which
-    proves at once that every link is one cycle and that the faces are
-    connected.  Only when it falls short do the link and connectivity
-    report passes run, to name what is wrong.
+    A face list that passes the per-face checks and pairs every corner
+    (``_corner_table``) is certified by one walk over its corners
+    (``_walk_corners``), which proves at once that every link is one cycle
+    and that the faces are connected.  Only when either falls short is the
+    edge-to-faces map built, for the report passes that name what is wrong.
 
-    Every face, edge and vertex returned holds one string object per vertex
-    label, the first one met (``one``), so the input's other copies of it,
-    one per occurrence in a parsed document, can be freed.  The per-entry
-    copies are dropped before the edge map is built.
+    Every face and vertex returned holds one string object per vertex label,
+    the first one met (``one``), so the input's other copies of it, one per
+    occurrence in a parsed document, can be freed.  The per-entry copies
+    are dropped before the corners are paired.
     """
     raw = faces.faces if isinstance(faces, Triangulation) else faces
     violations = []
@@ -245,7 +303,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face],
     try:
         entries = [tuple(item) for item in raw]
     except TypeError as exc:
-        return [], {}, [], [Violation(
+        return [], None, [], [Violation(
             NON_TRIANGLE, (), f"face list is not a list of vertex triples: {exc}")]
     for i, entry in enumerate(entries):
         # The subject holds the entry only once its labels are known to be
@@ -288,31 +346,23 @@ def _check(faces) -> typing.Tuple[typing.List[Face],
 
     faces = sorted(seen)
     del entries, seen, one
-    edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]] = {}
-    get = edge_faces.get
-    for face in faces:
-        a, b, c = face
-        edge = a, b
-        edge_faces[edge] = get(edge, ()) + (face,)
-        edge = a, c
-        edge_faces[edge] = get(edge, ()) + (face,)
-        edge = b, c
-        edge_faces[edge] = get(edge, ()) + (face,)
     if not faces:
         violations.append(Violation(NON_TRIANGLE, (), "empty face list"))
-        return faces, edge_faces, [], violations
-    if any(len(incident) != 2 for incident in edge_faces.values()):
+        return faces, None, [], violations
+    across = _corner_table(faces)
+    if across is not None and not violations:
+        vertices = _walk_corners(faces, across)
+        if vertices is not None:
+            return faces, across, vertices, violations
+    edge_faces = _edge_faces(faces)
+    if across is None:
         for edge in sorted(edge_faces):
             incident = edge_faces[edge]
             if len(incident) != 2:
                 violations.append(Violation(
                     EDGE_DEGREE, (edge,),
                     f"edge {edge} lies in {len(incident)} face(s), expected 2 (E1)"))
-
-    if not violations:
-        vertices = _walk_corners(faces, edge_faces)
-        if vertices is not None:
-            return faces, edge_faces, vertices, violations
+    elif not violations:
         # Under (E1) v is a manifold point iff the link cycle walked from one
         # face at v holds all of its faces.
         faces_at = collections.Counter(itertools.chain.from_iterable(faces))
@@ -356,7 +406,7 @@ def _check(faces) -> typing.Tuple[typing.List[Face],
             DISCONNECTED, tuple(missing_faces),
             f"face adjacency graph is disconnected; "
             f"{len(missing_faces)} unreachable face(s)"))
-    return faces, edge_faces, [], violations
+    return faces, None, [], violations
 
 
 def validate(faces) -> ValidationReport:
@@ -374,35 +424,51 @@ class Triangulation:
     """A validated triangulation, immutable and hashable.
 
     Construction canonicalizes the face list, validates it strictly and
-    derives ``edge_faces`` and the vertices; an invalid face list raises
-    ``ValidationFailure`` instead of producing an object.  Connected sums skip that pass: they
-    are glued onto a ``_Surface`` and handed over by ``_Surface.freeze``.
-    Instances are value objects (equality and hash by face set) and safe to
-    share between threads; every operation on them is a pure function.
+    derives the corner table ``across`` and the vertices; an invalid face
+    list raises ``ValidationFailure`` instead of producing an object.
+    Connected sums skip that pass: they are glued onto a ``_Surface`` and
+    handed over by ``_Surface.freeze``.  Instances are value objects
+    (equality and hash by face set) and safe to share between threads;
+    every operation on them is a pure function.
 
-    ``edge_faces`` is the only edge record and the only face lookup:
-    ``edges`` sorts its keys on each read, and ``has_face(face)`` holds iff
-    ``face`` is a tuple among the faces of the edge ``face[:2]``, so only a
-    canonical (sorted) triple of the triangulation is found.
+    ``across`` is the only incidence stored; by (E1) there are E = 3F/2
+    edges.  ``has_face(face)`` bisects the sorted faces, so only a canonical
+    (sorted) triple of the triangulation is found.  ``edges`` and the
+    read-only ``edge_faces`` map are built from the faces when read, the map
+    once per triangulation.
     """
 
-    __slots__ = ("faces", "edge_faces", "vertices", "_cache")
+    __slots__ = ("faces", "vertices", "across", "_cache")
 
     def __init__(self, faces):
-        faces, edge_faces, vertices, violations = _check(faces)
+        faces, across, vertices, violations = _check(faces)
         if violations:
             raise ValidationFailure(ValidationReport(tuple(violations)))
         self.faces: typing.Tuple[Face, ...] = tuple(faces)
-        self.edge_faces: typing.Dict[Edge, typing.Tuple[Face, Face]] = edge_faces
         self.vertices: typing.Tuple[str, ...] = tuple(vertices)
+        self.across: array.array = across
         self._cache: dict = {}
 
     @property
     def edges(self) -> typing.Tuple[Edge, ...]:
-        return tuple(sorted(self.edge_faces))
+        return tuple(sorted({edge for face in self.faces for edge in face_edges(face)}))
+
+    @property
+    def edge_faces(self) -> typing.Mapping[Edge, typing.Tuple[Face, Face]]:
+        """Each edge's two faces, in face order."""
+        edge_faces = self._cache.get("edge_faces")
+        if edge_faces is None:
+            edge_faces = self._cache["edge_faces"] = types.MappingProxyType(
+                _edge_faces(self.faces))
+        return edge_faces
 
     def has_face(self, face: Face) -> bool:
-        return isinstance(face, tuple) and face in self.edge_faces.get(face[:2], ())
+        faces = self.faces
+        try:
+            i = bisect.bisect_left(faces, face)
+        except TypeError:  # no tuple, or a label that text does not compare with
+            return False
+        return i < len(faces) and faces[i] == face
 
     def __eq__(self, other):
         return isinstance(other, Triangulation) and self.faces == other.faces
@@ -412,7 +478,7 @@ class Triangulation:
 
     def __repr__(self):
         return (f"Triangulation({len(self.vertices)} vertices, "
-                f"{len(self.edge_faces)} edges, {len(self.faces)} faces)")
+                f"{3 * len(self.faces) // 2} edges, {len(self.faces)} faces)")
 
 
 _PREFIX = re.compile(r"s(\d+)\.")
@@ -425,11 +491,9 @@ def _prefix_numbers(labels: typing.Iterable[str]) -> typing.Set[int]:
             if label[:1] == "s" and (found := match(label))}
 
 
-def _least_free_prefix(taken: typing.AbstractSet[int]) -> str:
-    k = 0
-    while k in taken:
-        k += 1
-    return f"s{k}."
+def _least_free(taken: typing.AbstractSet[int]) -> int:
+    """The least k not in ``taken``: one of 0..len(taken) is free."""
+    return min(set(range(len(taken) + 1)) - taken)
 
 
 def _check_sum_inputs(host, face: Face, other_tri: Triangulation,
@@ -451,12 +515,20 @@ def _check_sum_inputs(host, face: Face, other_tri: Triangulation,
 class _Surface:
     """A triangulation under repair: a chain of connected sums applied in place.
 
-    Holds the sorted faces, ``edge_faces``, the sorted vertices and
-    ``taken``, the k of every "s<k>." prefix that starts a label.  ``glue``
-    checks and applies one sum, touching only the patch's faces and edges;
-    ``freeze`` hands the result over as a ``Triangulation``, not validated
-    again: once ``glue``'s checks pass, a sum of two valid triangulations
-    is valid for local reasons:
+    Numbers its faces by slot: ``faces[s]`` is the face in slot s, or None
+    at a tombstone, the slot of a removed face, and ``slot`` maps each live
+    face to its slot.  ``across`` is the corner table over the slots, as in
+    a ``Triangulation``; a tombstone's corners are stale.  Slots never move,
+    and each glue appends its patch faces' slots, so ``zigzag._ZigzagState``
+    shares ``slot`` and ``across``.  Also holds the set of vertices, the k
+    of every "s<k>." prefix that starts a label (``taken``) and the least k
+    not taken (``free``).
+
+    ``glue`` checks and applies one sum, touching only the patch's corners
+    and the three host corners across the removed face; ``freeze`` sorts the
+    live faces and the vertices once and hands the result over as a
+    ``Triangulation``, not validated again: once ``glue``'s checks pass, a sum of two valid
+    triangulations is valid for local reasons:
 
     * every relabeled patch face but the glued one has a fresh vertex, so it
       is no host face (E2); a patch edge is a host edge only if both its ends
@@ -471,28 +543,36 @@ class _Surface:
       edges join the two sides.
     """
 
-    __slots__ = ("faces", "edge_faces", "vertices", "taken")
+    __slots__ = ("faces", "slot", "across", "vertices", "taken", "free")
 
     def __init__(self, tri: Triangulation):
-        self.faces: typing.List[Face] = list(tri.faces)
-        self.edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]] = dict(tri.edge_faces)
-        self.vertices: typing.List[Vertex] = list(tri.vertices)
+        self.faces: typing.List[typing.Optional[Face]] = list(tri.faces)
+        self.slot: typing.Dict[Face, int] = {face: s for s, face in enumerate(tri.faces)}
+        self.across = tri.across[:]
+        self.vertices: typing.Set[Vertex] = set(tri.vertices)
         self.taken = _prefix_numbers(tri.vertices)
+        self.free = _least_free(self.taken)
 
-    has_face = Triangulation.has_face
+    def has_face(self, face: Face) -> bool:
+        """Whether ``face`` is a live face, given canonical (sorted)."""
+        try:
+            return face in self.slot
+        except TypeError:  # unhashable
+            return False
 
     def glue(self, face: Face, patch: Triangulation, patch_face: Face, gluing,
              relabeling: typing.Optional[typing.Mapping[str, str]] = None,
              ) -> typing.Tuple[typing.List[Face], tuple]:
         """Sum ``patch`` onto ``face`` through the ``surgery.SpecialMap``
         ``gluing`` to ``patch_face``, with the fresh labels ``relabeling`` or
-        else the first "s<k>." prefix not ``taken``.  Changes nothing unless
-        every check passes.  Returns the added faces, in patch face order,
-        and the sorted (vertex, fresh label) pairs."""
+        else the "s<k>." prefix ``free``.  Changes nothing unless every check
+        passes.  The added faces take new slots, in patch face order, and
+        ``face`` becomes a tombstone.  Returns the added faces and the sorted
+        (vertex, fresh label) pairs."""
         face, patch_face = _check_sum_inputs(self, face, patch, patch_face, gluing)
         loose = [v for v in patch.vertices if v not in patch_face]
         if relabeling is None:
-            prefix = _least_free_prefix(self.taken)
+            prefix = f"s{self.free}."
             fresh = {v: prefix + v for v in loose}
         else:
             fresh = dict(relabeling)
@@ -503,55 +583,83 @@ class _Surface:
                 raise LabelCollision("explicit relabeling must map to non-empty text")
             if len(set(fresh.values())) != len(loose):
                 raise LabelCollision("explicit relabeling is not injective")
-        faces, edge_faces, vertices = self.faces, self.edge_faces, self.vertices
-        collisions = sorted(label for label in fresh.values()
-                            if (i := bisect.bisect_left(vertices, label)) < len(vertices)
-                            and vertices[i] == label)
+        faces, slot, across, vertices = self.faces, self.slot, self.across, self.vertices
+        collisions = sorted(label for label in fresh.values() if label in vertices)
         if collisions:
             raise LabelCollision(
                 f"fresh labels collide with existing vertices: {collisions}")
-        chi = len(vertices) - len(edge_faces) + len(faces) + euler_characteristic(patch) - 2
+        # V - E + F = V - F/2, as E = 3F/2.
+        chi = len(vertices) - len(slot) // 2 + euler_characteristic(patch) - 2
 
         label = {**fresh, **{target: source for source, target in gluing.pairs}}
-        relabeled = {f: typing.cast(Face, tuple(sorted(label[v] for v in f)))
-                     for f in patch.faces if f != patch_face}
-        glued = face_edges(patch_face)
-        for edge, incident in patch.edge_faces.items():
-            u, v = label[edge[0]], label[edge[1]]
-            key = (u, v) if u < v else (v, u)
-            if edge in glued:
-                kept = [f for f in edge_faces[key] if f != face]
-                kept += [relabeled[f] for f in incident if f != patch_face]
-                if len(kept) != 2:
-                    raise AssertionError(f"glued edge {key} lies in {len(kept)} face(s)")
-            else:
-                kept = [relabeled[f] for f in incident]
-            edge_faces[key] = tuple(sorted(kept))
-        del faces[bisect.bisect_left(faces, face)]
-        added = list(relabeled.values())
-        for f in added:
-            bisect.insort(faces, f)
-        for v in fresh.values():
-            bisect.insort(vertices, v)
+        glued = bisect.bisect_left(patch.faces, patch_face)
+        gone = slot.pop(face)
+        first = len(faces)
+        # The corner of the sum at each patch corner: the corner of its
+        # relabeled face, whose vertex slots may be reordered, or, on the
+        # glued face, the host corner across the same edge of ``face``.
+        corner_of = [0] * len(patch.across)
+        for i, (s, t) in enumerate(EDGE_SLOTS):
+            u, v = label[patch_face[s]], label[patch_face[t]]
+            corner_of[3 * glued + i] = across[3 * gone + face.index(u) + face.index(v) - 1]
+        added = []
+        for p, (x, y, z) in enumerate(patch.faces):
+            if p == glued:
+                continue
+            x, y, z = label[x], label[y], label[z]
+            # The slot each vertex moves to when the relabeled face is sorted.
+            rx, ry = (x > y) + (x > z), (y > x) + (y > z)
+            rz = 3 - rx - ry
+            ordered = [x, y, z]
+            ordered[rx], ordered[ry], ordered[rz] = x, y, z
+            s = first + len(added)
+            corner_of[3 * p:3 * p + 3] = (3 * s + rx + ry - 1, 3 * s + rx + rz - 1,
+                                          3 * s + ry + rz - 1)
+            added.append(typing.cast(Face, tuple(ordered)))
+            slot[added[-1]] = s
+        block = [0] * (3 * len(added))
+        for pc, pd in enumerate(patch.across):
+            if pc // 3 != glued:
+                block[corner_of[pc] - 3 * first] = corner_of[pd]
+        across.extend(block)
+        for pc in range(3 * glued, 3 * glued + 3):
+            across[corner_of[pc]] = corner_of[patch.across[pc]]
+        # Every new corner is its partner's partner.
+        corners = range(3 * first, len(across))
+        if list(map(across.__getitem__, map(across.__getitem__, corners))) != list(corners):
+            raise AssertionError("glued corners do not pair up")
+        faces += added
+        faces[gone] = None
+        vertices.update(fresh.values())
         self.taken |= _prefix_numbers(fresh.values())
-        if len(vertices) - len(edge_faces) + len(faces) != chi:
+        while self.free in self.taken:
+            self.free += 1
+        if len(vertices) - len(slot) // 2 != chi:
             raise AssertionError("connected sum changed the Euler characteristic")
         return added, tuple(sorted(fresh.items()))
 
     def freeze(self) -> Triangulation:
-        """The surface as a ``Triangulation``, not validated again.  Its
-        ``edge_faces`` is handed over, so glue nothing after freezing."""
+        """The surface as a ``Triangulation``, not validated again: the live
+        faces sorted once, and ``across`` renumbered to match."""
+        faces = sorted(self.slot)
+        slots = list(map(self.slot.__getitem__, faces))
+        first = [0] * len(self.faces)  # slot -> its face's first frozen corner
+        for f, s in enumerate(slots):
+            first[s] = 3 * f
+        frozen = [c + j for c in first for j in (0, 1, 2)]  # corner -> frozen corner
+        across = self.across.tolist()
         tri = object.__new__(Triangulation)
-        tri.faces = tuple(self.faces)
-        tri.edge_faces = self.edge_faces
-        tri.vertices = tuple(self.vertices)
+        tri.faces = tuple(faces)
+        tri.vertices = tuple(sorted(self.vertices))
+        tri.across = array.array("i", [frozen[across[c]] for s in slots
+                                       for c in (3 * s, 3 * s + 1, 3 * s + 2)])
         tri._cache = {}
         return tri
 
 
 def euler_characteristic(tri: Triangulation) -> int:
-    """V - E + F."""
-    return len(tri.vertices) - len(tri.edge_faces) + len(tri.faces)
+    """V - E + F, with E = 3F/2 by (E1)."""
+    return len(tri.vertices) - 3 * len(tri.faces) // 2 + len(tri.faces)
 
 
 def is_orientable(tri: Triangulation) -> bool:
@@ -559,24 +667,24 @@ def is_orientable(tri: Triangulation) -> bool:
     on every shared edge.
 
     Propagates an orientation sign over the face adjacency graph (connected
-    by validation); a sign conflict certifies non-orientability.  Sign 1 on
-    a sorted face (a, b, c) is the boundary a->b->c->a, which runs along
-    every sorted edge of the face except (a, c).
+    by validation) through ``across``; a sign conflict certifies
+    non-orientability.  Sign 1 on a sorted face (a, b, c) is the boundary
+    a->b->c->a, which runs along every sorted edge of the face except (a, c),
+    edge 1.  So faces f and g across edges j and i run their common edge
+    against each other iff their signs differ, unless one of j and i is 1.
     """
-    sign = {tri.faces[0]: 1}
-    stack = [tri.faces[0]]
+    across = tri.across
+    sign = [0] * len(tri.faces)
+    sign[0] = 1
+    stack = [0]
     while stack:
-        face = stack.pop()
-        a, b, c = face
-        for edge, direction in (((a, b), sign[face]), ((b, c), sign[face]),
-                                ((a, c), -sign[face])):
-            first, second = tri.edge_faces[edge]
-            neighbor = second if first == face else first
-            # The neighbour must run the edge against ``direction``.
-            required = direction if edge == (neighbor[0], neighbor[2]) else -direction
-            if neighbor not in sign:
-                sign[neighbor] = required
-                stack.append(neighbor)
-            elif sign[neighbor] != required:
+        f = stack.pop()
+        for j in range(3):
+            g, i = divmod(across[3 * f + j], 3)
+            required = sign[f] if (j == 1) != (i == 1) else -sign[f]
+            if not sign[g]:
+                sign[g] = required
+                stack.append(g)
+            elif sign[g] != required:
                 return False
     return True

@@ -10,6 +10,7 @@ n = 2k+1 gives M3 for odd k and M4 for even k; n = 2k gives M5 for even k
 and M7 for odd k > 1 (every face alike, by symmetry).
 """
 
+import bisect
 import random
 
 from .core import Triangulation, _Surface, make_face
@@ -152,11 +153,16 @@ def random_sphere(seed: int, steps: int) -> Triangulation:
     if steps < 0:
         raise ParameterOutOfRange(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
-    surface = _Surface(bipyramid(rng.randint(3, 9)))
+    start = bipyramid(rng.randint(3, 9))
+    surface = _Surface(start)
+    faces = list(start.faces)  # in sorted order, which each draw indexes
     for _ in range(steps):
-        face = surface.faces[rng.randrange(len(surface.faces))]
+        face = faces[rng.randrange(len(faces))]
         patch = bipyramid(rng.randint(3, 9))
         patch_face = patch.faces[rng.randrange(len(patch.faces))]
         gluing = enumerate_special_maps(face, patch_face)[rng.randrange(6)]
-        surface.glue(face, patch, patch_face, gluing)
+        added, _fresh = surface.glue(face, patch, patch_face, gluing)
+        del faces[bisect.bisect_left(faces, face)]
+        for new in added:
+            bisect.insort(faces, new)
     return surface.freeze()

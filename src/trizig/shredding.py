@@ -203,12 +203,13 @@ def _repair(surface: _Surface, state: _ZigzagState, face: Face) -> ShredStep:
     k - 2 and every face met by one pair stays so: the module docstring's
     lemma, by which the count of M5/M6/M7 faces strictly decreases.
     """
+    gone = surface.slot[face]
     monodromy = state.monodromy(face)
     bad_type = _shape(face, monodromy)[0]
     patch = patch_for(bad_type)
     gluing = _first_gluing(face, monodromy, patch)
-    added, fresh = surface.glue(face, patch.triangulation, patch.designated_face, gluing)
-    through = state.splice(surface.edge_faces, face, added, monodromy)
+    _added, fresh = surface.glue(face, patch.triangulation, patch.designated_face, gluing)
+    through = state.splice(gone, monodromy)
     if through != 2:
         raise AssertionError(
             f"repairing {face!r} left {through} zigzags through the patch, "
@@ -220,7 +221,7 @@ def shred_step(tri: Triangulation, face: Face) -> Triangulation:
     """Repair one face of type M5/M6/M7 by gluing its patch (``_repair``)."""
     face = tri.faces[_face_index(tri, face)]
     surface = _Surface(tri)
-    _repair(surface, _ZigzagState(tri), face)
+    _repair(surface, _ZigzagState(tri, surface), face)
     return surface.freeze()
 
 
@@ -239,15 +240,15 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     ``_ZigzagState`` tells after each splice.  All patches are glued onto one
     ``core._Surface``, frozen once at the end; its monodromies are matched
     against the shape table without building a ``MonodromyType`` per face.
-    The recorded zigzag length is 2E, as ``is_z_knotted`` checks that the
-    zigzag runs every edge twice.
+    The recorded zigzag length is 2E = 3F, as ``is_z_knotted`` checks that
+    the zigzag runs every edge twice.
     """
     steps = []
     current = tri
     bad = _bad_faces(tri)
     if bad:
         surface = _Surface(tri)
-        state = _ZigzagState(tri)
+        state = _ZigzagState(tri, surface)
         for face, _tag in bad:
             if state.orbit_count(face) > 2:
                 steps.append(_repair(surface, state, face))
@@ -261,7 +262,7 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
         raise AssertionError(
             f"shredding postcondition failed: z-knotted={knotted}, "
             f"all faces M1..M4={types_ok}")
-    return current, ShredCertificate(tuple(steps), 2 * len(current.edge_faces))
+    return current, ShredCertificate(tuple(steps), 3 * len(current.faces))
 
 
 @dataclass(frozen=True)
@@ -304,16 +305,17 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
             problems.append(f"step {i} does not apply: {exc}")
             break
     else:
-        if (surface.faces, surface.vertices) != (list(target.faces), list(target.vertices)):
+        replayed = sorted(surface.slot)
+        if (replayed, sorted(surface.vertices)) != (list(target.faces), list(target.vertices)):
             problems.append(
                 f"replayed output differs from target: replay has "
-                f"{len(surface.faces)} face(s) vs {len(target.faces)}, first "
+                f"{len(replayed)} face(s) vs {len(target.faces)}, first "
                 f"differing face "
-                f"{next(iter(sorted(set(surface.faces) ^ set(target.faces))), None)}")
+                f"{next(iter(sorted(set(replayed) ^ set(target.faces))), None)}")
         if not is_z_knotted(target):
             problems.append("target is not z-knotted")
         else:
-            actual = 2 * len(target.edge_faces)
+            actual = 3 * len(target.faces)
             if actual != certificate.final_zigzag_length:
                 problems.append(
                     f"certificate records zigzag length "

@@ -18,7 +18,7 @@ import typing
 from dataclasses import dataclass
 
 from .core import (OMEGA_SLOTS, Face, Triangulation, _check_sum_inputs,
-                   _least_free_prefix, _prefix_numbers, _Surface, make_face)
+                   _least_free, _prefix_numbers, _Surface, make_face)
 from .errors import (InvalidMonodromyType, InvalidSpecialMap, MonodromyNotIdentity,
                      NotZKnotted, SelfSum)
 from .monodromy import (_IDENTITY, DartPermutation, _monodromies, is_two_disjoint_3cycles,
@@ -89,7 +89,7 @@ def enumerate_special_maps(face: Face, other: Face) -> typing.Tuple[SpecialMap, 
 
 def fresh_label_prefix(labels: typing.Iterable[str]) -> str:
     """The smallest "s<k>." prefix that starts no existing label."""
-    return _least_free_prefix(_prefix_numbers(labels))
+    return f"s{_least_free(_prefix_numbers(labels))}."
 
 
 def connected_sum(tri: Triangulation, face: Face,

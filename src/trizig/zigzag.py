@@ -9,9 +9,10 @@ zigzags are its orbits; everything else here (knottedness, per-face zigzag
 sets, essential faces, Gauss codes) is read off the orbit partition.
 
 Internally position (omega(F)[k], F) is the int 6 f + k, where f indexes F
-in the sorted face tuple; the step map and each orbit are packed int arrays
-(``array("i")``), so no int object per position stays alive, and darts and
-positions are built only where the public API returns them.
+in the sorted face tuple; the step map, read off the triangulation's corner
+table, and each orbit are packed int arrays (``array("i")``), so no int
+object per position stays alive, and darts and positions are built only
+where the public API returns them.
 """
 
 import array
@@ -19,8 +20,8 @@ import bisect
 import collections
 import typing
 
-from .core import (OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
-                   OMEGA_SLOTS, Dart, Edge, Face, Triangulation, face_edges,
+from .core import (EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
+                   OMEGA_SLOTS, Dart, Face, Triangulation, _Surface,
                    face_rotation_inverse, make_face, omega, third_vertex)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
 
@@ -68,26 +69,31 @@ def reverse_position(position: Position) -> Position:
     return Position(-face_rotation_inverse(face, dart), face)
 
 
-# The darts of a sorted face (a, b, c) on its edge uv, u < v, indexed by
-# (u != a) + (v == c) for ab, ac, bc: the omega indices of u -> v and v -> u,
-# then of their rotations D(u -> v) and D(v -> u).
-_EDGE_SIDES = ((0, 3, 1, 5), (5, 2, 4, 0), (1, 4, 2, 3))
+# The step entries across an edge, by its edge slots j in face f and i in
+# face g: entry 3 j + i is (k, m, k2, m2), where position 6 f + k, the dart
+# u -> v (u < v) on edge j, steps to 6 g + m, D(u -> v) in g, and 6 f + k2,
+# the dart v -> u, steps to 6 g + m2, D(v -> u) in g.  Both faces are
+# sorted, so u is the lesser end in both.
+_CROSSING = tuple(
+    (OMEGA_SLOTS.index((s, t)), OMEGA_ROTATION[OMEGA_SLOTS.index((s2, t2))],
+     OMEGA_SLOTS.index((t, s)), OMEGA_ROTATION[OMEGA_SLOTS.index((t2, s2))])
+    for s, t in EDGE_SLOTS for s2, t2 in EDGE_SLOTS)
+
+# The edge slot of dart k of a face: its vertex slots s, t name edge s + t - 1.
+_DART_EDGE = tuple(s + t - 1 for s, t in OMEGA_SLOTS)
 
 
-def _link(step, slot, edge_faces, edges) -> None:
-    """Set the four step entries across each of ``edges``, both sides at once.
-
-    Position 6 slot[F] + k is dart k of face F, and the step from (d, F) is
-    D(d) read in the other face of d's edge, as ``edge_faces`` gives it.
-    """
-    for edge in edges:
-        u, v = edge
-        one, two = edge_faces[edge]
-        out, back, out_next, back_next = _EDGE_SIDES[(one[0] != u) + (one[2] == v)]
-        out2, back2, out2_next, back2_next = _EDGE_SIDES[(two[0] != u) + (two[2] == v)]
-        here, there = 6 * slot[one], 6 * slot[two]
-        step[here + out], step[here + back] = there + out2_next, there + back2_next
-        step[there + out2], step[there + back2] = here + out_next, here + back_next
+def _cross(step, corners: typing.Iterable[typing.Tuple[int, int]]) -> None:
+    """Set the two step entries on corner c's side of its edge, for each
+    (c, across[c]) in ``corners``: the step from (d, F) is D(d) read in the
+    other face of d's edge, and corner 3 g + i across from 3 f + j tells
+    that face and, through ``_CROSSING``, where D(d) sits in it."""
+    for c, d in corners:
+        j, i = c % 3, d % 3
+        k, m, k2, m2 = _CROSSING[3 * j + i]
+        here, there = 2 * (c - j), 2 * (d - i)
+        step[here + k] = there + m
+        step[here + k2] = there + m2
 
 
 def _walk(step: typing.List[int]
@@ -128,11 +134,11 @@ class _Kernel:
 
     Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
     6F = 4E this numbers the positions exactly.  ``step[p]`` is the position
-    after p, read off ``tri.edge_faces`` by ``_link``; ``orbits[o]`` lists
-    the positions of orbit o in step order, and ``orbit_of[p]`` is the orbit
-    of p, both from ``_walk``.  ``step`` and each orbit are ``array("i")``s,
-    so the kernel holds no int object per position; ``orbit_of`` is a list,
-    but of orbit ids, one int object per orbit.  ``partners[o]``, the orbit
+    after p, read off the corner table ``tri.across`` alone by ``_cross``;
+    ``orbits[o]`` lists the positions of orbit o in step order, and
+    ``orbit_of[p]`` is the orbit of p, both from ``_walk``.  ``step``,
+    ``orbit_of`` and each orbit are ``array("i")``s, so the kernel holds no
+    int object per position.  ``partners[o]``, the orbit
     of orbit o's reverse (through R of its first position), is checked to be
     a fixed-point-free involution once here.  Orbit ids follow int position
     order: orbit o holds the least position on none of orbits 0..o-1, and
@@ -144,16 +150,14 @@ class _Kernel:
     __slots__ = ("step", "orbit_of", "orbits", "partners")
 
     def __init__(self, tri: Triangulation):
-        faces = tri.faces
-        step_table = [0] * (6 * len(faces))
-        _link(step_table, {face: f for f, face in enumerate(faces)},
-              tri.edge_faces, tri.edge_faces)
-
-        self.orbits, self.orbit_of = _walk(step_table)
-        # Packed, like the orbits: as a list the table would keep the 4E int
-        # objects alive that the packed orbits let go.
+        step_table = [0] * (2 * len(tri.across))
+        _cross(step_table, enumerate(tri.across))
+        self.orbits, orbit_of = _walk(step_table)
+        # Packed, like the orbits: as lists the tables would keep the 4E int
+        # objects alive that the packed orbits let go, or 4E pointers.
         self.step = array.array("i", step_table)
-        self.partners = partners = [self.orbit_of[p - p % 6 + _REVERSAL[p % 6]]
+        self.orbit_of = array.array("i", orbit_of)
+        self.partners = partners = [orbit_of[p - p % 6 + _REVERSAL[p % 6]]
                                     for p in (orbit[0] for orbit in self.orbits)]
         if any(partner == i or partners[partner] != i
                for i, partner in enumerate(partners)):
@@ -171,25 +175,25 @@ def _root(parent: typing.List[int], c: int) -> int:
 class _ZigzagState:
     """The zigzag pairs of a surface under repair, kept current across sums.
 
-    Starts as a copy of the ``_Kernel`` step table.  Position 6 s + k is
-    dart k of the face in slot s, as in the kernel, but slots never move: a
-    removed face leaves a tombstone, which steps to itself, and the faces of
-    each patch take new slots from ``len(step) // 6`` on.  ``slot``, face
-    -> slot, is the state's own record of the faces, which a tombstone
-    lacks; its queries take a face and look its slot up there.  After
-    a sum the steps across the new edges are read off the glued
-    ``core._Surface``'s ``edge_faces`` by ``_link``.  ``orbit_of[p]`` is a
-    class of zigzag pairs, not an orbit: at the start each kernel orbit
-    joined with its reverse, and after every sum the classes through the
-    removed face merged into one.  ``parent`` is the union-find forest
-    (Tarjan, J. ACM 1975) over the class ids.
+    Starts as a copy of the ``_Kernel`` tables of a triangulation, for a
+    ``core._Surface`` made from it and not glued yet.  Position 6 s + k is
+    dart k of the face in slot s of that surface, as in the kernel, and the
+    surface's ``slot`` is the one face -> slot record: the queries take a
+    face and look its slot up there.  A removed face leaves a tombstone,
+    which steps to itself; the faces of each patch take the surface's new
+    slots, from ``len(step) // 6`` on, and after a sum the steps across
+    their edges are read off the surface's ``across`` by ``_cross``.
+    ``orbit_of[p]`` is a class of zigzag pairs, not an orbit: at the start
+    each kernel orbit joined with its reverse, and after every sum the
+    classes through the removed face merged into one.  ``parent`` is the
+    union-find forest (Tarjan, J. ACM 1975) over the class ids.
     """
 
-    __slots__ = ("slot", "step", "orbit_of", "parent")
+    __slots__ = ("surface", "step", "orbit_of", "parent")
 
-    def __init__(self, tri: Triangulation):
+    def __init__(self, tri: Triangulation, surface: _Surface):
         kernel = _kernel(tri)
-        self.slot = {face: s for s, face in enumerate(tri.faces)}
+        self.surface = surface
         self.step = list(kernel.step)
         self.orbit_of = list(kernel.orbit_of)
         self.parent = [min(i, partner) for i, partner in enumerate(kernel.partners)]
@@ -197,7 +201,7 @@ class _ZigzagState:
     def orbit_count(self, face: Face) -> int:
         """How many zigzags meet ``face``: 2 iff it is locally z-knotted.
         They are closed under reversal, so twice their pairs."""
-        parent, base = self.parent, 6 * self.slot[face]
+        parent, base = self.parent, 6 * self.surface.slot[face]
         return 2 * len({_root(parent, c) for c in self.orbit_of[base:base + 6]})
 
     def monodromy(self, face: Face) -> typing.Tuple[int, ...]:
@@ -205,7 +209,7 @@ class _ZigzagState:
         seed k maps to D^-1 of the dart of the next position in the face.
         Three seeds are walked: the reversed zigzag runs each arc backwards,
         so M(e) = e' gives M(-e') = -e."""
-        step, base = self.step, 6 * self.slot[face]
+        step, base = self.step, 6 * self.surface.slot[face]
         end = base + 6
         image = [-1] * 6
         for k in range(6):
@@ -218,36 +222,36 @@ class _ZigzagState:
                 image[OMEGA_NEGATION[e]] = OMEGA_NEGATION[k]
         return tuple(image)
 
-    def splice(self, edge_faces: typing.Mapping[Edge, typing.Tuple[Face, ...]],
-               removed: Face, added: typing.Sequence[Face],
-               monodromy: typing.Sequence[int]) -> int:
-        """Follow the sum that replaced ``removed``, of z-monodromy
-        ``monodromy``, by ``added`` (``edge_faces``), in O(patch).
+    def splice(self, removed: int, monodromy: typing.Sequence[int]) -> int:
+        """Follow the sum that replaced the face in slot ``removed``, of
+        z-monodromy ``monodromy``, by the faces in the surface's new slots,
+        in O(patch).
 
         Besides the removed face's, now a tombstone, only the steps across
         the new faces' edges change, and each starts or ends in a new face.
-        So the orbits through the new faces are the old ones through
-        ``removed``, cut and rejoined through the patch, and every host arc
-        between two of their visits to ``removed`` is unchanged: the arc
-        that left seed r comes back just before seed D(M(r)).  Only the
-        patch positions are walked, each host arc in one jump; returns how
-        many orbits they make, 2 when the sum joined them into one pair.
-        The removed face's classes merge into a fresh one, which every
-        patch position takes.  The host arcs' ends are the removed face's
-        step entries: seed r steps out to step[r] and in from R(step[R(r)]).
+        So the orbits through the new faces are the old ones through the
+        removed face, cut and rejoined through the patch, and every host arc
+        between two of their visits to it is unchanged: the arc that left
+        seed r comes back just before seed D(M(r)).  Only the patch
+        positions are walked, each host arc in one jump; returns how many
+        orbits they make, 2 when the sum joined them into one pair.  The
+        removed face's classes merge into a fresh one, which every patch
+        position takes.  The host arcs' ends are the removed face's step
+        entries: seed r steps out to step[r] and in from R(step[R(r)]).
         """
-        slot, step, orbit_of, parent = self.slot, self.step, self.orbit_of, self.parent
-        gone = 6 * slot.pop(removed)
+        step, orbit_of, parent = self.step, self.orbit_of, self.parent
+        across = self.surface.across
+        gone = 6 * removed
         # The host positions after and before each seed r of the removed face.
         exits = step[gone:gone + 6]
         entries = [p - p % 6 + _REVERSAL[p % 6] for p in map(exits.__getitem__, _REVERSAL)]
         step[gone:gone + 6] = range(gone, gone + 6)
         first = len(step)
-        for s, face in enumerate(added, first // 6):
-            slot[face] = s
-        step += [0] * (6 * len(added))
-        _link(step, slot, edge_faces,
-              {edge for face in added for edge in face_edges(face)})
+        # The patch corners, then the host corners across from them.
+        corners = [(c, across[c]) for c in range(first // 2, len(across))]
+        corners += [(d, c) for c, d in corners if d < first // 2]
+        step += [0] * (2 * len(across) - first)
+        _cross(step, corners)
 
         resume = {exits[r]: entries[OMEGA_ROTATION[monodromy[r]]] for r in range(6)}
         seen = bytearray(len(step) - first)
@@ -264,7 +268,7 @@ class _ZigzagState:
                     if p not in resume:
                         raise AssertionError(
                             f"a patch step leaves the patch for host position "
-                            f"{p}, which did not follow {removed!r}")
+                            f"{p}, which did not follow slot {removed}")
                     p = step[resume[p]]
                 if p == start:
                     break
@@ -479,20 +483,18 @@ def is_z_knotted(tri: Triangulation) -> bool:
     """Whether there is a single zigzag up to reversal.
 
     When true, each of the two directed zigzags traverses every edge exactly
-    twice; that consequence is re-checked here rather than trusted, on the
-    index of each position's edge in ``tri.edge_faces``.
+    twice; that consequence is re-checked here rather than trusted.  The
+    edge of corner c is named by the lesser of c and ``across[c]``.
     """
     orbits = _kernel(tri).orbits
     if len(orbits) != 2:
         return False
-    edge_id = {edge: i for i, edge in enumerate(tri.edge_faces)}
-    edge_at = []  # edge_at[6 f + k]: the edge of dart k of face f, in omega order
-    for a, b, c in tri.faces:
-        ab, bc, ac = edge_id[a, b], edge_id[b, c], edge_id[a, c]
-        edge_at += (ab, bc, ac, ab, bc, ac)
+    edge = [min(c, d) for c, d in enumerate(tri.across)]
+    # edge_at[6 f + k]: the edge of dart k of face f, in omega order.
+    edge_at = [edge[base + e] for base in range(0, len(edge), 3) for e in _DART_EDGE]
     for orbit in orbits:
         counts = collections.Counter(map(edge_at.__getitem__, orbit))
-        if len(counts) != len(edge_id) or set(counts.values()) != {2}:
+        if len(counts) != len(edge) // 2 or set(counts.values()) != {2}:
             raise AssertionError(
                 "single zigzag pair that does not traverse every edge twice")
     return True

@@ -231,10 +231,22 @@ def test_has_face_finds_every_face(full_corpus):
 def test_has_face_finds_only_canonical_faces():
     bp3 = tz.bipyramid(3)
     assert bp3.has_face(("1", "2", "a"))
+    # Int and mixed labels do not compare with text: the bisection must not
+    # raise on them.  Lists and unhashable labels are no faces either.
     for face in (("2", "1", "a"), ("a", "1", "2"), ("1", "2", "3"), ("1", "2"),
-                 ("1", "2", "a", "b"), "12a", None, 5):
+                 ("1", "2", "a", "b"), "12a", None, 5, (1, 2, 3), (1, 2, "a"),
+                 ("1", 2, "a"), ("1", "2", 3), ["1", "2", "a"], ("1", "2", ["a"])):
         assert not bp3.has_face(face), face
         assert not _Surface(bp3).has_face(face), face
+    # A face that a glue removed is a tombstone on the surface and no face of
+    # its freeze.
+    surface = _Surface(bp3)
+    gone, patch_face = ("1", "2", "b"), ("1", "2", "a")
+    surface.glue(gone, tz.bipyramid(3), patch_face,
+                 tz.enumerate_special_maps(gone, patch_face)[0])
+    assert surface.faces[bp3.faces.index(gone)] is None
+    assert not surface.has_face(gone)
+    assert not surface.freeze().has_face(gone)
 
 
 @given(st.lists(st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),

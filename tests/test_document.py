@@ -136,7 +136,9 @@ def test_a_parsed_surface_keeps_one_object_per_label():
 
 def test_an_analysed_document_holds_few_bytes_per_face():
     # Parse, zigzag kernel, monodromies and types of a 1 860-face torus,
-    # measured as the bytes still allocated once garbage is collected.
+    # measured as the bytes still allocated once garbage is collected.  The
+    # corner table keeps this near 230; an edge-to-faces dict kept alive
+    # with it would add about 230 more.
     text = tz.serialize(tz.torus_grid(30, 31))
     gc.collect()
     tracing = tracemalloc.is_tracing()
@@ -153,4 +155,4 @@ def test_an_analysed_document_holds_few_bytes_per_face():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert held / len(tri.faces) <= 650
+    assert held / len(tri.faces) < 350

@@ -1,7 +1,9 @@
-"""The integer zigzag kernel and shape table against step-by-step references.
+"""The corner table, the integer zigzag kernel and the shape table against
+step-by-step references.
 
 Every reference here walks the public ``step()``, which reads the
-triangulation's edge-to-faces map, and never touches the cached int tables.
+triangulation's edge-to-faces map, built from the faces alone, and never
+touches the corner table or the cached int tables.
 The surfaces cover tori, projective planes with random bipyramids summed on,
 random spheres and two z-knotted shredding outputs, so non-sphere surfaces
 are checked too.
@@ -214,9 +216,51 @@ def test_monodromy_types_carry_no_dict(knotted_corpus):
 def test_kernel_tables_are_packed_int_arrays(full_corpus):
     for tri in full_corpus:
         kernel = zigzag._kernel(tri)
-        assert kernel.step.__class__ is array.array and kernel.step.typecode == "i"
-        for orbit in kernel.orbits:
-            assert orbit.__class__ is array.array and orbit.typecode == "i"
+        for table in [tri.across, kernel.step, kernel.orbit_of] + kernel.orbits:
+            assert table.__class__ is array.array and table.typecode == "i"
+
+
+def _check_corner_table(tri):
+    """``across`` pairs the two corners of every edge, and freezing built
+    the table that validating the serialized faces builds."""
+    faces, across = tri.faces, tri.across
+    assert len(across) == 3 * len(faces)
+    for c, d in enumerate(across):
+        assert d != c and across[d] == c  # a fixed-point-free involution
+        assert d // 3 != c // 3
+        assert tz.face_edges(faces[c // 3])[c % 3] == tz.face_edges(faces[d // 3])[d % 3]
+    assert tz.parse(tz.serialize(tri)).across == across
+
+
+def _check_step_table(tri):
+    """The kernel's step table, entry by entry, against ``step()``."""
+    step = zigzag._kernel(tri).step
+    for f, face in enumerate(tri.faces):
+        for k, dart in enumerate(tz.omega(face)):
+            p = step[6 * f + k]
+            after = tri.faces[p // 6]
+            expected = Position(tz.omega(after)[p % 6], after)
+            assert tz.step(tri, Position(dart, face)) == expected
+
+
+def test_corner_and_step_tables_on_the_corpus(full_corpus):
+    # Most corpus surfaces are sums, frozen from a ``_Surface``.
+    for tri in full_corpus:
+        _check_corner_table(tri)
+        _check_step_table(tri)
+
+
+def test_corner_tables_of_shredded_outputs(named_corpus):
+    # A shredding freezes its surface after many glues.
+    for tri in named_corpus.values():
+        _check_corner_table(tz.shred(tri)[0])
+
+
+@SURFACES
+def test_corner_and_step_tables(build):
+    tri = build()
+    _check_corner_table(tri)
+    _check_step_table(tri)
 
 
 def test_monodromy_images_are_shape_table_keys(full_corpus):

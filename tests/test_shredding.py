@@ -438,11 +438,12 @@ def test_gauss_code_parity_law(named_corpus):
 
 def _check_splice(state, tri):
     """The spliced state against a fresh kernel and classification of ``tri``."""
-    assert sorted(state.slot) == list(tri.faces)
-    faces = [None] * (len(state.step) // 6)  # slot -> face, None at a tombstone
-    for face, s in state.slot.items():
-        assert faces[s] is None
-        faces[s] = face
+    surface = state.surface
+    assert sorted(surface.slot) == list(tri.faces)
+    faces = surface.faces  # slot -> face, None at a tombstone
+    assert len(faces) == len(state.step) // 6
+    assert sum(face is not None for face in faces) == len(surface.slot)
+    assert all(faces[s] == face for face, s in surface.slot.items())
     pairs = {}
     for p, c in enumerate(state.orbit_of):
         face = faces[p // 6]
@@ -481,10 +482,10 @@ def _shred_with_checked_splices(tri):
         surfaces.append(surface)
         return glue(surface, *args, **kwargs)
 
-    def checked(state, edge_faces, removed, added, monodromy):
-        through = splice(state, edge_faces, removed, added, monodromy)
-        assert edge_faces is surfaces[-1].edge_faces
-        current = tz.Triangulation(surfaces[-1].faces)
+    def checked(state, removed, monodromy):
+        through = splice(state, removed, monodromy)
+        assert state.surface is surfaces[-1]
+        current = tz.Triangulation(list(surfaces[-1].slot))
         _check_splice(state, current)
         spliced.append(current)
         return through
@@ -501,7 +502,7 @@ def _shred_with_checked_splices(tri):
 
 def test_splices_match_a_fresh_kernel(named_corpus):
     for tri in named_corpus.values():
-        _check_splice(_ZigzagState(tri), tri)
+        _check_splice(_ZigzagState(tri, _Surface(tri)), tri)
         out, _certificate = _shred_with_checked_splices(tri)
         assert tz.is_z_knotted(out)
 
@@ -528,16 +529,20 @@ def _check_count_identity(tri):
     drops = []
 
     def counted_glue(surface, face, *args, **kwargs):
-        before = tz.Triangulation(surface.faces)
+        before = tz.Triangulation(list(surface.slot))
         result = glue(surface, face, *args, **kwargs)
-        after = zigzag._Kernel(tz.Triangulation(surface.faces))
+        after = zigzag._Kernel(tz.Triangulation(list(surface.slot)))
         drops.append([len(zigzag._face_orbit_ids(before, face)),
                       len(zigzag._kernel(before).orbits) - len(after.orbits)])
         return result
 
-    def counted_splice(state, edge_faces, removed, added, monodromy):
-        assert state.orbit_count(removed) == drops[-1][0]
-        through = splice(state, edge_faces, removed, added, monodromy)
+    def counted_splice(state, removed, monodromy):
+        # The glue took the face out of the surface's slots, so its count is
+        # read off the classes of its six positions, as ``orbit_count`` does.
+        base = 6 * removed
+        classes = {zigzag._root(state.parent, c) for c in state.orbit_of[base:base + 6]}
+        assert 2 * len(classes) == drops[-1][0]
+        through = splice(state, removed, monodromy)
         drops[-1].append(through)
         return through
 
@@ -587,6 +592,20 @@ def test_shred_matches_the_reclassifying_loop(named_corpus, random_corpus):
         expected_out, expected = _shred_by_reclassifying(tri)
         assert tz.serialize(out) == tz.serialize(expected_out)
         assert certificate.to_json() == expected.to_json()
+
+
+def test_analysis_shredding_and_replay_build_no_edge_map():
+    # The corner table serves them all; the edge-to-faces map is built only
+    # when read.
+    tri = tz.parse(tz.serialize(tz.random_sphere(3, 20)))
+    tz.is_z_knotted(tri)
+    tz.all_zigzags(tri).count
+    tz.face_types(tri)
+    tz.is_orientable(tri)
+    out, certificate = tz.shred(tri)
+    assert tz.verify_certificate(tri, certificate, out).ok
+    assert "edge_faces" not in tri._cache and "edge_faces" not in out._cache
+    assert tri.edge_faces is tri.edge_faces  # built once, then kept
 
 
 def test_shred_classifies_the_whole_surface_at_most_twice(monkeypatch):
@@ -657,10 +676,10 @@ def test_shred_refuses_a_splice_given_a_wrong_monodromy(monkeypatch, make, args,
     # transposed the arcs rejoin wrongly and the patch count is off.
     splice = _ZigzagState.splice
 
-    def transposed(state, edge_faces, removed, added, monodromy):
+    def transposed(state, removed, monodromy):
         image = list(monodromy)
         image[i], image[j] = image[j], image[i]
-        return splice(state, edge_faces, removed, added, image)
+        return splice(state, removed, image)
 
     monkeypatch.setattr(_ZigzagState, "splice", transposed)
     with pytest.raises(AssertionError, match="repairing"):
@@ -668,17 +687,18 @@ def test_shred_refuses_a_splice_given_a_wrong_monodromy(monkeypatch, make, args,
 
 
 def test_shred_refuses_a_splice_that_breaks_the_patch_pair(monkeypatch):
-    # A splice links its new edges from a set; swapping two step entries of
-    # the last added face afterwards keeps a permutation but reroutes orbits.
-    link = zigzag._link
+    # A splice crosses its new corners from a list, a kernel from an
+    # enumeration; swapping two step entries of the last added face afterwards
+    # keeps a permutation but reroutes orbits.
+    cross = zigzag._cross
 
-    def swapped(step, slot, edge_faces, edges):
-        link(step, slot, edge_faces, edges)
-        if isinstance(edges, set):
+    def swapped(step, corners):
+        cross(step, corners)
+        if isinstance(corners, list):
             b = len(step) - 6
             step[b], step[b + 1] = step[b + 1], step[b]
 
-    monkeypatch.setattr(zigzag, "_link", swapped)
+    monkeypatch.setattr(zigzag, "_cross", swapped)
     with pytest.raises(AssertionError, match="repairing"):
         tz.shred(tz.bipyramid(8))
 

@@ -335,7 +335,7 @@ def _assert_matches_full_validation(tri):
     assert tri.faces == reference.faces
     assert tri.edges == reference.edges
     assert tri.vertices == reference.vertices
-    assert tri.edge_faces == reference.edge_faces  # tuple order included
+    assert tri.across == reference.across  # corner for corner
     assert tz.validate(tri).ok
 
 
@@ -368,15 +368,22 @@ def test_chained_sums_match_full_validation(pieces, data):
 
 
 def _assert_surface_matches_full_validation(surface):
-    reference = tz.Triangulation(surface.faces)
-    assert tuple(surface.faces) == reference.faces
-    assert tuple(sorted(surface.edge_faces)) == reference.edges
-    assert tuple(surface.vertices) == reference.vertices
-    assert surface.edge_faces == reference.edge_faces  # tuple order included
+    # The live faces by slot, and the slot corner table freezing renumbers.
+    assert all(surface.faces[s] == face for face, s in surface.slot.items())
+    assert sum(face is not None for face in surface.faces) == len(surface.slot)
+    reference = tz.Triangulation(list(surface.slot))
+    frozen = surface.freeze()
+    assert frozen.faces == reference.faces
+    assert frozen.edges == reference.edges
+    assert frozen.vertices == tuple(sorted(surface.vertices)) == reference.vertices
+    assert frozen.across == reference.across  # corner for corner
 
 
 def test_shred_intermediates_match_full_validation(monkeypatch):
     # Every glue of the generator's, the shredder's and the replay's chain.
+    # The patches are built first: the m1 patch is itself a sum.
+    for tag in ("M5", "M7"):
+        tz.patch_for(tag)
     glue = core._Surface.glue
     surfaces = []
 
@@ -386,14 +393,23 @@ def test_shred_intermediates_match_full_validation(monkeypatch):
         surfaces.append(surface)
         return result
 
+    freeze = core._Surface.freeze
+    frozen = []
+
+    def recorded_freeze(surface):
+        tri = freeze(surface)
+        frozen.append((surface, tri))
+        return tri
+
     monkeypatch.setattr(core._Surface, "glue", checked_glue)
+    monkeypatch.setattr(core._Surface, "freeze", recorded_freeze)
     tri = tz.random_sphere(3, 20)
     assert len(surfaces) == 20
     _assert_matches_full_validation(tri)
     out, certificate = tz.shred(tri)
     steps = len(certificate.steps)
     assert len(surfaces) == 20 + steps > 20
-    assert out.edge_faces is surfaces[-1].edge_faces  # frozen from the chain
+    assert frozen[-1][0] is surfaces[-1] and frozen[-1][1] is out  # frozen from the chain
     _assert_matches_full_validation(out)
     assert tz.verify_certificate(tri, certificate, out).ok
     assert len(surfaces) == 20 + 2 * steps
@@ -431,7 +447,7 @@ def test_label_prefixes_are_carried_along_a_chain_of_sums():
     face = ("1", "2", "a")
     explicit = {"3": "s0.q", "b": "s2.q"}
     for i in range(6):
-        host_face = next(f for f in surface.faces if f[0] in ("1", "2", "3"))
+        host_face = min(f for f in surface.slot if f[0] in ("1", "2", "3"))
         gluing = tz.enumerate_special_maps(host_face, face)[0]
         expected = fresh_label_prefix(surface.vertices)
         _added, relabeling = surface.glue(host_face, patch, face, gluing,
@@ -439,4 +455,21 @@ def test_label_prefixes_are_carried_along_a_chain_of_sums():
         if i != 2:
             assert all(label.startswith(expected) for _v, label in relabeling)
         assert surface.taken == _prefix_numbers(surface.vertices)
+        assert f"s{surface.free}." == fresh_label_prefix(surface.vertices)
+    assert tz.validate(surface.freeze()).ok
+
+
+def test_automatic_glues_skip_prefixes_taken_by_explicit_ones():
+    # The surface keeps its least free k: explicit relabelings take s0. and
+    # s2., and the automatic glues after them fill s1. and then go on at s3.
+    surface = core._Surface(tz.bipyramid(5))
+    patch, face = tz.bipyramid(3), ("1", "2", "a")
+    prefixes = []
+    for relabeling in ({"3": "s0.p", "b": "s0.q"}, {"3": "s2.p", "b": "s2.q"}, None, None):
+        host_face = min(surface.slot)
+        gluing = tz.enumerate_special_maps(host_face, face)[0]
+        _added, fresh = surface.glue(host_face, patch, face, gluing, relabeling)
+        prefixes.append({label[:3] for _v, label in fresh})
+    assert prefixes == [{"s0."}, {"s2."}, {"s1."}, {"s3."}]
+    assert surface.free == 4
     assert tz.validate(surface.freeze()).ok
