@@ -17,8 +17,9 @@ corner table (Rossignac, Safonova & Szymczak, "3D compression made simple:
 Edgebreaker with Corner-Table", 2001): ``across[3 f + j]`` is the corner
 3 g + i across edge j of face f, that edge being edge i of face g, with
 edges numbered in ``face_edges`` order ab, ac, bc.  Since both faces are
-sorted, the lesser end of the edge is the lesser end in both.  The
-edge-to-faces map and the sorted edges are built from the faces on demand.
+sorted, the lesser end of the edge is the lesser end in both.  It is the
+only incidence record, for every face list checked, valid or not: the
+corners of an edge in k faces form a k-cycle in it.
 Vertex labels are strings ordered lexicographically; integer labels are
 canonicalized to their decimal text so that relabeling during surgery stays
 stable.
@@ -99,14 +100,6 @@ EDGE_SLOTS = ((0, 1), (0, 2), (1, 2))
 # enters a face across its edge i, v being the lesser end of that edge iff
 # h is 0, and y the vertex off it.
 _ENTER_SLOTS = tuple((EDGE_SLOTS[i][h], 2 - i) for i in range(3) for h in (0, 1))
-
-
-def third_vertex(face: Face, u: Vertex, v: Vertex) -> Vertex:
-    """The vertex of ``face`` distinct from ``u`` and ``v``."""
-    for x in face:
-        if x != u and x != v:
-            return x
-    raise ValueError(f"face {face!r} has no vertex outside {{{u!r}, {v!r}}}")
 
 
 # Dart k of a face (a, b, c) in omega order ab, bc, ca, ba, cb, ac: its
@@ -193,9 +186,11 @@ def _reach(start, neighbours) -> set:
 
 
 def _walk_corners(faces: typing.List[Face], across: array.array,
-                  ) -> typing.Optional[typing.List[Vertex]]:
-    """The sorted vertices if every link is one cycle and the faces are
-    connected, else None.  Needs ``across`` (so (E1)) and (E2).
+                  ) -> typing.Tuple[typing.Dict[Vertex, int],
+                                    typing.Optional[typing.Dict[Vertex, int]]]:
+    """Each vertex reached -> a corner at it, and None if every link is one
+    cycle and the faces are connected, else each vertex -> the corners
+    walked around it.  Needs (E1) and (E2).
 
     Under (E1) and (E2) the faces at v form disjoint cycles (the link of v)
     in which faces sharing an edge vy are neighbours; each step crosses vy
@@ -207,7 +202,11 @@ def _walk_corners(faces: typing.List[Face], across: array.array,
     and its link is a single cycle.  Single-cycle links join the faces at
     each vertex, and a vertex graph connected through them joins all faces,
     so then the surface is also face-connected; conversely a connected
-    surface with single-cycle links has every vertex reached.
+    surface with single-cycle links has every vertex reached.  If the count
+    falls short, every vertex is walked once more, from its first corner,
+    and its count is its number of faces iff its link is one cycle.  The
+    first walk keeps no count per vertex: on a valid surface that would
+    only cost memory.
 
     A step reads only ints: in face f, with v and y at vertex slots s and
     t, edge vy is edge s + t - 1; its partner corner 3 g + i is edge i of
@@ -216,63 +215,73 @@ def _walk_corners(faces: typing.List[Face], across: array.array,
     """
     found = {v: s for s, v in enumerate(faces[0])}  # vertex -> 3 f + its slot in f
     stack = list(faces[0])
+    walked = None  # vertex -> corners walked around it, on the second walk
     corners = 0
-    while stack:
-        v = stack.pop()
-        c = found[v]
-        s = c % 3
-        base = c - s
-        u, t = EDGE_SLOTS[2 - s]  # the slots off s
-        face = faces[base // 3]
-        x, y = face[u], face[t]
-        corners += 1
-        while y != x:
-            d = across[base + s + t - 1]
-            i = d % 3
-            base = d - i
-            s, t = _ENTER_SLOTS[2 * i + (s > t)]
-            y = faces[base // 3][t]
-            corners += 1
-            if y not in found:
-                found[y] = base + t
-                stack.append(y)
-    return sorted(found) if corners == 3 * len(faces) else None
+    while True:
+        while stack:
+            v = stack.pop()
+            c = found[v]
+            s = c % 3
+            base = c - s
+            u, t = EDGE_SLOTS[2 - s]  # the slots off s
+            face = faces[base // 3]
+            x, y = face[u], face[t]
+            around = 1
+            while y != x:
+                d = across[base + s + t - 1]
+                i = d % 3
+                base = d - i
+                s, t = _ENTER_SLOTS[2 * i + (s > t)]
+                y = faces[base // 3][t]
+                around += 1
+                if y not in found:
+                    found[y] = base + t
+                    stack.append(y)
+            corners += around
+            if walked is not None:
+                walked[v] = around
+        if walked is not None or corners == 3 * len(faces):
+            return found, walked
+        found, walked = {}, {}
+        for c, v in enumerate(itertools.chain.from_iterable(faces)):
+            if v not in found:
+                found[v] = c
+                stack.append(v)
 
 
-def _corner_table(faces: typing.List[Face]) -> typing.Optional[array.array]:
-    """``across`` of the sorted faces, or None unless every edge lies in
-    exactly two faces (E1).
+def _corner_table(faces: typing.List[Face]
+                  ) -> typing.Tuple[array.array, typing.Optional[typing.Dict[Edge, int]]]:
+    """``across`` of the sorted faces, and, unless every edge lies in
+    exactly two faces (E1), the dict of each edge's first corner, through
+    which the corners meet; it is dropped under (E1).
 
-    Corners meet through a per-edge dict of each edge's first corner, which
-    is dropped on return.  A third face on an edge finds that first corner
-    already paired; an edge in one face leaves the dict with fewer than
-    3F/2 edges.
+    The corners on an edge form one cycle, and ``across[c]`` is the corner
+    after c on it: a pair under (E1), a fixed point for an edge in one face
+    and a k-cycle for an edge in k faces.
     """
-    across = array.array("i", [-1]) * (3 * len(faces))  # -1: not paired yet
+    across = array.array("i", [-1]) * (3 * len(faces))  # -1: alone on its edge so far
     first: typing.Dict[Edge, int] = {}
     meet = first.setdefault
+    crowded = False  # some edge lies in three or more faces
     corner = 0
     for a, b, c in faces:
         for edge in ((a, b), (a, c), (b, c)):
             other = meet(edge, corner)
-            if other != corner:
-                if across[other] >= 0:
-                    return None
+            if other != corner:  # join the edge's cycle right after its first corner
+                later = across[other]
+                if later < 0:
+                    across[corner] = other
+                else:
+                    across[corner] = later
+                    crowded = True
                 across[other] = corner
-                across[corner] = other
             corner += 1
-    return across if 2 * len(first) == corner else None
-
-
-def _edge_faces(faces: typing.Iterable[Face]) -> typing.Dict[Edge, typing.Tuple[Face, ...]]:
-    """The edge -> incident-faces map of sorted faces, each tuple in face order."""
-    edge_faces: typing.Dict[Edge, typing.Tuple[Face, ...]] = {}
-    get = edge_faces.get
-    for face in faces:
-        a, b, c = face
-        for edge in ((a, b), (a, c), (b, c)):
-            edge_faces[edge] = get(edge, ()) + (face,)
-    return edge_faces
+    if not crowded and 2 * len(first) == corner:
+        return across, None
+    for c in first.values():
+        if across[c] < 0:
+            across[c] = c
+    return across, first
 
 
 def _check(faces) -> typing.Tuple[typing.List[Face], typing.Optional[array.array],
@@ -288,8 +297,9 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.Optional[array.array
     A face list that passes the per-face checks and pairs every corner
     (``_corner_table``) is certified by one walk over its corners
     (``_walk_corners``), which proves at once that every link is one cycle
-    and that the faces are connected.  Only when either falls short is the
-    edge-to-faces map built, for the report passes that name what is wrong.
+    and that the faces are connected.  The report passes read the same
+    table: an edge's degree is the length of its corner cycle, the walk's
+    counts name the pinched vertices, and ``across`` joins the faces.
 
     Every face and vertex returned holds one string object per vertex label,
     the first one met (``one``), so the input's other copies of it, one per
@@ -349,59 +359,43 @@ def _check(faces) -> typing.Tuple[typing.List[Face], typing.Optional[array.array
     if not faces:
         violations.append(Violation(NON_TRIANGLE, (), "empty face list"))
         return faces, None, [], violations
-    across = _corner_table(faces)
-    if across is not None and not violations:
-        vertices = _walk_corners(faces, across)
-        if vertices is not None:
-            return faces, across, vertices, violations
-    edge_faces = _edge_faces(faces)
-    if across is None:
-        for edge in sorted(edge_faces):
-            incident = edge_faces[edge]
-            if len(incident) != 2:
+    across, first = _corner_table(faces)
+    if first is not None:
+        for edge in sorted(first):
+            c = first[edge]
+            degree, d = 1, across[c]
+            while d != c:
+                degree, d = degree + 1, across[d]
+            if degree != 2:
                 violations.append(Violation(
                     EDGE_DEGREE, (edge,),
-                    f"edge {edge} lies in {len(incident)} face(s), expected 2 (E1)"))
+                    f"edge {edge} lies in {degree} face(s), expected 2 (E1)"))
     elif not violations:
-        # Under (E1) v is a manifold point iff the link cycle walked from one
-        # face at v holds all of its faces.
+        found, walked = _walk_corners(faces, across)
+        if walked is None:
+            return faces, across, sorted(found), violations
         faces_at = collections.Counter(itertools.chain.from_iterable(faces))
-        pinched = []
-        for start in faces:
-            a, b, c = start
-            for v, x, y in ((a, b, c), (b, a, c), (c, a, b)):
-                if v not in faces_at:  # walked: its face count was popped
-                    continue
-                face, around = start, 1
-                while y != x:
-                    first, second = edge_faces[(v, y) if v < y else (y, v)]
-                    face = second if first == face else first
-                    p, q, r = face
-                    y = p if p != v and p != y else q if q != v and q != y else r
-                    around += 1
-                if around != faces_at.pop(v):
-                    pinched.append(v)
-        for v in sorted(pinched):
-            violations.append(Violation(
-                NON_MANIFOLD_VERTEX, (v,),
-                f"link of vertex {v!r} is not a single cycle (pinched surface)"))
+        for v in sorted(walked):
+            if walked[v] != faces_at[v]:
+                violations.append(Violation(
+                    NON_MANIFOLD_VERTEX, (v,),
+                    f"link of vertex {v!r} is not a single cycle (pinched surface)"))
 
     # Face-connected implies vertex-connected, so the vertex graph is walked
     # only to report it alongside a face graph that is found disconnected.
-    face_reached = _reach(faces[0], lambda f: (
-        edge_faces[f[0], f[1]] + edge_faces[f[0], f[2]] + edge_faces[f[1], f[2]]))
+    face_reached = _reach(0, lambda f: [d // 3 for d in across[3 * f:3 * f + 3]])
     if len(face_reached) != len(faces):
         adjacency: typing.Dict[str, set] = {}
-        for (u, v) in edge_faces:
-            adjacency.setdefault(u, set()).add(v)
-            adjacency.setdefault(v, set()).add(u)
+        for face in faces:
+            for v in face:
+                adjacency.setdefault(v, set()).update(face)
         reached = _reach(min(adjacency), adjacency.__getitem__)
         if len(reached) != len(adjacency):
             missing = sorted(set(adjacency) - reached)
             violations.append(Violation(
                 DISCONNECTED, tuple(missing),
                 f"vertex graph is disconnected; unreachable vertices {missing}"))
-        missing_faces = sorted(set(faces) - face_reached)
+        missing_faces = [face for f, face in enumerate(faces) if f not in face_reached]
         violations.append(Violation(
             DISCONNECTED, tuple(missing_faces),
             f"face adjacency graph is disconnected; "
@@ -433,9 +427,9 @@ class Triangulation:
 
     ``across`` is the only incidence stored; by (E1) there are E = 3F/2
     edges.  ``has_face(face)`` bisects the sorted faces, so only a canonical
-    (sorted) triple of the triangulation is found.  ``edges`` and the
-    read-only ``edge_faces`` map are built from the faces when read, the map
-    once per triangulation.
+    (sorted) triple of the triangulation is found.  ``edges`` is built from
+    the faces when read, and the read-only ``edge_faces`` map from
+    ``across``, once per triangulation.
     """
 
     __slots__ = ("faces", "vertices", "across", "_cache")
@@ -458,8 +452,10 @@ class Triangulation:
         """Each edge's two faces, in face order."""
         edge_faces = self._cache.get("edge_faces")
         if edge_faces is None:
-            edge_faces = self._cache["edge_faces"] = types.MappingProxyType(
-                _edge_faces(self.faces))
+            faces = self.faces
+            edge_faces = self._cache["edge_faces"] = types.MappingProxyType({
+                face_edges(faces[c // 3])[c % 3]: (faces[c // 3], faces[d // 3])
+                for c, d in enumerate(self.across) if c < d})
         return edge_faces
 
     def has_face(self, face: Face) -> bool:

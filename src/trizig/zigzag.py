@@ -22,7 +22,7 @@ import typing
 
 from .core import (EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
                    OMEGA_SLOTS, Dart, Face, Triangulation, _Surface,
-                   face_rotation_inverse, make_face, omega, third_vertex)
+                   face_rotation_inverse, make_face, omega)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
 
 
@@ -33,7 +33,8 @@ class Position(typing.NamedTuple):
     face: Face
 
 
-def _check_position(tri: Triangulation, position: Position) -> None:
+def _check_position(tri: Triangulation, position: Position) -> int:
+    """The index in ``tri.faces`` of the face of a valid position."""
     dart, face = position
     if not tri.has_face(face):
         raise InvalidPosition(f"face {face!r} not in triangulation")
@@ -41,6 +42,7 @@ def _check_position(tri: Triangulation, position: Position) -> None:
         raise InvalidPosition(f"degenerate dart {dart!r}")
     if dart.tail not in face or dart.head not in face:
         raise InvalidPosition(f"dart {dart!r} is not on face {face!r}")
+    return bisect.bisect_left(tri.faces, face)
 
 
 def step(tri: Triangulation, position: Position) -> Position:
@@ -49,12 +51,14 @@ def step(tri: Triangulation, position: Position) -> Position:
     For position ((u, v), F) the walk continues in the other face F'
     containing {u, v}: the next dart runs from v to the third vertex of F',
     and F' becomes the face of the new position.  A bijection on positions.
+    It reads ``tri.across``: {u, v} is edge s + t - 1 of F, with u and v
+    at slots s and t, and edge i of F', whose third vertex is at slot 2 - i.
     """
-    _check_position(tri, position)
+    f = _check_position(tri, position)
     (u, v), face = position
-    first, second = tri.edge_faces[position.dart.edge]
-    next_face = second if first == face else first
-    return Position(Dart(v, third_vertex(next_face, u, v)), next_face)
+    g, i = divmod(tri.across[3 * f + face.index(u) + face.index(v) - 1], 3)
+    next_face = tri.faces[g]
+    return Position(Dart(v, next_face[2 - i]), next_face)
 
 
 def reverse_position(position: Position) -> Position:
@@ -465,11 +469,9 @@ def _build_atlas(tri: Triangulation) -> ZigzagAtlas:
 
 def trace(tri: Triangulation, position: Position) -> Zigzag:
     """The zigzag through a position: iterate step until first return."""
-    _check_position(tri, position)
+    f = _check_position(tri, position)
     dart, face = position
     kernel = _kernel(tri)
-    # _check_position found ``face`` among the faces, so it is canonical.
-    f = bisect.bisect_left(tri.faces, face)
     orbit_id = kernel.orbit_of[6 * f + omega(face).index(dart)]
     return _zigzag(tri.faces, kernel.orbits[orbit_id])
 

@@ -135,10 +135,10 @@ def test_a_parsed_surface_keeps_one_object_per_label():
 
 
 def test_an_analysed_document_holds_few_bytes_per_face():
-    # Parse, zigzag kernel, monodromies and types of a 1 860-face torus,
-    # measured as the bytes still allocated once garbage is collected.  The
-    # corner table keeps this near 230; an edge-to-faces dict kept alive
-    # with it would add about 230 more.
+    # Parse, zigzag kernel, monodromies, types and one public step() of a
+    # 1 860-face torus, measured as the bytes still allocated once garbage
+    # is collected.  The corner table keeps this near 230; an edge-to-faces
+    # dict kept alive with it would add about 230 more.
     text = tz.serialize(tz.torus_grid(30, 31))
     gc.collect()
     tracing = tracemalloc.is_tracing()
@@ -150,9 +150,12 @@ def test_an_analysed_document_holds_few_bytes_per_face():
         tz.is_z_knotted(tri)
         tz.all_zigzags(tri).count
         tz.face_types(tri)
+        face = tri.faces[0]
+        tz.step(tri, tz.Position(tz.omega(face)[0], face))
         gc.collect()
         held = tracemalloc.get_traced_memory()[0] - before
     finally:
         if not tracing:
             tracemalloc.stop()
     assert held / len(tri.faces) < 350
+    assert "edge_faces" not in tri._cache

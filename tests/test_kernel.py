@@ -1,15 +1,17 @@
 """The corner table, the integer zigzag kernel and the shape table against
 step-by-step references.
 
-Every reference here walks the public ``step()``, which reads the
-triangulation's edge-to-faces map, built from the faces alone, and never
-touches the corner table or the cached int tables.
+Every reference here walks the public ``step()``, which reads the corner
+table but none of the cached int tables.  ``step()`` and the kernel's step
+table are in turn checked against a step built from the faces alone, and
+the corner table against the faces' edges.
 The surfaces cover tori, projective planes with random bipyramids summed on,
 random spheres and two z-knotted shredding outputs, so non-sphere surfaces
 are checked too.
 """
 
 import array
+import collections
 import dataclasses
 import random
 
@@ -232,15 +234,35 @@ def _check_corner_table(tri):
     assert tz.parse(tz.serialize(tri)).across == across
 
 
+def _face_built_step(tri):
+    """The step map built from the faces alone, without ``across``: from
+    ((u, v), F), on to v and the third vertex of the other face on uv."""
+    edge_faces = collections.defaultdict(list)
+    for face in tri.faces:
+        for edge in tz.face_edges(face):
+            edge_faces[edge].append(face)
+
+    def step(position):
+        (u, v), face = position
+        first, second = edge_faces[min(u, v), max(u, v)]
+        after = second if first == face else first
+        (w,) = set(after) - {u, v}
+        return Position(Dart(v, w), after)
+    return step
+
+
 def _check_step_table(tri):
-    """The kernel's step table, entry by entry, against ``step()``."""
+    """The kernel's step table, entry by entry, against ``step()`` and
+    against a step built from the faces alone."""
     step = zigzag._kernel(tri).step
+    face_built_step = _face_built_step(tri)
     for f, face in enumerate(tri.faces):
         for k, dart in enumerate(tz.omega(face)):
             p = step[6 * f + k]
             after = tri.faces[p // 6]
             expected = Position(tz.omega(after)[p % 6], after)
-            assert tz.step(tri, Position(dart, face)) == expected
+            position = Position(dart, face)
+            assert tz.step(tri, position) == expected == face_built_step(position)
 
 
 def test_corner_and_step_tables_on_the_corpus(full_corpus):

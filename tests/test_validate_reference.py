@@ -3,6 +3,7 @@
 import collections
 import itertools
 import random
+import re
 
 import trizig as tz
 from trizig import core
@@ -26,24 +27,28 @@ class _UnionFind:
 
 
 def _reference(face_list):
-    """The (rule, subject) pairs ``validate`` should report, found the slow
-    way: a Counter for edge degrees and union-find for links and components."""
+    """The violations ``validate`` should report, found the slow way: a
+    Counter for edge degrees and union-find for links and components."""
     found = []
     seen = {}
     for i, entry in enumerate(tuple(item) for item in face_list):
-        face = tuple(sorted(str(x) for x in entry))
+        labels = tuple(str(x) for x in entry)
+        face = tuple(sorted(labels))
         if len(set(face)) != 3:
-            found.append((NON_TRIANGLE, (i, entry)))
+            found.append((NON_TRIANGLE, (i, entry), f"face #{i} repeats a vertex: {labels}"))
         elif face in seen:
-            found.append((DUPLICATE_FACE, (seen[face], i, face)))
+            found.append((DUPLICATE_FACE, (seen[face], i, face),
+                          f"face {face} appears more than once (E2)"))
         else:
             seen[face] = i
     faces = sorted(seen)
     if not faces:
-        return found + [(NON_TRIANGLE, ())]
+        return found + [(NON_TRIANGLE, (), "empty face list")]
     degree = collections.Counter(
         edge for face in faces for edge in itertools.combinations(face, 2))
-    found += [(EDGE_DEGREE, (edge,)) for edge in sorted(degree) if degree[edge] != 2]
+    found += [(EDGE_DEGREE, (edge,),
+               f"edge {edge} lies in {degree[edge]} face(s), expected 2 (E1)")
+              for edge in sorted(degree) if degree[edge] != 2]
     at_edge = collections.defaultdict(list)
     for face in faces:
         for edge in itertools.combinations(face, 2):
@@ -58,7 +63,9 @@ def _reference(face_list):
         for face in faces:
             for v in face:
                 roots[v].add(corners.find((v, face)))
-        found += [(NON_MANIFOLD_VERTEX, (v,)) for v in sorted(roots) if len(roots[v]) > 1]
+        found += [(NON_MANIFOLD_VERTEX, (v,),
+                   f"link of vertex {v!r} is not a single cycle (pinched surface)")
+                  for v in sorted(roots) if len(roots[v]) > 1]
 
     face_sets = _UnionFind()
     vertex_sets = _UnionFind()
@@ -71,8 +78,11 @@ def _reference(face_list):
         vertices = sorted({v for face in faces for v in face})
         lost = [v for v in vertices if vertex_sets.find(v) != vertex_sets.find(vertices[0])]
         if lost:
-            found.append((DISCONNECTED, tuple(lost)))
-        found.append((DISCONNECTED, tuple(lost_faces)))
+            found.append((DISCONNECTED, tuple(lost),
+                          f"vertex graph is disconnected; unreachable vertices {lost}"))
+        found.append((DISCONNECTED, tuple(lost_faces),
+                      f"face adjacency graph is disconnected; "
+                      f"{len(lost_faces)} unreachable face(s)"))
     return found
 
 
@@ -80,10 +90,9 @@ def _mutations(tri, rng):
     """Seeded broken (and a few still valid) face lists made from ``tri``."""
     faces = [list(face) for face in tri.faces]
     vertices = list(tri.vertices)
-    fresh = {v: "c." + v for v in vertices}
 
-    def copy(shared):
-        label = {**fresh, **shared}
+    def copy(shared, prefix="c."):
+        label = {**{v: prefix + v for v in vertices}, **shared}
         return [[label[v] for v in face] for face in faces]
 
     dropped = rng.randrange(len(faces))
@@ -97,6 +106,10 @@ def _mutations(tri, rng):
     yield faces + copy({})
     yield faces + copy({u: u})
     yield faces + copy({a: a, b: b})
+    yield faces + [[a, b, "c.new"]]  # an edge in three faces
+    # A pinched vertex away from the least face: two copies, labeled to
+    # sort after every input label, that share one vertex.
+    yield faces + copy({}, "~a.") + copy({u: "~a." + u}, "~b.")
 
 
 def _shuffled(face_list, rng):
@@ -113,21 +126,29 @@ def test_validate_matches_a_naive_reference(full_corpus, monkeypatch):
     monkeypatch.setattr(core, "_reach", lambda *args: reach_calls.append(args) or reach(*args))
     rng = random.Random(20171)
     rules = collections.Counter()
+    degrees, pinched = set(), set()
     for tri in full_corpus:
         for face_list in _mutations(tri, rng):
             face_list = _shuffled(face_list, rng)
             reach_calls.clear()
             expected = _reference(face_list)
             report = tz.validate(face_list)
-            assert [(v.rule, v.subject) for v in report.violations] == expected
+            assert list(report.violations) == expected
             if report.ok:
                 assert not reach_calls
-            rules.update((rule, type(subject[0]).__name__) for rule, subject in expected
+            rules.update((rule, type(subject[0]).__name__) for rule, subject, _ in expected
                          if subject)
+            degrees.update(re.search(r"lies in (\d+)", v.message).group(1)
+                           for v in report.violations if v.rule == EDGE_DEGREE)
+            pinched.update(v.subject[0][:1] for v in report.violations
+                           if v.rule == NON_MANIFOLD_VERTEX)
     # Every rule came up, and Disconnected both for vertices and for faces.
     assert {rule for rule, _kind in rules} == {
         NON_TRIANGLE, DUPLICATE_FACE, EDGE_DEGREE, NON_MANIFOLD_VERTEX, DISCONNECTED}
     assert (DISCONNECTED, "str") in rules and (DISCONNECTED, "tuple") in rules
+    # Edges in one, three and four faces, and a vertex pinched in a component
+    # other than the least face's.
+    assert {"1", "3", "4"} <= degrees and "~" in pinched
 
 
 def test_valid_input_takes_one_walk(full_corpus, monkeypatch):
