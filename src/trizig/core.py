@@ -511,14 +511,15 @@ def _check_sum_inputs(host, face: Face, other_tri: Triangulation,
 class _Surface:
     """A triangulation under repair: a chain of connected sums applied in place.
 
-    Numbers its faces by slot: ``faces[s]`` is the face in slot s, or None
-    at a tombstone, the slot of a removed face, and ``slot`` maps each live
-    face to its slot.  ``across`` is the corner table over the slots, as in
-    a ``Triangulation``; a tombstone's corners are stale.  Slots never move,
-    and each glue appends its patch faces' slots, so ``zigzag._ZigzagState``
-    shares ``slot`` and ``across``.  Also holds the set of vertices, the k
-    of every "s<k>." prefix that starts a label (``taken``) and the least k
-    not taken (``free``).
+    Numbers its faces by slot: ``slot`` maps each live face to its slot,
+    and a removed face leaves its slot as a tombstone, which no face maps
+    to.  ``across`` is the corner table over the slots, as in a
+    ``Triangulation``, so there are ``len(across) // 3`` slots; a
+    tombstone's corners are stale.  Slots never move, and each glue appends
+    its patch faces' slots, so ``zigzag._ZigzagState`` shares ``slot`` and
+    ``across``.  Also holds the set of vertices, the k of every "s<k>."
+    prefix that starts a label (``taken``) and the least k not taken
+    (``free``).
 
     ``glue`` checks and applies one sum, touching only the patch's corners
     and the three host corners across the removed face; ``freeze`` sorts the
@@ -539,10 +540,9 @@ class _Surface:
       edges join the two sides.
     """
 
-    __slots__ = ("faces", "slot", "across", "vertices", "taken", "free")
+    __slots__ = ("slot", "across", "vertices", "taken", "free")
 
     def __init__(self, tri: Triangulation):
-        self.faces: typing.List[typing.Optional[Face]] = list(tri.faces)
         self.slot: typing.Dict[Face, int] = {face: s for s, face in enumerate(tri.faces)}
         self.across = tri.across[:]
         self.vertices: typing.Set[Vertex] = set(tri.vertices)
@@ -579,7 +579,7 @@ class _Surface:
                 raise LabelCollision("explicit relabeling must map to non-empty text")
             if len(set(fresh.values())) != len(loose):
                 raise LabelCollision("explicit relabeling is not injective")
-        faces, slot, across, vertices = self.faces, self.slot, self.across, self.vertices
+        slot, across, vertices = self.slot, self.across, self.vertices
         collisions = sorted(label for label in fresh.values() if label in vertices)
         if collisions:
             raise LabelCollision(
@@ -590,7 +590,7 @@ class _Surface:
         label = {**fresh, **{target: source for source, target in gluing.pairs}}
         glued = bisect.bisect_left(patch.faces, patch_face)
         gone = slot.pop(face)
-        first = len(faces)
+        first = len(across) // 3
         # The corner of the sum at each patch corner: the corner of its
         # relabeled face, whose vertex slots may be reordered, or, on the
         # glued face, the host corner across the same edge of ``face``.
@@ -624,8 +624,6 @@ class _Surface:
         corners = range(3 * first, len(across))
         if list(map(across.__getitem__, map(across.__getitem__, corners))) != list(corners):
             raise AssertionError("glued corners do not pair up")
-        faces += added
-        faces[gone] = None
         vertices.update(fresh.values())
         self.taken |= _prefix_numbers(fresh.values())
         while self.free in self.taken:
@@ -639,7 +637,7 @@ class _Surface:
         faces sorted once, and ``across`` renumbered to match."""
         faces = sorted(self.slot)
         slots = list(map(self.slot.__getitem__, faces))
-        first = [0] * len(self.faces)  # slot -> its face's first frozen corner
+        first = [0] * (len(self.across) // 3)  # slot -> its face's first frozen corner
         for f, s in enumerate(slots):
             first[s] = 3 * f
         frozen = [c + j for c in first for j in (0, 1, 2)]  # corner -> frozen corner

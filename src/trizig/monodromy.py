@@ -215,10 +215,10 @@ def _build_monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]
     15 tuples; an unknown image keeps its own tuple, on which ``_shape``
     raises.
     """
-    kernel = _zz._kernel(tri)
-    image = [0] * len(kernel.orbit_of)
+    atlas = _zz._atlas(tri)
+    image = [0] * len(atlas._orbit_of)
     following = [0] * (len(image) // 6)
-    for orbit in kernel.orbits:
+    for orbit in atlas._orbits:
         orbit = orbit.tolist()
         for p in reversed(orbit):
             following[p // 6] = p

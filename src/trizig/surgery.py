@@ -32,14 +32,21 @@ NONE = "NONE"
 
 _KNOTTED_TAGS = ("M1", "M2", "M3", "M4")
 
+# The types ``SpecialMap`` takes as a pair, and as a sequence of pairs.
+_PAIR_TYPES = frozenset((tuple, list))
+
 
 @dataclass(frozen=True)
 class SpecialMap:
     """A vertex identification between the boundaries of two faces.
 
     ``pairs`` lists (source vertex, target vertex), one pair per source
-    vertex, sorted by source.  The induced dart map satisfies g(-e) = -g(e)
-    and conjugates the source face rotation to the target face rotation.
+    vertex, sorted by source.  It is given as a tuple or list of pairs,
+    each a tuple or list of two, and kept as a tuple of tuples, so equal
+    maps compare and hash equal however they were given; any other
+    ``pairs`` raises ``InvalidSpecialMap``.  The induced dart map satisfies
+    g(-e) = -g(e) and conjugates the source face rotation to the target
+    face rotation.
     """
 
     source_face: Face
@@ -49,15 +56,21 @@ class SpecialMap:
     def __post_init__(self):
         object.__setattr__(self, "source_face", make_face(*self.source_face))
         object.__setattr__(self, "target_face", make_face(*self.target_face))
-        pairs = tuple(self.pairs)
-        forward = dict(pairs)
-        if (len(pairs) != 3
-                or set(forward) != set(self.source_face)
-                or set(forward.values()) != set(self.target_face)):
+        pairs = self.pairs
+        try:
+            # dict() would also take a string of two characters as a pair.
+            forward = (dict(pairs) if type(pairs) in _PAIR_TYPES
+                       and set(map(type, pairs)) <= _PAIR_TYPES else {})
+            bijective = (len(pairs) == 3
+                         and set(forward) == set(self.source_face)
+                         and set(forward.values()) == set(self.target_face))
+        except (TypeError, ValueError):  # no pairs, or an unhashable vertex
+            bijective = False
+        if not bijective:
             raise InvalidSpecialMap(
                 f"{pairs!r} is not a bijection "
-                f"{self.source_face} -> {self.target_face}")
-        object.__setattr__(self, "pairs", tuple(sorted(pairs)))
+                f"{self.source_face} -> {self.target_face} as (source, target) pairs")
+        object.__setattr__(self, "pairs", tuple(sorted(forward.items())))
 
     def vertex_inverse(self, w: str) -> str:
         for source, target in self.pairs:

@@ -9,10 +9,11 @@ zigzags are its orbits; everything else here (knottedness, per-face zigzag
 sets, essential faces, Gauss codes) is read off the orbit partition.
 
 Internally position (omega(F)[k], F) is the int 6 f + k, where f indexes F
-in the sorted face tuple; the step map, read off the triangulation's corner
-table, and each orbit are packed int arrays (``array("i")``), so no int
-object per position stays alive, and darts and positions are built only
-where the public API returns them.
+in the sorted face tuple.  The step map is read off the triangulation's
+corner table, walked once and dropped; each orbit and the orbit of each
+position are kept as packed int arrays (``array("i")``) in one cached
+``ZigzagAtlas``, so no int object per position stays alive, and darts and
+positions are built only where the public API returns them.
 """
 
 import array
@@ -133,42 +134,6 @@ def _walk(step: typing.List[int]
 _REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
 
 
-class _Kernel:
-    """The zigzag orbits as packed int arrays, cached per triangulation.
-
-    Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
-    6F = 4E this numbers the positions exactly.  ``step[p]`` is the position
-    after p, read off the corner table ``tri.across`` alone by ``_cross``;
-    ``orbits[o]`` lists the positions of orbit o in step order, and
-    ``orbit_of[p]`` is the orbit of p, both from ``_walk``.  ``step``,
-    ``orbit_of`` and each orbit are ``array("i")``s, so the kernel holds no
-    int object per position.  ``partners[o]``, the orbit
-    of orbit o's reverse (through R of its first position), is checked to be
-    a fixed-point-free involution once here.  Orbit ids follow int position
-    order: orbit o holds the least position on none of orbits 0..o-1, and
-    is listed from it.  That order is deterministic and costs no sort; only
-    ``ZigzagAtlas`` lists zigzags in (tail, head, face) order, and it sorts
-    them when it builds them.
-    """
-
-    __slots__ = ("step", "orbit_of", "orbits", "partners")
-
-    def __init__(self, tri: Triangulation):
-        step_table = [0] * (2 * len(tri.across))
-        _cross(step_table, enumerate(tri.across))
-        self.orbits, orbit_of = _walk(step_table)
-        # Packed, like the orbits: as lists the tables would keep the 4E int
-        # objects alive that the packed orbits let go, or 4E pointers.
-        self.step = array.array("i", step_table)
-        self.orbit_of = array.array("i", orbit_of)
-        self.partners = partners = [orbit_of[p - p % 6 + _REVERSAL[p % 6]]
-                                    for p in (orbit[0] for orbit in self.orbits)]
-        if any(partner == i or partners[partner] != i
-               for i, partner in enumerate(partners)):
-            raise AssertionError("reversal pairing is not a fixed-point-free "
-                                 "involution on the orbit set")
-
-
 def _root(parent: typing.List[int], c: int) -> int:
     """The root of class c in the union-find forest ``parent``, halving its path."""
     while parent[c] != c:
@@ -179,28 +144,29 @@ def _root(parent: typing.List[int], c: int) -> int:
 class _ZigzagState:
     """The zigzag pairs of a surface under repair, kept current across sums.
 
-    Starts as a copy of the ``_Kernel`` tables of a triangulation, for a
-    ``core._Surface`` made from it and not glued yet.  Position 6 s + k is
-    dart k of the face in slot s of that surface, as in the kernel, and the
-    surface's ``slot`` is the one face -> slot record: the queries take a
-    face and look its slot up there.  A removed face leaves a tombstone,
-    which steps to itself; the faces of each patch take the surface's new
-    slots, from ``len(step) // 6`` on, and after a sum the steps across
-    their edges are read off the surface's ``across`` by ``_cross``.
+    Made from a triangulation and a ``core._Surface`` made from it and not
+    glued yet.  Position 6 s + k is dart k of the face in slot s of that
+    surface, as in the atlas, and the surface's ``slot`` is the one face ->
+    slot record: the queries take a face and look its slot up there.  The
+    step list is read off the surface's ``across`` by ``_cross``, at the
+    start for every corner and after a sum for the corners of the patch
+    faces, which take the surface's new slots, from ``len(step) // 6`` on.
+    A removed face leaves a tombstone, which steps to itself.
     ``orbit_of[p]`` is a class of zigzag pairs, not an orbit: at the start
-    each kernel orbit joined with its reverse, and after every sum the
-    classes through the removed face merged into one.  ``parent`` is the
-    union-find forest (Tarjan, J. ACM 1975) over the class ids.
+    each orbit of the cached atlas joined with its reverse, and after every
+    sum the classes through the removed face merged into one.  ``parent``
+    is the union-find forest (Tarjan, J. ACM 1975) over the class ids.
     """
 
     __slots__ = ("surface", "step", "orbit_of", "parent")
 
     def __init__(self, tri: Triangulation, surface: _Surface):
-        kernel = _kernel(tri)
+        atlas = _atlas(tri)
         self.surface = surface
-        self.step = list(kernel.step)
-        self.orbit_of = list(kernel.orbit_of)
-        self.parent = [min(i, partner) for i, partner in enumerate(kernel.partners)]
+        self.step = [0] * (2 * len(surface.across))
+        _cross(self.step, enumerate(surface.across))
+        self.orbit_of = list(atlas._orbit_of)
+        self.parent = [min(i, partner) for i, partner in enumerate(atlas._partners)]
 
     def orbit_count(self, face: Face) -> int:
         """How many zigzags meet ``face``: 2 iff it is locally z-knotted.
@@ -295,8 +261,10 @@ def _cached(tri: Triangulation, key: str, build):
     return value
 
 
-def _kernel(tri: Triangulation) -> _Kernel:
-    return _cached(tri, "zigzag_kernel", _Kernel)
+def _atlas(tri: Triangulation) -> "ZigzagAtlas":
+    """``all_zigzags(tri)`` for the library's own reads, which a wrapper
+    of ``all_zigzags`` must not see."""
+    return _cached(tri, "atlas", ZigzagAtlas)
 
 
 def _face_index(tri: Triangulation, face: Face) -> int:
@@ -387,37 +355,56 @@ class ZigzagAtlas:
     matching each zigzag with its reverse, so ``atlas.pairing[z]`` is the
     reverse of ``z``.  The orbit lengths always sum to 4E.
 
-    The atlas keeps the kernel's packed int orbits, in position order, their
-    partners and the sorted face tuple, not the triangulation: ``count``,
+    Built once per triangulation, and the one cached record of its zigzags.
+    Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
+    6F = 4E this numbers the positions exactly.  The step map is read off
+    the corner table ``tri.across`` alone by ``_cross``, walked once by
+    ``_walk`` and dropped: ``_orbits[o]`` lists the positions of orbit o in
+    step order, and ``_orbit_of[p]`` is the orbit of p, both ``array("i")``s,
+    so the atlas holds no int object per position.  ``_partners[o]``, the
+    orbit of orbit o's reverse (through R of its first position), is
+    checked to be a fixed-point-free involution once here.  Orbit ids follow
+    int position order: orbit o holds the least position on none of orbits
+    0..o-1, and is listed from it.  That order is deterministic and costs no
+    sort, and it is the only numbering the atlas keeps.
+
+    The atlas keeps the sorted face tuple, not the triangulation: ``count``,
     ``pair_count`` and ``len`` read the orbits.  The ``Zigzag`` objects are
-    built and sorted, and the partners renumbered to match, on the first
-    read of ``zigzags``, iteration or ``pairing``, then kept.
+    built, sorted and paired, on the first read of ``zigzags``, iteration or
+    ``pairing``, then kept.
     """
 
-    __slots__ = ("_faces", "_orbits", "_partners", "_zigzags", "_pairing")
+    __slots__ = ("_faces", "_orbits", "_orbit_of", "_partners", "_listing")
 
-    def __init__(self, faces: typing.Tuple[Face, ...],
-                 orbits: typing.List[array.array], partners: typing.List[int]):
-        self._faces = faces
-        self._orbits = orbits
-        self._partners = partners
-        self._zigzags: typing.Optional[typing.Tuple[Zigzag, ...]] = None
-        self._pairing: typing.Optional[typing.Dict[Zigzag, Zigzag]] = None
+    def __init__(self, tri: Triangulation):
+        step = [0] * (2 * len(tri.across))
+        _cross(step, enumerate(tri.across))
+        self._orbits, orbit_of = _walk(step)
+        # Packed, like the orbits: as a list it would keep the 4E int
+        # objects alive that the packed orbits let go, or 4E pointers.
+        self._orbit_of = array.array("i", orbit_of)
+        self._partners = partners = [orbit_of[p - p % 6 + _REVERSAL[p % 6]]
+                                     for p in (orbit[0] for orbit in self._orbits)]
+        if any(partner == i or partners[partner] != i
+               for i, partner in enumerate(partners)):
+            raise AssertionError("reversal pairing is not a fixed-point-free "
+                                 "involution on the orbit set")
+        self._faces = tri.faces
+        self._listing: typing.Optional[
+            typing.Tuple[typing.Tuple[Zigzag, ...], typing.Dict[Zigzag, Zigzag]]] = None
+
+    def _listed(self) -> typing.Tuple[typing.Tuple[Zigzag, ...], typing.Dict[Zigzag, Zigzag]]:
+        if self._listing is None:
+            self._listing = _in_canonical_order(self._faces, self._orbits, self._partners)
+        return self._listing
 
     @property
     def zigzags(self) -> typing.Tuple[Zigzag, ...]:
-        if self._zigzags is None:
-            self._zigzags, self._partners = _in_canonical_order(
-                self._faces, self._orbits, self._partners)
-        return self._zigzags
+        return self._listed()[0]
 
     @property
     def pairing(self) -> typing.Dict[Zigzag, Zigzag]:
-        if self._pairing is None:
-            zigzags = self.zigzags
-            self._pairing = {zigzag: zigzags[partner]
-                             for zigzag, partner in zip(zigzags, self._partners)}
-        return self._pairing
+        return self._listed()[1]
 
     @property
     def count(self) -> int:
@@ -436,9 +423,10 @@ class ZigzagAtlas:
 
 def _in_canonical_order(faces: typing.Sequence[Face],
                         orbits: typing.List[array.array], partners: typing.List[int]
-                        ) -> typing.Tuple[typing.Tuple[Zigzag, ...], typing.List[int]]:
-    """The ``Zigzag`` of each int orbit, and ``partners`` renumbered to
-    match, in the (tail, head, face) order of the orbits' least positions.
+                        ) -> typing.Tuple[typing.Tuple[Zigzag, ...], typing.Dict[Zigzag, Zigzag]]:
+    """The ``Zigzag`` of each int orbit in the (tail, head, face) order of
+    the orbits' least positions, and the reversal pairing, built in that
+    order from ``partners`` by orbit id.
 
     An orbit's least position holds its least dart, the first of its
     ``Zigzag``.  A dart has two positions, one in each face of its edge, so
@@ -447,38 +435,30 @@ def _in_canonical_order(faces: typing.Sequence[Face],
     orders them as the face does.
     """
     dart_at = [Dart(face[t], face[h]) for face in faces for t, h in OMEGA_SLOTS]
-    keys, zigzags = [], []
+    keys, by_orbit = [], []
     for orbit in orbits:
         darts = tuple(map(dart_at.__getitem__, orbit))
         zigzag = Zigzag(darts)
         least = zigzag.darts[0]
         keys.append((least, orbit[darts.index(least)]))
-        zigzags.append(zigzag)
+        by_orbit.append(zigzag)
     order = sorted(range(len(orbits)), key=keys.__getitem__)
-    rank = [0] * len(order)
-    for new, old in enumerate(order):
-        rank[old] = new
-    return (tuple(zigzags[old] for old in order),
-            [rank[partners[old]] for old in order])
-
-
-def _build_atlas(tri: Triangulation) -> ZigzagAtlas:
-    kernel = _kernel(tri)
-    return ZigzagAtlas(tri.faces, kernel.orbits, kernel.partners)
+    return (tuple(map(by_orbit.__getitem__, order)),
+            {by_orbit[o]: by_orbit[partners[o]] for o in order})
 
 
 def trace(tri: Triangulation, position: Position) -> Zigzag:
     """The zigzag through a position: iterate step until first return."""
     f = _check_position(tri, position)
     dart, face = position
-    kernel = _kernel(tri)
-    orbit_id = kernel.orbit_of[6 * f + omega(face).index(dart)]
-    return _zigzag(tri.faces, kernel.orbits[orbit_id])
+    atlas = _atlas(tri)
+    orbit_id = atlas._orbit_of[6 * f + omega(face).index(dart)]
+    return _zigzag(tri.faces, atlas._orbits[orbit_id])
 
 
 def all_zigzags(tri: Triangulation) -> ZigzagAtlas:
     """The orbit partition of all 4E positions with the reversal pairing."""
-    return _cached(tri, "atlas", _build_atlas)
+    return _atlas(tri)
 
 
 def is_z_knotted(tri: Triangulation) -> bool:
@@ -488,7 +468,7 @@ def is_z_knotted(tri: Triangulation) -> bool:
     twice; that consequence is re-checked here rather than trusted.  The
     edge of corner c is named by the lesser of c and ``across[c]``.
     """
-    orbits = _kernel(tri).orbits
+    orbits = _atlas(tri)._orbits
     if len(orbits) != 2:
         return False
     edge = [min(c, d) for c, d in enumerate(tri.across)]
@@ -507,7 +487,7 @@ def _face_orbit_ids(tri: Triangulation, face: Face) -> typing.Set[int]:
     every position with its dart on an edge of the face, since one read in
     the neighbouring face steps to a seed."""
     base = 6 * _face_index(tri, face)
-    return set(_kernel(tri).orbit_of[base:base + 6])
+    return set(_atlas(tri)._orbit_of[base:base + 6])
 
 
 def zigzags_of_face(tri: Triangulation, face: Face) -> typing.FrozenSet[Zigzag]:
@@ -516,7 +496,7 @@ def zigzags_of_face(tri: Triangulation, face: Face) -> typing.FrozenSet[Zigzag]:
     These are the orbits of the six positions seated at the face; the result
     always has even size 2, 4 or 6 and is closed under reversal.
     """
-    orbits = _kernel(tri).orbits
+    orbits = _atlas(tri)._orbits
     return frozenset(_zigzag(tri.faces, orbits[i]) for i in _face_orbit_ids(tri, face))
 
 
@@ -527,7 +507,7 @@ def is_locally_z_knotted(tri: Triangulation, face: Face) -> bool:
 
 def is_essential(tri: Triangulation, face: Face) -> bool:
     """Whether every zigzag of the triangulation meets an edge of the face."""
-    return len(_face_orbit_ids(tri, face)) == len(_kernel(tri).orbits)
+    return len(_face_orbit_ids(tri, face)) == _atlas(tri).count
 
 
 def gauss_code(tri: Triangulation) -> typing.Tuple[str, ...]:

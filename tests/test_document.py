@@ -134,11 +134,10 @@ def test_a_parsed_surface_keeps_one_object_per_label():
             == {id(v) for v in tri.vertices})
 
 
-def test_an_analysed_document_holds_few_bytes_per_face():
-    # Parse, zigzag kernel, monodromies, types and one public step() of a
-    # 1 860-face torus, measured as the bytes still allocated once garbage
-    # is collected.  The corner table keeps this near 230; an edge-to-faces
-    # dict kept alive with it would add about 230 more.
+def analysed_torus_bytes_per_face():
+    """Parse, zigzag atlas, monodromies, types and one public step() of a
+    1 860-face torus: the bytes still allocated per face once garbage is
+    collected, and the analysed triangulation."""
     text = tz.serialize(tz.torus_grid(30, 31))
     gc.collect()
     tracing = tracemalloc.is_tracing()
@@ -157,5 +156,12 @@ def test_an_analysed_document_holds_few_bytes_per_face():
     finally:
         if not tracing:
             tracemalloc.stop()
-    assert held / len(tri.faces) < 350
+    return held / len(tri.faces), tri
+
+
+def test_an_analysed_document_holds_few_bytes_per_face():
+    # The corner table and an atlas with no step table keep this near 220;
+    # an edge-to-faces dict kept alive with them would add about 230 more.
+    per_face, tri = analysed_torus_bytes_per_face()
+    assert per_face < 350
     assert "edge_faces" not in tri._cache

@@ -1,10 +1,10 @@
-"""The corner table, the integer zigzag kernel and the shape table against
+"""The corner table, the integer zigzag orbits and the shape table against
 step-by-step references.
 
 Every reference here walks the public ``step()``, which reads the corner
-table but none of the cached int tables.  ``step()`` and the kernel's step
-table are in turn checked against a step built from the faces alone, and
-the corner table against the faces' edges.
+table but none of the cached int tables.  ``step()`` and the successor of
+every position on the atlas's orbits are in turn checked against a step
+built from the faces alone, and the corner table against the faces' edges.
 The surfaces cover tori, projective planes with random bipyramids summed on,
 random spheres and two z-knotted shredding outputs, so non-sphere surfaces
 are checked too.
@@ -217,8 +217,8 @@ def test_monodromy_types_carry_no_dict(knotted_corpus):
 
 def test_kernel_tables_are_packed_int_arrays(full_corpus):
     for tri in full_corpus:
-        kernel = zigzag._kernel(tri)
-        for table in [tri.across, kernel.step, kernel.orbit_of] + kernel.orbits:
+        atlas = zigzag._atlas(tri)
+        for table in [tri.across, atlas._orbit_of] + atlas._orbits:
             assert table.__class__ is array.array and table.typecode == "i"
 
 
@@ -252,17 +252,19 @@ def _face_built_step(tri):
 
 
 def _check_step_table(tri):
-    """The kernel's step table, entry by entry, against ``step()`` and
-    against a step built from the faces alone."""
-    step = zigzag._kernel(tri).step
+    """The step map the atlas walked, read off its orbits: each position's
+    successor on its orbit, against ``step()`` and against a step built
+    from the faces alone.  The orbits hold every position once."""
+    faces, orbits = tri.faces, zigzag._atlas(tri)._orbits
+    assert sorted(p for orbit in orbits for p in orbit) == list(range(6 * len(faces)))
     face_built_step = _face_built_step(tri)
-    for f, face in enumerate(tri.faces):
-        for k, dart in enumerate(tz.omega(face)):
-            p = step[6 * f + k]
-            after = tri.faces[p // 6]
-            expected = Position(tz.omega(after)[p % 6], after)
-            position = Position(dart, face)
-            assert tz.step(tri, position) == expected == face_built_step(position)
+
+    def position(p):
+        return Position(tz.omega(faces[p // 6])[p % 6], faces[p // 6])
+    for orbit in orbits:
+        for p, q in zip(orbit, orbit[1:] + orbit[:1]):
+            here = position(p)
+            assert tz.step(tri, here) == position(q) == face_built_step(here)
 
 
 def test_corner_and_step_tables_on_the_corpus(full_corpus):

@@ -1,5 +1,6 @@
 """Shredding loop, patches, and certificate replay."""
 
+import collections
 import hashlib
 import json
 
@@ -436,36 +437,81 @@ def test_gauss_code_parity_law(named_corpus):
         assert (_odd_gauss_gaps(shredded) == 0) == tz.is_orientable(tri)
 
 
+def _type_two_edges(tri):
+    """The edges that the directed zigzag of a z-knotted ``tri`` runs both
+    ways.  It runs every edge twice; an edge is of type II when its two runs
+    go opposite ways, and of type I when they go the same way."""
+    tails = collections.defaultdict(list)
+    for dart in tz.all_zigzags(tri).zigzags[0].darts:
+        tails[dart.edge].append(dart.tail)
+    assert len(tails) == len(tri.edges)
+    assert all(len(runs) == 2 for runs in tails.values())
+    return {edge for edge, (one, two) in tails.items() if one != two}
+
+
+def test_edge_type_law(named_corpus, knotted_corpus):
+    # On a z-knotted surface every M1 or M2 face has no edge of type II and
+    # every M3 or M4 face has two: on shredded outputs, whose faces take all
+    # four types, and on the z-knotted inputs of the corpus.
+    surfaces = [tz.shred(tri)[0] for tri in named_corpus.values()]
+    surfaces += [tz.shred(tz.random_sphere(seed, 10))[0] for seed in range(30)]
+    surfaces += knotted_corpus
+    seen = collections.Counter()
+    for tri in surfaces:
+        type_two = _type_two_edges(tri)
+        for face, mtype in tz.face_types(tri).items():
+            count = len(type_two.intersection(tz.face_edges(face)))
+            assert count == (0 if mtype.tag in ("M1", "M2") else 2), (face, mtype)
+            seen[mtype.tag] += 1
+    assert set(seen) == {"M1", "M2", "M3", "M4"}
+
+
+def test_reading_the_zigzags_first_leaves_shredding_unchanged(named_corpus):
+    # ``shred`` starts its zigzag state from the cached atlas, so listing
+    # the zigzags of the input first, which builds and pairs its ``Zigzag``
+    # objects, must leave the orbit and partner tables as they were.
+    builds = [lambda tri=tri: tz.parse(tz.serialize(tri)) for tri in named_corpus.values()]
+    builds += [lambda seed=seed: tz.random_sphere(seed, 6) for seed in range(20)]
+    for build in builds:
+        fresh, fresh_certificate = tz.shred(build())
+        tri = build()
+        assert tz.all_zigzags(tri).zigzags
+        out, certificate = tz.shred(tri)
+        assert tz.serialize(out) == tz.serialize(fresh)
+        assert certificate.to_json() == fresh_certificate.to_json()
+
+
 def _check_splice(state, tri):
-    """The spliced state against a fresh kernel and classification of ``tri``."""
+    """The spliced state against a fresh atlas and classification of ``tri``."""
     surface = state.surface
     assert sorted(surface.slot) == list(tri.faces)
-    faces = surface.faces  # slot -> face, None at a tombstone
+    faces = [None] * (len(surface.across) // 3)  # slot -> face, None at a tombstone
+    for face, s in surface.slot.items():
+        assert faces[s] is None
+        faces[s] = face
     assert len(faces) == len(state.step) // 6
-    assert sum(face is not None for face in faces) == len(surface.slot)
-    assert all(faces[s] == face for face, s in surface.slot.items())
     pairs = {}
     for p, c in enumerate(state.orbit_of):
         face = faces[p // 6]
         if face is not None:
             pairs.setdefault(zigzag._root(state.parent, c), set()).add((face, p % 6))
     # The state's pair classes are the fresh orbits, each joined with its reverse.
-    kernel = zigzag._Kernel(tri)
-    partners = kernel.partners
+    atlas = tz.ZigzagAtlas(tri)
+    partners = atlas._partners
     fresh_pairs = {}
-    for i, orbit in enumerate(kernel.orbits):
+    for i, orbit in enumerate(atlas._orbits):
         fresh_pairs.setdefault(min(i, partners[i]), set()).update(
             (tri.faces[p // 6], p % 6) for p in orbit)
     assert ({frozenset(pair) for pair in pairs.values()}
             == {frozenset(pair) for pair in fresh_pairs.values()})
-    # The step table itself, entry by entry, as (face, k) -> (face, k).
-    index = {face: f for f, face in enumerate(tri.faces)}
-    for s, face in enumerate(faces):
-        for k in range(6 if face is not None else 0):
-            spliced = state.step[6 * s + k]
-            fresh = kernel.step[6 * index[face] + k]
-            assert ((faces[spliced // 6], spliced % 6)
-                    == (tri.faces[fresh // 6], fresh % 6))
+    # The step list itself, entry by entry, as (face, k) -> (face, k): each
+    # live position steps to its successor on its fresh orbit, and each
+    # tombstone position to itself.
+    for orbit in atlas._orbits:
+        for p, q in zip(orbit, orbit[1:] + orbit[:1]):
+            spliced = state.step[6 * surface.slot[tri.faces[p // 6]] + p % 6]
+            assert (faces[spliced // 6], spliced % 6) == (tri.faces[q // 6], q % 6)
+    assert all(state.step[p] == p for p in range(len(state.step)) if faces[p // 6] is None)
     types = tz.face_types(tri)
     for face in tri.faces:
         assert (state.orbit_count(face) > 2) == (types[face].tag in BAD_TAGS)
@@ -524,16 +570,16 @@ def test_splices_match_a_fresh_kernel_on_sums(surface, data):
 
 def _check_count_identity(tri):
     """A repair of a face met by k zigzags lowers their count by k - 2, on
-    fresh kernels of the surface before and after each sum."""
+    fresh atlases of the surface before and after each sum."""
     glue, splice = _Surface.glue, _ZigzagState.splice
     drops = []
 
     def counted_glue(surface, face, *args, **kwargs):
         before = tz.Triangulation(list(surface.slot))
         result = glue(surface, face, *args, **kwargs)
-        after = zigzag._Kernel(tz.Triangulation(list(surface.slot)))
+        after = tz.all_zigzags(tz.Triangulation(list(surface.slot)))
         drops.append([len(zigzag._face_orbit_ids(before, face)),
-                      len(zigzag._kernel(before).orbits) - len(after.orbits)])
+                      tz.all_zigzags(before).count - after.count])
         return result
 
     def counted_splice(state, removed, monodromy):
@@ -553,7 +599,7 @@ def _check_count_identity(tri):
     assert len(drops) == len(certificate.steps)
     assert all(drop == k - 2 and through == 2 for k, drop, through in drops), drops
     # So the drops add up from the input's zigzag count to one pair.
-    assert sum(drop for _k, drop, _through in drops) == len(zigzag._kernel(tri).orbits) - 2
+    assert sum(drop for _k, drop, _through in drops) == tz.all_zigzags(tri).count - 2
 
 
 def test_each_repair_lowers_the_zigzag_count_by_k_minus_2(named_corpus):
@@ -687,9 +733,9 @@ def test_shred_refuses_a_splice_given_a_wrong_monodromy(monkeypatch, make, args,
 
 
 def test_shred_refuses_a_splice_that_breaks_the_patch_pair(monkeypatch):
-    # A splice crosses its new corners from a list, a kernel from an
-    # enumeration; swapping two step entries of the last added face afterwards
-    # keeps a permutation but reroutes orbits.
+    # A splice crosses its new corners from a list, the atlas and a fresh
+    # state all corners from an enumeration; swapping two step entries of
+    # the last added face afterwards keeps a permutation but reroutes orbits.
     cross = zigzag._cross
 
     def swapped(step, corners):
@@ -739,8 +785,8 @@ def test_outputs_match_their_recorded_digests():
 
 
 def test_zigzag_listings_match_their_recorded_digests(tmp_path, capsys):
-    # sha256 of `trizig zigzags --json`, recorded while the kernel still
-    # numbered its orbits in (tail, head, face) order of their least positions.
+    # sha256 of `trizig zigzags --json`, recorded while the orbits were still
+    # numbered in (tail, head, face) order of their least positions.
     pinned = [
         (tz.torus_grid(20, 21),
          "a0ec07384c597f9ebe56211c36e3958ece9bfa4549adb2c301ff2584e47b280c"),

@@ -54,6 +54,30 @@ def test_special_map_rejects_non_bijections():
                       (("1", "5"), ("2", "5"), ("3", "6"), ("1", "4")))
 
 
+def test_special_map_keeps_its_pairs_as_tuples():
+    face, other = ("1", "2", "3"), ("a", "b", "c")
+    given = tz.SpecialMap(face, other, (("1", "a"), ("2", "b"), ("3", "c")))
+    for pairs in ([["1", "a"], ["2", "b"], ["3", "c"]], [("3", "c"), ("1", "a"), ("2", "b")],
+                  (["2", "b"], ("3", "c"), ["1", "a"])):
+        gluing = tz.SpecialMap(face, other, pairs)
+        assert gluing.pairs == given.pairs
+        assert all(pair.__class__ is tuple for pair in gluing.pairs)
+        assert gluing == given and hash(gluing) == hash(given)
+    # Strings of two characters, longer or shorter entries, and no sequence
+    # of pairs at all are no pairs.
+    for pairs in (("1a", "2b", "3c"), ["1a", "2b", "3c"], ("10a", "2b", "3c"),
+                  (("1", "a", "x"), ("2", "b"), ("3", "c")), (("1",), ("2", "b"), ("3", "c")),
+                  5, None, "1a2b3c", {"1": "a", "2": "b", "3": "c"},
+                  iter([("1", "a"), ("2", "b"), ("3", "c")])):
+        with pytest.raises(InvalidSpecialMap):
+            tz.SpecialMap(face, other, pairs)
+    # A pair of an unhashable vertex is no bijection onto the face.
+    with pytest.raises(InvalidSpecialMap):
+        tz.SpecialMap(face, other, (("1", ["a"]), ("2", "b"), ("3", "c")))
+    with pytest.raises(InvalidSpecialMap):
+        tz.SpecialMap(face, other, ((["1"], "a"), ("2", "b"), ("3", "c")))
+
+
 def test_connected_sum_of_two_bp3():
     first, second = tz.bipyramid(3), tz.bipyramid(3)
     face = ("1", "2", "a")
@@ -368,9 +392,10 @@ def test_chained_sums_match_full_validation(pieces, data):
 
 
 def _assert_surface_matches_full_validation(surface):
-    # The live faces by slot, and the slot corner table freezing renumbers.
-    assert all(surface.faces[s] == face for face, s in surface.slot.items())
-    assert sum(face is not None for face in surface.faces) == len(surface.slot)
+    # The live faces take distinct slots of the slot corner table, which
+    # freezing renumbers.
+    assert len(set(surface.slot.values())) == len(surface.slot)
+    assert all(0 <= s < len(surface.across) // 3 for s in surface.slot.values())
     reference = tz.Triangulation(list(surface.slot))
     frozen = surface.freeze()
     assert frozen.faces == reference.faces

@@ -12,7 +12,7 @@ import trizig as tz
 from trizig.core import Dart
 from trizig.errors import FaceNotFound, InvalidPosition, NotZKnotted
 from trizig import zigzag
-from trizig.zigzag import Position, Zigzag, _kernel, least_rotation
+from trizig.zigzag import Position, Zigzag, _atlas, least_rotation
 
 PAPER_BP3_CYCLE = ("a", "1", "2", "b", "3", "1", "a", "2", "3",
                    "b", "1", "2", "a", "3", "1", "b", "2", "3")
@@ -204,22 +204,21 @@ def test_order_free_reads_never_sort_the_atlas(monkeypatch):
 
 
 def _eager_zigzags(tri):
-    """One ``Zigzag`` per kernel orbit, built directly from the int positions."""
+    """One ``Zigzag`` per int orbit, built directly from the int positions."""
     faces = tri.faces
     return [Zigzag(tz.omega(faces[p // 6])[p % 6] for p in orbit)
-            for orbit in _kernel(tri).orbits]
+            for orbit in _atlas(tri)._orbits]
 
 
 def test_materialized_zigzags_match_the_kernel_orbits(full_corpus):
     for i, tri in enumerate(full_corpus):
         eager = _eager_zigzags(tri)
-        kernel = _kernel(tri)
-        orbit_of = kernel.orbit_of
+        atlas = tz.all_zigzags(tri)
+        orbit_of = atlas._orbit_of
         # The atlas lists the orbits by their least (tail, head, face) position.
         least = [min(Position(tz.omega(tri.faces[p // 6])[p % 6], tri.faces[p // 6])
-                     for p in orbit) for orbit in kernel.orbits]
+                     for p in orbit) for orbit in atlas._orbits]
         in_order = [eager[o] for o in sorted(range(len(eager)), key=least.__getitem__)]
-        atlas = tz.all_zigzags(tri)
         assert atlas.count == len(eager)
         assert list(atlas.zigzags) == in_order
         assert list(atlas) == in_order
@@ -257,15 +256,15 @@ def test_is_z_knotted():
 
 
 def test_is_z_knotted_refuses_a_pair_that_misses_an_edge(monkeypatch):
-    # A stubbed kernel keeps the two orbits of bp3 minus every position on
+    # A stubbed atlas keeps the two orbits of bp3 minus every position on
     # one edge: still two orbits, but the edge-coverage recheck must fail.
     tri = tz.bipyramid(3)
-    orbits = _kernel(tri).orbits
+    orbits = _atlas(tri)._orbits
     edge = tri.edges[0]
     missed = [[p for p in orbit if zigzag._dart(tri.faces[p // 6], p % 6).edge != edge]
               for orbit in orbits]
     assert [len(orbit) for orbit in missed] == [len(orbit) - 2 for orbit in orbits]
-    monkeypatch.setattr(zigzag, "_kernel", lambda _tri: types.SimpleNamespace(orbits=missed))
+    monkeypatch.setattr(zigzag, "_atlas", lambda _tri: types.SimpleNamespace(_orbits=missed))
     with pytest.raises(AssertionError, match="every edge twice"):
         tz.is_z_knotted(tri)
 
