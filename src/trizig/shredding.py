@@ -16,11 +16,11 @@ decreases and the loop terminates in a z-knotted triangulation of the same
 surface.  Every step is logged in a replayable certificate.
 
 The same fact lets ``shred`` classify the input once.  Every later bad face
-is one of the input's bad faces, and a face is bad iff its six seed
-positions meet more than two zigzags.  So the loop keeps the zigzag step
-table and zigzag-pair classes as int lists (``zigzag._ZigzagState``), and
-``_repair``, the one repair step, walks the monodromy of only the face it
-repairs and splices only the patch's positions.
+is one of the input's bad faces, met by more than one of the input's zigzag
+pairs once those through each repaired face are joined, as a union-find
+(Tarjan, J. ACM 1975) keeps them.  ``_repair``, the one repair step, walks
+the monodromy of only the face it repairs on the surface's step map
+(``zigzag._ZigzagState``) and splices only the patch's positions.
 """
 
 import functools
@@ -34,7 +34,7 @@ from .errors import InvalidMonodromyType, MalformedDocument, NoValidMap, TrizigE
 from .generators import bipyramid, example_sum
 from .monodromy import _monodromies, _shape, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, enumerate_special_maps
-from .zigzag import _face_index, _ZigzagState, is_essential, is_z_knotted
+from .zigzag import _atlas, _face_index, _face_pairs, _ZigzagState, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
 from .document import serialize  # noqa: F401
 from .surgery import connected_sum, gluing_condition  # noqa: F401
@@ -190,8 +190,15 @@ def _bad_faces(tri: Triangulation) -> typing.List[typing.Tuple[Face, str]]:
             for face in tri.faces if types[face].tag in BAD_TAGS]
 
 
-def _repair(surface: _Surface, state: _ZigzagState, face: Face) -> ShredStep:
-    """Repair ``face`` on ``surface`` and ``state`` with the patch of its type.
+def _root(parent: typing.List[int], c: int) -> int:
+    """The root of class c in the union-find forest ``parent``, halving its path."""
+    while parent[c] != c:
+        parent[c] = c = parent[parent[c]]
+    return c
+
+
+def _repair(state: _ZigzagState, face: Face) -> ShredStep:
+    """Repair ``face`` on ``state`` and its surface with the patch of its type.
 
     The face's monodromy is walked on ``state``, and its type and the first
     gluing map are read off it; a face of type M1..M4 has no patch and
@@ -203,12 +210,12 @@ def _repair(surface: _Surface, state: _ZigzagState, face: Face) -> ShredStep:
     k - 2 and every face met by one pair stays so: the module docstring's
     lemma, by which the count of M5/M6/M7 faces strictly decreases.
     """
-    gone = surface.slot[face]
+    gone = state.surface.slot[face]
     monodromy = state.monodromy(face)
     bad_type = _shape(face, monodromy)[0]
     patch = patch_for(bad_type)
     gluing = _first_gluing(face, monodromy, patch)
-    _added, fresh = surface.glue(face, patch.triangulation, patch.designated_face, gluing)
+    _added, fresh = state.surface.glue(face, patch.triangulation, patch.designated_face, gluing)
     through = state.splice(gone, monodromy)
     if through != 2:
         raise AssertionError(
@@ -220,9 +227,9 @@ def _repair(surface: _Surface, state: _ZigzagState, face: Face) -> ShredStep:
 def shred_step(tri: Triangulation, face: Face) -> Triangulation:
     """Repair one face of type M5/M6/M7 by gluing its patch (``_repair``)."""
     face = tri.faces[_face_index(tri, face)]
-    surface = _Surface(tri)
-    _repair(surface, _ZigzagState(tri, surface), face)
-    return surface.freeze()
+    state = _ZigzagState(_Surface(tri))
+    _repair(state, face)
+    return state.surface.freeze()
 
 
 def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
@@ -236,10 +243,12 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
 
     The input is classified once.  By the module docstring's lemma, which
     ``_repair`` checks at each step, the least bad face is the first of the
-    input's bad faces still met by more than two zigzags, which
-    ``_ZigzagState`` tells after each splice.  All patches are glued onto one
-    ``core._Surface``, frozen once at the end; its monodromies are matched
-    against the shape table without building a ``MonodromyType`` per face.
+    input's bad faces whose zigzag pairs are not yet joined into one.  A
+    union-find over the input's pairs is asked once per bad face, in
+    canonical order, and joins the pairs through each repaired face.  All
+    patches are glued onto one ``core._Surface``, frozen once at the end;
+    its monodromies are matched against the shape table without building a
+    ``MonodromyType`` per face.
     The recorded zigzag length is 2E = 3F, as ``is_z_knotted`` checks that
     the zigzag runs every edge twice.
     """
@@ -247,12 +256,15 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     current = tri
     bad = _bad_faces(tri)
     if bad:
-        surface = _Surface(tri)
-        state = _ZigzagState(tri, surface)
+        state = _ZigzagState(_Surface(tri))
+        parent = list(range(_atlas(tri).count))
         for face, _tag in bad:
-            if state.orbit_count(face) > 2:
-                steps.append(_repair(surface, state, face))
-        current = surface.freeze()
+            roots = {_root(parent, pair) for pair in _face_pairs(tri, face)}
+            if len(roots) > 1:
+                steps.append(_repair(state, face))
+                for root in roots:
+                    parent[root] = min(roots)
+        current = state.surface.freeze()
 
     knotted = is_z_knotted(current)
     tags = {_shape(face, image)[0]

@@ -34,16 +34,26 @@ class Position(typing.NamedTuple):
     face: Face
 
 
-def _check_position(tri: Triangulation, position: Position) -> int:
-    """The index in ``tri.faces`` of the face of a valid position."""
+def _dart_on(face: Face, dart) -> Dart:
+    """``dart``, any (tail, head) pair, as a ``Dart`` on ``face``."""
+    try:
+        dart = Dart(*dart)
+    except TypeError:
+        raise InvalidPosition(f"dart {dart!r} is not a (tail, head) pair") from None
+    if dart.tail not in face or dart.head not in face:
+        raise InvalidPosition(f"dart {dart!r} is not on face {face!r}")
+    return dart
+
+
+def _check_position(tri: Triangulation, position: Position) -> typing.Tuple[int, Dart]:
+    """The index in ``tri.faces`` of the face of a valid position, and its dart."""
     dart, face = position
     if not tri.has_face(face):
         raise InvalidPosition(f"face {face!r} not in triangulation")
+    dart = _dart_on(face, dart)
     if dart.tail == dart.head:
         raise InvalidPosition(f"degenerate dart {dart!r}")
-    if dart.tail not in face or dart.head not in face:
-        raise InvalidPosition(f"dart {dart!r} is not on face {face!r}")
-    return bisect.bisect_left(tri.faces, face)
+    return bisect.bisect_left(tri.faces, face), dart
 
 
 def step(tri: Triangulation, position: Position) -> Position:
@@ -55,8 +65,8 @@ def step(tri: Triangulation, position: Position) -> Position:
     It reads ``tri.across``: {u, v} is edge s + t - 1 of F, with u and v
     at slots s and t, and edge i of F', whose third vertex is at slot 2 - i.
     """
-    f = _check_position(tri, position)
-    (u, v), face = position
+    f, (u, v) = _check_position(tri, position)
+    face = tri.faces[f]
     g, i = divmod(tri.across[3 * f + face.index(u) + face.index(v) - 1], 3)
     next_face = tri.faces[g]
     return Position(Dart(v, next_face[2 - i]), next_face)
@@ -69,9 +79,7 @@ def reverse_position(position: Position) -> Position:
     orbit onto the orbit of its reversed zigzag.
     """
     dart, face = position
-    if dart.tail not in face or dart.head not in face:
-        raise InvalidPosition(f"dart {dart!r} is not on face {face!r}")
-    return Position(-face_rotation_inverse(face, dart), face)
+    return Position(-face_rotation_inverse(face, _dart_on(face, dart)), face)
 
 
 # The step entries across an edge, by its edge slots j in face f and i in
@@ -134,45 +142,25 @@ def _walk(step: typing.List[int]
 _REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
 
 
-def _root(parent: typing.List[int], c: int) -> int:
-    """The root of class c in the union-find forest ``parent``, halving its path."""
-    while parent[c] != c:
-        parent[c] = c = parent[parent[c]]
-    return c
-
-
 class _ZigzagState:
-    """The zigzag pairs of a surface under repair, kept current across sums.
+    """The zigzag step map of a surface under repair, kept current across sums.
 
-    Made from a triangulation and a ``core._Surface`` made from it and not
-    glued yet.  Position 6 s + k is dart k of the face in slot s of that
-    surface, as in the atlas, and the surface's ``slot`` is the one face ->
-    slot record: the queries take a face and look its slot up there.  The
-    step list is read off the surface's ``across`` by ``_cross``, at the
-    start for every corner and after a sum for the corners of the patch
-    faces, which take the surface's new slots, from ``len(step) // 6`` on.
-    A removed face leaves a tombstone, which steps to itself.
-    ``orbit_of[p]`` is a class of zigzag pairs, not an orbit: at the start
-    each orbit of the cached atlas joined with its reverse, and after every
-    sum the classes through the removed face merged into one.  ``parent``
-    is the union-find forest (Tarjan, J. ACM 1975) over the class ids.
+    Made from a ``core._Surface`` alone, glued or not.  Position 6 s + k is
+    dart k of the face in slot s, as in the atlas; the queries take a face
+    and look its slot up in the surface's ``slot``.  The step list is read
+    off the surface's ``across`` by ``_cross``, at the start for every
+    corner and after a sum for the patch faces' corners, whose new slots
+    start at ``len(step) // 6``.  A tombstone's stale corners write only its
+    own entries, and a splice makes them step to themselves.  Which zigzags
+    make one pair is for ``shredding.shred`` to track.
     """
 
-    __slots__ = ("surface", "step", "orbit_of", "parent")
+    __slots__ = ("surface", "step")
 
-    def __init__(self, tri: Triangulation, surface: _Surface):
-        atlas = _atlas(tri)
+    def __init__(self, surface: _Surface):
         self.surface = surface
         self.step = [0] * (2 * len(surface.across))
         _cross(self.step, enumerate(surface.across))
-        self.orbit_of = list(atlas._orbit_of)
-        self.parent = [min(i, partner) for i, partner in enumerate(atlas._partners)]
-
-    def orbit_count(self, face: Face) -> int:
-        """How many zigzags meet ``face``: 2 iff it is locally z-knotted.
-        They are closed under reversal, so twice their pairs."""
-        parent, base = self.parent, 6 * self.surface.slot[face]
-        return 2 * len({_root(parent, c) for c in self.orbit_of[base:base + 6]})
 
     def monodromy(self, face: Face) -> typing.Tuple[int, ...]:
         """The z-monodromy of ``face`` as in ``monodromy._build_monodromies``:
@@ -205,12 +193,10 @@ class _ZigzagState:
         seed r comes back just before seed D(M(r)).  Only the patch
         positions are walked, each host arc in one jump; returns how many
         orbits they make, 2 when the sum joined them into one pair.  The
-        removed face's classes merge into a fresh one, which every patch
-        position takes.  The host arcs' ends are the removed face's step
-        entries: seed r steps out to step[r] and in from R(step[R(r)]).
+        host arcs' ends are the removed face's step entries: seed r steps
+        out to step[r] and in from R(step[R(r)]).
         """
-        step, orbit_of, parent = self.step, self.orbit_of, self.parent
-        across = self.surface.across
+        step, across = self.step, self.surface.across
         gone = 6 * removed
         # The host positions after and before each seed r of the removed face.
         exits = step[gone:gone + 6]
@@ -244,12 +230,6 @@ class _ZigzagState:
                     break
                 if p < first or seen[p - first]:
                     raise AssertionError("step map failed to be a permutation")
-
-        fresh = len(parent)
-        parent.append(fresh)
-        for c in orbit_of[gone:gone + 6]:
-            parent[_root(parent, c)] = fresh
-        orbit_of += [fresh] * (len(step) - first)
         return through
 
 
@@ -449,10 +429,9 @@ def _in_canonical_order(faces: typing.Sequence[Face],
 
 def trace(tri: Triangulation, position: Position) -> Zigzag:
     """The zigzag through a position: iterate step until first return."""
-    f = _check_position(tri, position)
-    dart, face = position
+    f, dart = _check_position(tri, position)
     atlas = _atlas(tri)
-    orbit_id = atlas._orbit_of[6 * f + omega(face).index(dart)]
+    orbit_id = atlas._orbit_of[6 * f + omega(tri.faces[f]).index(dart)]
     return _zigzag(tri.faces, atlas._orbits[orbit_id])
 
 
@@ -488,6 +467,13 @@ def _face_orbit_ids(tri: Triangulation, face: Face) -> typing.Set[int]:
     the neighbouring face steps to a seed."""
     base = 6 * _face_index(tri, face)
     return set(_atlas(tri)._orbit_of[base:base + 6])
+
+
+def _face_pairs(tri: Triangulation, face: Face) -> typing.Set[int]:
+    """The zigzag pairs through ``face``, one of ``tri.faces``, each named by
+    the lesser of its two orbits: each seed's orbit and that orbit's reverse."""
+    atlas, base = _atlas(tri), 6 * bisect.bisect_left(tri.faces, face)
+    return {min(o, atlas._partners[o]) for o in atlas._orbit_of[base:base + 6]}
 
 
 def zigzags_of_face(tri: Triangulation, face: Face) -> typing.FrozenSet[Zigzag]:

@@ -146,6 +146,21 @@ def test_shred_step_is_the_connected_sum_of_the_first_gluing(build):
                                gluing.pairs, result.relabeling)
 
 
+def test_shred_step_builds_no_atlas_of_its_input(named_corpus):
+    # A step walks only the repaired face's monodromy on the step map of
+    # the surface, so the input's zigzags are never listed.
+    stepped = 0
+    for tri in named_corpus.values():
+        bad = _bad_faces(tri)
+        if not bad:
+            continue
+        fresh = tz.parse(tz.serialize(tri))
+        tz.shred_step(fresh, bad[0][0])
+        assert "atlas" not in fresh._cache
+        stepped += 1
+    assert stepped
+
+
 def test_shred_step_rejects_good_faces():
     bp3 = tz.bipyramid(3)
     with pytest.raises(InvalidMonodromyType):
@@ -467,9 +482,9 @@ def test_edge_type_law(named_corpus, knotted_corpus):
 
 
 def test_reading_the_zigzags_first_leaves_shredding_unchanged(named_corpus):
-    # ``shred`` starts its zigzag state from the cached atlas, so listing
-    # the zigzags of the input first, which builds and pairs its ``Zigzag``
-    # objects, must leave the orbit and partner tables as they were.
+    # ``shred`` reads the input's zigzag pairs off the cached atlas, so
+    # listing the zigzags of the input first, which builds and pairs its
+    # ``Zigzag`` objects, must leave the orbit and partner tables as they were.
     builds = [lambda tri=tri: tz.parse(tz.serialize(tri)) for tri in named_corpus.values()]
     builds += [lambda seed=seed: tz.random_sphere(seed, 6) for seed in range(20)]
     for build in builds:
@@ -481,8 +496,10 @@ def test_reading_the_zigzags_first_leaves_shredding_unchanged(named_corpus):
         assert certificate.to_json() == fresh_certificate.to_json()
 
 
-def _check_splice(state, tri):
-    """The spliced state against a fresh atlas and classification of ``tri``."""
+def _check_splice(state, tri, added=()):
+    """The spliced state against a fresh atlas and classification of ``tri``
+    and a fresh state on the same surface; ``added`` holds the faces the
+    last glue added."""
     surface = state.surface
     assert sorted(surface.slot) == list(tri.faces)
     faces = [None] * (len(surface.across) // 3)  # slot -> face, None at a tombstone
@@ -490,31 +507,24 @@ def _check_splice(state, tri):
         assert faces[s] is None
         faces[s] = face
     assert len(faces) == len(state.step) // 6
-    pairs = {}
-    for p, c in enumerate(state.orbit_of):
-        face = faces[p // 6]
-        if face is not None:
-            pairs.setdefault(zigzag._root(state.parent, c), set()).add((face, p % 6))
-    # The state's pair classes are the fresh orbits, each joined with its reverse.
-    atlas = tz.ZigzagAtlas(tri)
-    partners = atlas._partners
-    fresh_pairs = {}
-    for i, orbit in enumerate(atlas._orbits):
-        fresh_pairs.setdefault(min(i, partners[i]), set()).update(
-            (tri.faces[p // 6], p % 6) for p in orbit)
-    assert ({frozenset(pair) for pair in pairs.values()}
-            == {frozenset(pair) for pair in fresh_pairs.values()})
     # The step list itself, entry by entry, as (face, k) -> (face, k): each
     # live position steps to its successor on its fresh orbit, and each
     # tombstone position to itself.
+    atlas = tz.ZigzagAtlas(tri)
     for orbit in atlas._orbits:
         for p, q in zip(orbit, orbit[1:] + orbit[:1]):
             spliced = state.step[6 * surface.slot[tri.faces[p // 6]] + p % 6]
             assert (faces[spliced // 6], spliced % 6) == (tri.faces[q // 6], q % 6)
     assert all(state.step[p] == p for p in range(len(state.step)) if faces[p // 6] is None)
+    # A state made fresh on the glued surface steps alike on every live position.
+    fresh = _ZigzagState(surface)
+    assert len(fresh.step) == len(state.step)
+    assert all(fresh.step[p] == state.step[p]
+               for p in range(len(state.step)) if faces[p // 6] is not None)
     types = tz.face_types(tri)
+    # The lemma: every patch face is met by one zigzag pair.
+    assert all(types[face].tag not in BAD_TAGS for face in added)
     for face in tri.faces:
-        assert (state.orbit_count(face) > 2) == (types[face].tag in BAD_TAGS)
         assert state.monodromy(face) == tz.z_monodromy(tri, face).image
 
 
@@ -522,17 +532,19 @@ def _shred_with_checked_splices(tri):
     """``shred``, checking the zigzag state after every splice against a
     fully validated triangulation of the surface's faces."""
     glue, splice = _Surface.glue, _ZigzagState.splice
-    surfaces, spliced = [], []
+    surfaces, glued, spliced = [], [], []
 
     def recording(surface, *args, **kwargs):
         surfaces.append(surface)
-        return glue(surface, *args, **kwargs)
+        result = glue(surface, *args, **kwargs)
+        glued.append(result[0])
+        return result
 
     def checked(state, removed, monodromy):
         through = splice(state, removed, monodromy)
         assert state.surface is surfaces[-1]
         current = tz.Triangulation(list(surfaces[-1].slot))
-        _check_splice(state, current)
+        _check_splice(state, current, glued[-1])
         spliced.append(current)
         return through
 
@@ -548,7 +560,7 @@ def _shred_with_checked_splices(tri):
 
 def test_splices_match_a_fresh_kernel(named_corpus):
     for tri in named_corpus.values():
-        _check_splice(_ZigzagState(tri, _Surface(tri)), tri)
+        _check_splice(_ZigzagState(_Surface(tri)), tri)
         out, _certificate = _shred_with_checked_splices(tri)
         assert tz.is_z_knotted(out)
 
@@ -566,6 +578,10 @@ def test_splices_match_a_fresh_kernel_on_sums(surface, data):
     out, certificate = _shred_with_checked_splices(tri)
     assert certificate.steps
     assert tz.verify_certificate(tri, certificate, out).ok
+    # ``shred``'s choice of the faces to repair, against the plain loop.
+    expected_out, expected = _shred_by_reclassifying(tri)
+    assert tz.serialize(out) == tz.serialize(expected_out)
+    assert certificate.to_json() == expected.to_json()
 
 
 def _check_count_identity(tri):
@@ -583,11 +599,6 @@ def _check_count_identity(tri):
         return result
 
     def counted_splice(state, removed, monodromy):
-        # The glue took the face out of the surface's slots, so its count is
-        # read off the classes of its six positions, as ``orbit_count`` does.
-        base = 6 * removed
-        classes = {zigzag._root(state.parent, c) for c in state.orbit_of[base:base + 6]}
-        assert 2 * len(classes) == drops[-1][0]
         through = splice(state, removed, monodromy)
         drops[-1].append(through)
         return through

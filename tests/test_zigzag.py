@@ -72,6 +72,27 @@ def test_trace_rejects_invalid_positions():
         tz.trace(bp3, Position(Dart("1", "1"), ("1", "2", "a")))
 
 
+def test_positions_take_a_dart_as_any_pair(named_corpus):
+    # A plain (tail, head) pair is read as its ``Dart``; a non-pair is an
+    # invalid position.
+    for tri in (named_corpus["bp4"], named_corpus["projective_plane"]):
+        for face in tri.faces:
+            for dart in tz.omega(face):
+                for pair in (tuple(dart), list(dart)):
+                    assert tz.step(tri, Position(pair, face)) == tz.step(tri, Position(dart, face))
+                    assert tz.trace(tri, Position(pair, face)) == tz.trace(tri, Position(dart, face))
+                    assert (tz.reverse_position(Position(pair, face))
+                            == tz.reverse_position(Position(dart, face)))
+    face = named_corpus["bp4"].faces[0]
+    for dart in (5, None, ("1",), ("1", "2", "3")):
+        with pytest.raises(InvalidPosition, match="pair"):
+            tz.step(named_corpus["bp4"], Position(dart, face))
+        with pytest.raises(InvalidPosition, match="pair"):
+            tz.trace(named_corpus["bp4"], Position(dart, face))
+        with pytest.raises(InvalidPosition, match="pair"):
+            tz.reverse_position(Position(dart, face))
+
+
 def test_reverse_position_golden():
     face = ("t", "u", "v")
     assert tz.reverse_position(Position(Dart("u", "v"), face)) == \
