@@ -2,9 +2,16 @@
 
 A triangulation document is a JSON object with a format tag, the face list
 as arrays of three vertex labels, and optionally the vertex list and free
-metadata.  Serialization is canonical: faces and triples sorted, keys
-sorted, fixed indentation, so equal triangulations serialize byte-identically
-and parse(serialize(t)) round-trips.
+metadata.  Serialization is canonical, so equal triangulations serialize
+byte-identically and parse(serialize(t)) round-trips: faces and triples are
+sorted, and the text is exactly ``json.dumps(doc, indent=2, sort_keys=True)``
+plus a newline.  That is: keys sorted; each array item and object member on
+a line of its own, indented two spaces per level; items separated by ","
+and keys by ": "; an empty array written ``[]``; and in strings ``"``,
+``\\`` and every character outside printable ASCII escaped (``\\n``,
+``\\u00e9``, ...).  The writers join that text from pieces, each label
+encoded once by the function ``json.dumps`` uses for strings, instead of
+running the pure-Python encoder that an indent selects.
 """
 
 import json
@@ -16,18 +23,34 @@ from .errors import MalformedDocument
 FORMAT = "tri-json/1"
 _LABELS = {str, int}
 
+# A str as ``json.dumps`` writes it by default: quoted, ASCII-only.
+_quote = json.encoder.encode_basestring_ascii
+
+
+def _block(brackets: str, items: typing.Sequence[str], depth: int) -> str:
+    """A JSON array or object, ``brackets`` "[]" or "{}", of encoded
+    ``items`` at nesting ``depth``, laid out as ``json.dumps(indent=2)``."""
+    if not items:
+        return brackets
+    inner = "\n" + "  " * (depth + 1)
+    return (brackets[0] + inner + ("," + inner).join(items)
+            + "\n" + "  " * depth + brackets[1])
+
 
 def serialize(tri: Triangulation,
               metadata: typing.Optional[dict] = None) -> str:
     """Canonical document text for a triangulation."""
-    doc: typing.Dict[str, object] = {
-        "format": FORMAT,
-        "vertices": list(tri.vertices),
-        "faces": [list(face) for face in tri.faces],
-    }
+    labels = list(map(_quote, tri.vertices))
+    quoted = dict(zip(tri.vertices, labels))
+    # Each face is a ``_block`` at depth 2, written out inline.
+    faces = [f"[\n      {quoted[a]},\n      {quoted[b]},\n      {quoted[c]}\n    ]"
+             for a, b, c in tri.faces]
+    members = [f'"faces": {_block("[]", faces, 1)}', f'"format": {_quote(FORMAT)}']
     if metadata:
-        doc["metadata"] = metadata
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        text = json.dumps(metadata, indent=2, sort_keys=True)
+        members.append('"metadata": ' + text.replace("\n", "\n  "))
+    members.append(f'"vertices": {_block("[]", labels, 1)}')
+    return _block("{}", members, 0) + "\n"
 
 
 def load_json(text: str):

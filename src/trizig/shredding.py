@@ -20,7 +20,11 @@ is one of the input's bad faces, met by more than one of the input's zigzag
 pairs once those through each repaired face are joined, as a union-find
 (Tarjan, J. ACM 1975) keeps them.  ``_repair``, the one repair step, walks
 the monodromy of only the face it repairs on the surface's step map
-(``zigzag._ZigzagState``) and splices only the patch's positions.
+(``zigzag._ZigzagState``), reads the gluing map off its patch's table and
+splices only the patch's positions.  That table is made once per patch: the
+gluing condition depends only on the face's monodromy, one of the 15 valid
+images, and on the slot order of the map, so the first map that satisfies
+it is a function of the image.
 """
 
 import functools
@@ -29,10 +33,10 @@ import typing
 from dataclasses import dataclass
 
 from .core import Face, Triangulation, _Surface, euler_characteristic, make_face
-from .document import load_json
+from .document import _block, _quote, load_json
 from .errors import InvalidMonodromyType, MalformedDocument, NoValidMap, TrizigError
 from .generators import bipyramid, example_sum
-from .monodromy import _monodromies, _shape, face_types, z_monodromy
+from .monodromy import _SHAPES, _monodromies, _shape, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, enumerate_special_maps
 from .zigzag import _atlas, _face_index, _face_pairs, _ZigzagState, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
@@ -66,9 +70,18 @@ _PATCHES = {"M5": _SPHERE_M1, "M6": _SPHERE_M1,
             "M7": (PATCH_BP3_M3, functools.partial(bipyramid, 3), ("1", "2", "a"), "M3")}
 
 
+# Each loaded patch's gluing table, by patch id: the first special map
+# (``enumerate_special_maps`` order) gluing its designated face onto a face
+# of each valid monodromy image in ``_SHAPES``, as the designated-face
+# vertices that the face's sorted vertices map to.  Images that no map
+# glues have no entry.
+_GLUINGS: typing.Dict[str, typing.Dict[typing.Tuple[int, ...], Face]] = {}
+
+
 @functools.lru_cache(maxsize=None)
 def _load_patch(entry) -> Patch:
-    """The ``Patch`` of a ``_PATCHES`` entry, built and checked once."""
+    """The ``Patch`` of a ``_PATCHES`` entry, built and checked once, and its
+    ``_GLUINGS`` table."""
     patch_id, build, face, tag = entry
     tri = build()
     if not is_z_knotted(tri):
@@ -81,6 +94,13 @@ def _load_patch(entry) -> Patch:
                              f"{found}, expected {tag}")
     if not all(is_essential(tri, other) for other in tri.faces):
         raise AssertionError(f"patch {patch_id} has a non-essential face")
+    # ``_glues`` reads a map by vertex slots only, and a canonical face's
+    # sort order is its slot order, so any canonical source face gives every
+    # face's table; the designated face is one.
+    maps, other = enumerate_special_maps(face, face), z_monodromy(tri, face).image
+    _GLUINGS[patch_id] = {
+        image: tuple(target for _source, target in gluing.pairs)
+        for image in _SHAPES if (gluing := _first_of(maps, image, other))}
     return Patch(patch_id, tri, face, tag)
 
 
@@ -98,19 +118,35 @@ def find_gluing_map(tri: Triangulation, face: Face, patch: Patch) -> SpecialMap:
     A valid map always exists for the patches above; failure to find one is
     an implementation bug and raises NoValidMap.
     """
-    return _first_gluing(face, z_monodromy(tri, face).image, patch)
+    gluing = _first_of(enumerate_special_maps(face, patch.designated_face),
+                       z_monodromy(tri, face).image,
+                       z_monodromy(patch.triangulation, patch.designated_face).image)
+    if gluing is None:
+        raise _no_map(face, patch)
+    return gluing
+
+
+def _first_of(maps: typing.Iterable[SpecialMap], monodromy: typing.Tuple[int, ...],
+              other_monodromy: typing.Tuple[int, ...]) -> typing.Optional[SpecialMap]:
+    """The first of ``maps`` satisfying the gluing condition for the
+    z-monodromies of its source and target face, or None."""
+    return next((gluing for gluing in maps
+                 if _glues(monodromy, other_monodromy, gluing)), None)
 
 
 def _first_gluing(face: Face, monodromy: typing.Tuple[int, ...],
                   patch: Patch) -> SpecialMap:
-    """``find_gluing_map`` for a face of z-monodromy ``monodromy``."""
-    other = z_monodromy(patch.triangulation, patch.designated_face).image
-    for gluing in enumerate_special_maps(face, patch.designated_face):
-        if _glues(monodromy, other, gluing):
-            return gluing
-    raise NoValidMap(
-        f"no special map glues patch {patch.patch_id} onto face {face!r}; "
-        f"this should be impossible")
+    """``find_gluing_map`` for a canonical face of z-monodromy ``monodromy``,
+    read off the patch's ``_GLUINGS`` table."""
+    targets = _GLUINGS[patch.patch_id].get(monodromy)
+    if targets is None:
+        raise _no_map(face, patch)
+    return SpecialMap(face, patch.designated_face, tuple(zip(face, targets)))
+
+
+def _no_map(face: Face, patch: Patch) -> NoValidMap:
+    return NoValidMap(f"no special map glues patch {patch.patch_id} onto face {face!r}; "
+                      f"this should be impossible")
 
 
 @dataclass(frozen=True)
@@ -136,21 +172,22 @@ class ShredCertificate:
     final_zigzag_length: int
 
     def to_json(self) -> str:
-        doc = {
-            "format": CERTIFICATE_FORMAT,
-            "final_zigzag_length": self.final_zigzag_length,
-            "steps": [
-                {
-                    "face": list(step.face),
-                    "bad_type": step.bad_type,
-                    "patch": step.patch_id,
-                    "map": dict(step.vertex_map),
-                    "relabeling": dict(step.relabeling),
-                }
-                for step in self.steps
-            ],
-        }
-        return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        """The certificate's canonical text, ``json.dumps(doc, indent=2,
+        sort_keys=True)`` and a newline, as ``document.serialize`` writes."""
+        def mapping(pairs):
+            return _block("{}", [f"{_quote(key)}: {_quote(value)}"
+                                 for key, value in sorted(dict(pairs).items())], 3)
+
+        steps = [_block("{}", [
+            f'"bad_type": {_quote(step.bad_type)}',
+            f'"face": {_block("[]", list(map(_quote, step.face)), 3)}',
+            f'"map": {mapping(step.vertex_map)}',
+            f'"patch": {_quote(step.patch_id)}',
+            f'"relabeling": {mapping(step.relabeling)}'], 2) for step in self.steps]
+        return _block("{}", [
+            f'"final_zigzag_length": {json.dumps(self.final_zigzag_length)}',
+            f'"format": {_quote(CERTIFICATE_FORMAT)}',
+            f'"steps": {_block("[]", steps, 1)}'], 0) + "\n"
 
     @classmethod
     def from_json(cls, text: str) -> "ShredCertificate":
@@ -245,10 +282,11 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     ``_repair`` checks at each step, the least bad face is the first of the
     input's bad faces whose zigzag pairs are not yet joined into one.  A
     union-find over the input's pairs is asked once per bad face, in
-    canonical order, and joins the pairs through each repaired face.  All
+    canonical order, and joins the pairs through each repaired face; once
+    they are all one class, no bad face is left and the loop stops.  All
     patches are glued onto one ``core._Surface``, frozen once at the end;
-    its monodromies are matched against the shape table without building a
-    ``MonodromyType`` per face.
+    its distinct monodromies, at most 15, are matched against the shape
+    table without building a ``MonodromyType`` per face.
     The recorded zigzag length is 2E = 3F, as ``is_z_knotted`` checks that
     the zigzag runs every edge twice.
     """
@@ -257,19 +295,27 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     bad = _bad_faces(tri)
     if bad:
         state = _ZigzagState(_Surface(tri))
-        parent = list(range(_atlas(tri).count))
+        atlas = _atlas(tri)
+        parent = list(range(atlas.count))
+        classes = atlas.pair_count
         for face, _tag in bad:
             roots = {_root(parent, pair) for pair in _face_pairs(tri, face)}
             if len(roots) > 1:
                 steps.append(_repair(state, face))
                 for root in roots:
                     parent[root] = min(roots)
+                classes -= len(roots) - 1
+                if classes == 1:
+                    break
         current = state.surface.freeze()
 
     knotted = is_z_knotted(current)
-    tags = {_shape(face, image)[0]
-            for face, image in zip(current.faces, _monodromies(current))}
-    types_ok = tags.isdisjoint(BAD_TAGS)
+    images = _monodromies(current)
+    distinct = set(images)
+    if not distinct <= _SHAPES.keys():  # ``_shape`` raises on the first such face
+        for face, image in zip(current.faces, images):
+            _shape(face, image)
+    types_ok = all(_SHAPES[image][0] not in BAD_TAGS for image in distinct)
     if not (knotted and types_ok):
         raise AssertionError(
             f"shredding postcondition failed: z-knotted={knotted}, "

@@ -22,8 +22,7 @@ import collections
 import typing
 
 from .core import (EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
-                   OMEGA_SLOTS, Dart, Face, Triangulation, _Surface,
-                   face_rotation_inverse, make_face, omega)
+                   OMEGA_SLOTS, Dart, Face, Triangulation, _Surface, make_face, omega)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
 
 
@@ -34,26 +33,38 @@ class Position(typing.NamedTuple):
     face: Face
 
 
+def _unpack(position) -> typing.Tuple[typing.Any, typing.Any]:
+    """The (dart, face) pair of a position, not yet checked."""
+    try:
+        dart, face = position
+    except (TypeError, ValueError):
+        raise InvalidPosition(f"position {position!r} is not a (dart, face) pair") from None
+    return dart, face
+
+
 def _dart_on(face: Face, dart) -> Dart:
-    """``dart``, any (tail, head) pair, as a ``Dart`` on ``face``."""
+    """``dart``, any (tail, head) pair of two vertices of ``face``, as a ``Dart``."""
     try:
         dart = Dart(*dart)
     except TypeError:
         raise InvalidPosition(f"dart {dart!r} is not a (tail, head) pair") from None
-    if dart.tail not in face or dart.head not in face:
+    try:
+        on_face = dart.tail in face and dart.head in face
+    except TypeError:  # a face that holds no labels
+        on_face = False
+    if not on_face:
         raise InvalidPosition(f"dart {dart!r} is not on face {face!r}")
+    if dart.tail == dart.head:
+        raise InvalidPosition(f"degenerate dart {dart!r}")
     return dart
 
 
 def _check_position(tri: Triangulation, position: Position) -> typing.Tuple[int, Dart]:
     """The index in ``tri.faces`` of the face of a valid position, and its dart."""
-    dart, face = position
+    dart, face = _unpack(position)
     if not tri.has_face(face):
         raise InvalidPosition(f"face {face!r} not in triangulation")
-    dart = _dart_on(face, dart)
-    if dart.tail == dart.head:
-        raise InvalidPosition(f"degenerate dart {dart!r}")
-    return bisect.bisect_left(tri.faces, face), dart
+    return bisect.bisect_left(tri.faces, face), _dart_on(face, dart)
 
 
 def step(tri: Triangulation, position: Position) -> Position:
@@ -78,8 +89,13 @@ def reverse_position(position: Position) -> Position:
     Maps (dart, F) to (-rotation^-1(dart), F); an involution carrying every
     orbit onto the orbit of its reversed zigzag.
     """
-    dart, face = position
-    return Position(-face_rotation_inverse(face, _dart_on(face, dart)), face)
+    dart, face = _unpack(position)
+    try:
+        darts = omega(face)
+    except (TypeError, ValueError):  # no three distinct, comparable labels
+        raise InvalidPosition(f"face {face!r} is not a face") from None
+    k = darts.index(_dart_on(face, dart))
+    return Position(-darts[OMEGA_ROTATION_INVERSE[k]], face)
 
 
 # The step entries across an edge, by its edge slots j in face f and i in
@@ -450,9 +466,11 @@ def is_z_knotted(tri: Triangulation) -> bool:
     orbits = _atlas(tri)._orbits
     if len(orbits) != 2:
         return False
-    edge = [min(c, d) for c, d in enumerate(tri.across)]
+    edge = list(map(min, range(len(tri.across)), tri.across))
     # edge_at[6 f + k]: the edge of dart k of face f, in omega order.
-    edge_at = [edge[base + e] for base in range(0, len(edge), 3) for e in _DART_EDGE]
+    edge_at = [0] * (2 * len(edge))
+    for k, e in enumerate(_DART_EDGE):
+        edge_at[k::6] = edge[e::3]
     for orbit in orbits:
         counts = collections.Counter(map(edge_at.__getitem__, orbit))
         if len(counts) != len(edge) // 2 or set(counts.values()) != {2}:

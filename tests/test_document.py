@@ -8,8 +8,9 @@ import tracemalloc
 import pytest
 
 import trizig as tz
-from trizig.document import parse_document
+from trizig.document import FORMAT, parse_document
 from trizig.errors import MalformedDocument, ValidationFailure
+from trizig.shredding import CERTIFICATE_FORMAT, ShredCertificate, ShredStep
 
 
 def test_round_trip_named(named_corpus):
@@ -68,6 +69,84 @@ def test_metadata_is_kept_in_document_but_not_needed():
     doc = json.loads(text)
     assert doc["metadata"] == {"name": "bp4", "n": 4}
     assert tz.parse(text) == tz.bipyramid(4)
+
+
+def _dumped(doc):
+    """The reference layout of both writers: the standard encoder, indented."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def _document(tri, metadata=None):
+    doc = {"format": FORMAT, "vertices": list(tri.vertices),
+           "faces": [list(face) for face in tri.faces]}
+    if metadata:
+        doc["metadata"] = metadata
+    return doc
+
+
+def _certificate(certificate):
+    return {"format": CERTIFICATE_FORMAT,
+            "final_zigzag_length": certificate.final_zigzag_length,
+            "steps": [{"face": list(step.face), "bad_type": step.bad_type,
+                       "patch": step.patch_id, "map": dict(step.vertex_map),
+                       "relabeling": dict(step.relabeling)}
+                      for step in certificate.steps]}
+
+
+# Labels that the encoder escapes: a quote, a backslash, control
+# characters, non-ASCII text and DEL.
+_ODD_LABELS = ['say "hi"', "back\\slash", "tab\there\x01", "caf\u00e9 \u2603", "del\x7f"]
+_NESTED = {"z": [1, {"b": None, "a": "\u2603\nline"}], "a": {"k": [True, 1.5, -2, []], "e": {}},
+           "m": "\"quoted\" \\ \x1f"}
+
+
+def _relabeled(tri, labels):
+    names = dict(zip(tri.vertices, labels))
+    return tz.Triangulation([[names[v] for v in face] for face in tri.faces])
+
+
+def test_writers_match_the_indenting_encoder(full_corpus):
+    # serialize and ShredCertificate.to_json join their text from pieces;
+    # it must equal the standard encoder's, indented, byte for byte, on
+    # every input, its shredding and its certificate.
+    for tri in full_corpus:
+        out, certificate = tz.shred(tri)
+        for surface in (tri, out):
+            assert tz.serialize(surface) == _dumped(_document(surface))
+        assert certificate.to_json() == _dumped(_certificate(certificate))
+    tri = full_corpus[0]
+    for metadata in (None, {}, {"k": 1}, _NESTED, [1, [2, {"x": []}]], "text"):
+        assert tz.serialize(tri, metadata) == _dumped(_document(tri, metadata))
+
+
+@pytest.mark.parametrize("build", [lambda: tz.platonic("octahedron"),
+                                   lambda: tz.torus_grid(3, 3)], ids=["octahedron", "torus_3_3"])
+def test_writers_escape_labels_as_the_encoder_does(build):
+    tri = build()
+    # Two integer labels too, which become text.
+    labels = [f"{label} {i}" for i, label in enumerate(_ODD_LABELS * 2)]
+    odd = _relabeled(tri, labels[:len(tri.vertices) - 2] + [7, 12])
+    assert any("\\u" in text for text in map(json.dumps, odd.vertices))
+    text = tz.serialize(odd, _NESTED)
+    assert text == _dumped(_document(odd, _NESTED))
+    assert text.isascii() and tz.parse(text) == odd
+    out, certificate = tz.shred(odd)
+    assert certificate.steps
+    assert tz.serialize(out) == _dumped(_document(out))
+    assert certificate.to_json() == _dumped(_certificate(certificate))
+
+
+def test_certificate_writer_on_hand_made_steps():
+    face = tz.make_face(*_ODD_LABELS[:3])
+    step = ShredStep(face, "M5", "sphere-m1",
+                     (("z", _ODD_LABELS[3]), ("a", "b\"c")), (("\u00e9", "x"),))
+    unsorted = ShredStep(face[::-1], "M7", "bp3-m3", (("b", "1"), ("a", "2")), ())
+    for certificate in (ShredCertificate((), 0), ShredCertificate((step,), 42),
+                        ShredCertificate((step, unsorted), 3)):
+        text = certificate.to_json()
+        assert text == _dumped(_certificate(certificate))
+        assert text.isascii()
+    assert ShredCertificate((), 0).to_json().endswith('"steps": []\n}\n')
 
 
 def test_parse_accepts_integer_labels():

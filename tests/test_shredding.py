@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 import trizig as tz
 from trizig.errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
-                           UnclassifiableMonodromy)
+                           NoValidMap, UnclassifiableMonodromy)
 from trizig import monodromy, shredding, zigzag
 from trizig.cli import main
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
@@ -67,6 +67,26 @@ def test_find_gluing_map_m7_face():
                if tz.gluing_condition(bp6, face, patch.triangulation,
                                       patch.designated_face, g)]
     assert found == working[0]
+
+
+@pytest.mark.parametrize("tag", ["M5", "M7"])
+@pytest.mark.parametrize("face", [("1", "2", "a"), ("p", "q", "r"), ("s0.9", "x", "y")])
+def test_gluing_table_is_the_search_over_special_maps(tag, face):
+    # shred reads each patch's map off a table made once; for every valid
+    # monodromy image it is the first special map in enumeration order that
+    # satisfies the gluing condition, and an image no map glues raises.
+    patch = tz.patch_for(tag)
+    other = tz.z_monodromy(patch.triangulation, patch.designated_face).image
+    for image, (shape, _witness) in monodromy._SHAPES.items():
+        searched = next((gluing for gluing in tz.enumerate_special_maps(
+            face, patch.designated_face) if _glues(image, other, gluing)), None)
+        if searched is None:
+            assert shape not in (("M5", "M6") if tag == "M5" else ("M7",))
+            with pytest.raises(NoValidMap, match=f"no special map glues patch "
+                                                 f"{patch.patch_id} onto face"):
+                shredding._first_gluing(face, image, patch)
+        else:
+            assert shredding._first_gluing(face, image, patch) == searched
 
 
 def test_m7_witness_aligned_map_satisfies_condition():
@@ -701,6 +721,49 @@ def test_shred_refuses_an_output_face_of_a_bad_shape(monkeypatch, image, error, 
     monkeypatch.setattr(monodromy, "_build_monodromies", forced)
     with pytest.raises(error, match=message):
         tz.shred(tri)
+
+
+def test_shred_names_the_first_face_of_an_unknown_monodromy(monkeypatch):
+    # The closing check classifies each distinct image once; an unknown one
+    # still names its first face in face order.
+    tri = tz.bipyramid(8)
+    for tag in ("M5", "M7"):
+        tz.patch_for(tag)
+    build = monodromy._build_monodromies
+    output = []
+
+    def forced(surface):
+        images = build(surface)
+        if surface is not tri:
+            images[5], images[2] = (1, 0, 2, 3, 4, 5), (0, 1, 2, 3, 5, 4)
+            output.append(surface)
+        return images
+
+    monkeypatch.setattr(monodromy, "_build_monodromies", forced)
+    with pytest.raises(UnclassifiableMonodromy) as raised:
+        tz.shred(tri)
+    face = output[0].faces[2]
+    assert str(raised.value) == (f"monodromy (0, 1, 2, 3, 5, 4) of face {face} "
+                                 f"(local dart indices) matches no shape")
+
+
+@pytest.mark.parametrize("make, args", [(tz.torus_grid, (4, 5)), (tz.random_sphere, (3, 40))],
+                         ids=["torus-4-5", "random-sphere-3-40"])
+def test_shred_asks_no_pairs_after_the_last_repair(monkeypatch, make, args):
+    # Once the repairs have joined every zigzag pair into one class, no bad
+    # face is left, so the loop stops without asking for more pairs.
+    tri = make(*args)
+    events = []
+    face_pairs, repair = shredding._face_pairs, shredding._repair
+    monkeypatch.setattr(shredding, "_face_pairs",
+                        lambda surface, face: events.append("pairs") or face_pairs(surface, face))
+    monkeypatch.setattr(shredding, "_repair",
+                        lambda state, face: events.append("repair") or repair(state, face))
+    out, certificate = tz.shred(tri)
+    assert events.count("repair") == len(certificate.steps) > 0
+    assert events[-1] == "repair"
+    assert events.count("pairs") < len(_bad_faces(tri))
+    assert tz.verify_certificate(tri, certificate, out).ok
 
 
 @pytest.mark.parametrize("make, args", [(tz.bipyramid, (6,)), (tz.random_sphere, (3, 40))],

@@ -93,6 +93,20 @@ def test_positions_take_a_dart_as_any_pair(named_corpus):
             tz.reverse_position(Position(dart, face))
 
 
+def test_positions_that_are_no_dart_face_pair_are_invalid():
+    tri = tz.bipyramid(4)
+    face = tri.faces[0]
+    calls = [lambda: tz.step(tri, 5), lambda: tz.trace(tri, None),
+             lambda: tz.step(tri, (Dart("1", "2"),)),
+             lambda: tz.reverse_position(Position(Dart("1", "2"), 5)),
+             lambda: tz.reverse_position(Position(Dart(face[0], face[0]), face))]
+    calls += [lambda bad=bad: tz.reverse_position(Position(Dart("1", "2"), bad))
+              for bad in (("1", "2"), ("1", "2", "2"), "12", ("1", "2", 3))]
+    for call in calls:
+        with pytest.raises(InvalidPosition):
+            call()
+
+
 def test_reverse_position_golden():
     face = ("t", "u", "v")
     assert tz.reverse_position(Position(Dart("u", "v"), face)) == \
