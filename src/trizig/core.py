@@ -516,10 +516,11 @@ class _Surface:
     to.  ``across`` is the corner table over the slots, as in a
     ``Triangulation``, so there are ``len(across) // 3`` slots; a
     tombstone's corners are stale.  Slots never move, and each glue appends
-    its patch faces' slots, so ``zigzag._ZigzagState`` shares ``slot`` and
-    ``across``.  Also holds the set of vertices, the k of every "s<k>."
-    prefix that starts a label (``taken``) and the least k not taken
-    (``free``).
+    its patch faces' slots, so a ``zigzag._ZigzagState`` made before the
+    glues keeps numbering its faces' positions by slot: it reads ``across``
+    once and looks its faces up in ``slot``, and no patch slot enters it.
+    Also holds the set of vertices, the k of every "s<k>." prefix that
+    starts a label (``taken``) and the least k not taken (``free``).
 
     ``glue`` checks and applies one sum, touching only the patch's corners
     and the three host corners across the removed face; ``freeze`` sorts the

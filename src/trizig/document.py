@@ -11,7 +11,8 @@ and keys by ": "; an empty array written ``[]``; and in strings ``"``,
 ``\\`` and every character outside printable ASCII escaped (``\\n``,
 ``\\u00e9``, ...).  The writers join that text from pieces, each label
 encoded once by the function ``json.dumps`` uses for strings, instead of
-running the pure-Python encoder that an indent selects.
+running the pure-Python encoder that an indent selects.  NaN, Infinity and
+-Infinity are not JSON: the reader refuses them and the writer writes none.
 """
 
 import json
@@ -39,7 +40,8 @@ def _block(brackets: str, items: typing.Sequence[str], depth: int) -> str:
 
 def serialize(tri: Triangulation,
               metadata: typing.Optional[dict] = None) -> str:
-    """Canonical document text for a triangulation."""
+    """Canonical document text for a triangulation.  Metadata holding a NaN
+    or infinite float, which JSON cannot write, raises ValueError."""
     labels = list(map(_quote, tri.vertices))
     quoted = dict(zip(tri.vertices, labels))
     # Each face is a ``_block`` at depth 2, written out inline.
@@ -47,16 +49,27 @@ def serialize(tri: Triangulation,
              for a, b, c in tri.faces]
     members = [f'"faces": {_block("[]", faces, 1)}', f'"format": {_quote(FORMAT)}']
     if metadata:
-        text = json.dumps(metadata, indent=2, sort_keys=True)
+        text = json.dumps(metadata, indent=2, sort_keys=True, allow_nan=False)
         members.append('"metadata": ' + text.replace("\n", "\n  "))
     members.append(f'"vertices": {_block("[]", labels, 1)}')
     return _block("{}", members, 0) + "\n"
 
 
+def _refuse_constant(name: str):
+    raise MalformedDocument(f"not valid JSON: {name} is no JSON number")
+
+
+# The standard decoder but for the constants it takes beyond JSON: NaN,
+# Infinity and -Infinity are refused.  Made once, as a document is parsed
+# per call.
+_DECODER = json.JSONDecoder(parse_constant=_refuse_constant)
+
+
 def load_json(text: str):
-    """Decode JSON text; invalid or too deeply nested text is MalformedDocument."""
+    """Decode JSON text; invalid or too deeply nested text, and the
+    non-JSON constants NaN, Infinity and -Infinity, are MalformedDocument."""
     try:
-        return json.loads(text)
+        return _DECODER.decode(text)
     except (ValueError, RecursionError) as exc:
         raise MalformedDocument(f"not valid JSON: {exc}") from None
 

@@ -19,12 +19,15 @@ The same fact lets ``shred`` classify the input once.  Every later bad face
 is one of the input's bad faces, met by more than one of the input's zigzag
 pairs once those through each repaired face are joined, as a union-find
 (Tarjan, J. ACM 1975) keeps them.  ``_repair``, the one repair step, walks
-the monodromy of only the face it repairs on the surface's step map
-(``zigzag._ZigzagState``), reads the gluing map off its patch's table and
-splices only the patch's positions.  That table is made once per patch: the
-gluing condition depends only on the face's monodromy, one of the 15 valid
-images, and on the slot order of the map, so the first map that satisfies
-it is a function of the image.
+the monodromy of only the face it repairs on the step map of the input's
+positions (``zigzag._ZigzagState``) and reads the gluing map off its
+patch's table.  That table is made once per patch: the gluing condition
+depends only on the face's monodromy, one of the 15 valid images, and on
+the slot order of the map, so the first map that satisfies it is a
+function of the image.  The glued map and the patch face's monodromy fix
+how the patch routes the zigzags through the face (``surgery._transit``),
+so the splice rewires six links and walks nothing, and no patch position
+ever enters the state.
 """
 
 import functools
@@ -37,7 +40,7 @@ from .document import _block, _quote, load_json
 from .errors import InvalidMonodromyType, MalformedDocument, NoValidMap, TrizigError
 from .generators import bipyramid, example_sum
 from .monodromy import _SHAPES, _monodromies, _shape, face_types, z_monodromy
-from .surgery import SpecialMap, _glues, enumerate_special_maps
+from .surgery import SpecialMap, _glues, _transit, enumerate_special_maps
 from .zigzag import _atlas, _face_index, _face_pairs, _ZigzagState, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
 from .document import serialize  # noqa: F401
@@ -239,13 +242,17 @@ def _repair(state: _ZigzagState, face: Face) -> ShredStep:
 
     The face's monodromy is walked on ``state``, and its type and the first
     gluing map are read off it; a face of type M1..M4 has no patch and
-    raises before anything is glued.  That monodromy fixes how the zigzags
-    through the face run between its visits, so the splice walks the
-    patch's positions only.  It counts the zigzags through the patch: the k
-    through the repaired face, cut and rejoined, must make one pair.
-    Orbits that miss the face do not move, so the zigzag count falls by
-    k - 2 and every face met by one pair stays so: the module docstring's
-    lemma, by which the count of M5/M6/M7 faces strictly decreases.
+    raises before anything is glued.  The transit of the map actually
+    glued, read with the patch face's monodromy, says where each zigzag
+    that entered the face leaves the patch, so the splice rewires the six
+    positions just before the face's seeds and walks nothing.  It counts
+    the zigzags through the patch: the k through the repaired face, cut and
+    rejoined, must make one pair, so a map that fails the gluing condition
+    is refused here.  Orbits that miss the face do not move, so the zigzag
+    count falls by k - 2 and every face met by one pair stays so: the
+    module docstring's lemma, by which the count of M5/M6/M7 faces strictly
+    decreases.  Nothing else checks the state against the glued surface;
+    ``shred``'s closing checks verify the glue.
     """
     gone = state.surface.slot[face]
     monodromy = state.monodromy(face)
@@ -253,7 +260,8 @@ def _repair(state: _ZigzagState, face: Face) -> ShredStep:
     patch = patch_for(bad_type)
     gluing = _first_gluing(face, monodromy, patch)
     _added, fresh = state.surface.glue(face, patch.triangulation, patch.designated_face, gluing)
-    through = state.splice(gone, monodromy)
+    other = z_monodromy(patch.triangulation, patch.designated_face).image
+    through = state.splice(gone, monodromy, _transit(gluing, other))
     if through != 2:
         raise AssertionError(
             f"repairing {face!r} left {through} zigzags through the patch, "
@@ -344,8 +352,10 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
     that the target is z-knotted, and that the recorded zigzag length
     matches.  The steps are replayed on one ``core._Surface``.  A step's
     ``bad_type`` is checked against its patch, not against the face's type
-    then: an M5 step recorded as M6 (the same patch) still verifies, as that
-    check would need ``shred``'s zigzag state kept through the replay.
+    then: an M5 step recorded as M6 (the same patch) still verifies, as the
+    replay keeps no zigzag state.  That check would keep ``shred``'s
+    ``zigzag._ZigzagState`` on the source's positions and splice it at each
+    step.
     """
     problems = []
     surface = _Surface(source)

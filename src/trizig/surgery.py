@@ -17,8 +17,8 @@ import itertools
 import typing
 from dataclasses import dataclass
 
-from .core import (OMEGA_SLOTS, Face, Triangulation, _check_sum_inputs,
-                   _least_free, _prefix_numbers, _Surface, make_face)
+from .core import (OMEGA_ROTATION_INVERSE, OMEGA_SLOTS, Face, Triangulation,
+                   _check_sum_inputs, _least_free, _prefix_numbers, _Surface, make_face)
 from .errors import (InvalidMonodromyType, InvalidSpecialMap, MonodromyNotIdentity,
                      NotZKnotted, SelfSum)
 from .monodromy import (_IDENTITY, DartPermutation, _monodromies, is_two_disjoint_3cycles,
@@ -144,16 +144,36 @@ def gluing_condition(tri: Triangulation, face: Face,
                   z_monodromy(other_tri, other_face).image, gluing)
 
 
+def _dart_map(gluing: SpecialMap) -> typing.List[int]:
+    """The dart map g of a special map: dart k of the source face goes to
+    dart g[k] of the target face, in omega order."""
+    slot = [gluing.target_face.index(target) for _source, target in gluing.pairs]
+    return [OMEGA_SLOTS.index((slot[tail], slot[head])) for tail, head in OMEGA_SLOTS]
+
+
 def _glues(monodromy: typing.Tuple[int, ...], other_monodromy: typing.Tuple[int, ...],
            gluing: SpecialMap) -> bool:
     """The gluing condition for the z-monodromies of the glued faces, given
     as 6-tuples of omega indices of the source and the target face."""
-    other_face = gluing.target_face
-    # g: dart k of the source face -> dart g[k] of ``other_face``, in omega order.
-    slot = [other_face.index(target) for _source, target in gluing.pairs]
-    g = [OMEGA_SLOTS.index((slot[tail], slot[head])) for tail, head in OMEGA_SLOTS]
+    g = _dart_map(gluing)
     product = tuple(g[monodromy[g.index(k)]] for k in other_monodromy)
-    return is_two_disjoint_3cycles(DartPermutation._of(other_face, product))
+    return is_two_disjoint_3cycles(DartPermutation._of(gluing.target_face, product))
+
+
+def _transit(gluing: SpecialMap, other_monodromy: typing.Tuple[int, ...]) -> typing.List[int]:
+    """How the glued patch routes the zigzags of the source face's host:
+    the arc that entered the source face in place of seed j crosses the
+    patch and leaves it as seed ``transit[j]`` left the source face.
+
+    It steps from D^-1(j)'s edge into the patch as the target face's seed
+    g(D^-1(j)) did, and the patch walk comes back to that face before seed
+    D(M'(g(D^-1(j)))), so it leaves over M'(g(D^-1(j)))'s edge, as seed
+    g^-1 of that did.  g commutes with the face rotation D, so transit[j] =
+    g^-1(M'(D^-1(g(j)))), with M' ``other_monodromy``, the target face's
+    z-monodromy in its patch.
+    """
+    g = _dart_map(gluing)
+    return [g.index(other_monodromy[OMEGA_ROTATION_INVERSE[k]]) for k in g]
 
 
 def th4_decide(type_f: str, type_other: str) -> str:

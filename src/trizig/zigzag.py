@@ -112,17 +112,19 @@ _CROSSING = tuple(
 _DART_EDGE = tuple(s + t - 1 for s, t in OMEGA_SLOTS)
 
 
-def _cross(step, corners: typing.Iterable[typing.Tuple[int, int]]) -> None:
-    """Set the two step entries on corner c's side of its edge, for each
-    (c, across[c]) in ``corners``: the step from (d, F) is D(d) read in the
+def _step_map(across: typing.Sequence[int]) -> typing.List[int]:
+    """The step list of the corner table ``across``, two entries per corner
+    c on c's side of its edge: the step from (d, F) is D(d) read in the
     other face of d's edge, and corner 3 g + i across from 3 f + j tells
     that face and, through ``_CROSSING``, where D(d) sits in it."""
-    for c, d in corners:
+    step = [0] * (2 * len(across))
+    for c, d in enumerate(across):
         j, i = c % 3, d % 3
         k, m, k2, m2 = _CROSSING[3 * j + i]
         here, there = 2 * (c - j), 2 * (d - i)
         step[here + k] = there + m
         step[here + k2] = there + m2
+    return step
 
 
 def _walk(step: typing.List[int]
@@ -159,24 +161,25 @@ _REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
 
 
 class _ZigzagState:
-    """The zigzag step map of a surface under repair, kept current across sums.
+    """The zigzag step map of a surface under repair, on the positions of
+    the faces it was made with, kept current across sums.
 
-    Made from a ``core._Surface`` alone, glued or not.  Position 6 s + k is
-    dart k of the face in slot s, as in the atlas; the queries take a face
-    and look its slot up in the surface's ``slot``.  The step list is read
-    off the surface's ``across`` by ``_cross``, at the start for every
-    corner and after a sum for the patch faces' corners, whose new slots
-    start at ``len(step) // 6``.  A tombstone's stale corners write only its
-    own entries, and a splice makes them step to themselves.  Which zigzags
-    make one pair is for ``shredding.shred`` to track.
+    Made from a ``core._Surface``, glued or not.  Position 6 s + k is dart
+    k of the face in slot s, as in the atlas; the queries take one of those
+    faces and look its slot up in the surface's ``slot``.  The step list is
+    read off the surface's ``across`` once, and no patch position ever
+    enters it: after a sum each live position steps to the next of those
+    positions on its zigzag, every patch position between them skipped, so
+    the list never grows and a face's monodromy walks as before.  A
+    tombstone's positions step to themselves.  Which zigzags make one pair
+    is for ``shredding.shred`` to track.
     """
 
     __slots__ = ("surface", "step")
 
     def __init__(self, surface: _Surface):
         self.surface = surface
-        self.step = [0] * (2 * len(surface.across))
-        _cross(self.step, enumerate(surface.across))
+        self.step = _step_map(surface.across)
 
     def monodromy(self, face: Face) -> typing.Tuple[int, ...]:
         """The z-monodromy of ``face`` as in ``monodromy._build_monodromies``:
@@ -196,56 +199,46 @@ class _ZigzagState:
                 image[OMEGA_NEGATION[e]] = OMEGA_NEGATION[k]
         return tuple(image)
 
-    def splice(self, removed: int, monodromy: typing.Sequence[int]) -> int:
+    def splice(self, removed: int, monodromy: typing.Sequence[int],
+               transit: typing.Sequence[int]) -> int:
         """Follow the sum that replaced the face in slot ``removed``, of
-        z-monodromy ``monodromy``, by the faces in the surface's new slots,
-        in O(patch).
+        z-monodromy ``monodromy``, by a patch, in six links.
 
-        Besides the removed face's, now a tombstone, only the steps across
-        the new faces' edges change, and each starts or ends in a new face.
-        So the orbits through the new faces are the old ones through the
-        removed face, cut and rejoined through the patch, and every host arc
-        between two of their visits to it is unchanged: the arc that left
-        seed r comes back just before seed D(M(r)).  Only the patch
-        positions are walked, each host arc in one jump; returns how many
-        orbits they make, 2 when the sum joined them into one pair.  The
-        host arcs' ends are the removed face's step entries: seed r steps
-        out to step[r] and in from R(step[R(r)]).
+        Every host arc between two visits of a zigzag to the removed face is
+        unchanged, so only the six positions just before its seeds step
+        elsewhere: the arc that entered the face in place of seed j now
+        runs through the patch and leaves it as seed ``transit[j]`` did
+        (``surgery._transit``).  Seed r steps out to exits[r] = step[r] and
+        in from R(step[R(r)]).  Once a neighbour's patch is skipped, an exit
+        can be another seed of the face, which hands the arc on again.  The
+        seeds become a tombstone, stepping to themselves.  Returns how many
+        zigzags run through the patch, the cycles of r -> transit[D(M(r))]:
+        the arc leaving seed r comes back in place of seed D(M(r)).
         """
-        step, across = self.step, self.surface.across
-        gone = 6 * removed
-        # The host positions after and before each seed r of the removed face.
-        exits = step[gone:gone + 6]
+        step, gone = self.step, 6 * removed
+        end = gone + 6
+        # The positions after and before each seed r of the removed face.
+        exits = step[gone:end]
         entries = [p - p % 6 + _REVERSAL[p % 6] for p in map(exits.__getitem__, _REVERSAL)]
-        step[gone:gone + 6] = range(gone, gone + 6)
-        first = len(step)
-        # The patch corners, then the host corners across from them.
-        corners = [(c, across[c]) for c in range(first // 2, len(across))]
-        corners += [(d, c) for c, d in corners if d < first // 2]
-        step += [0] * (2 * len(across) - first)
-        _cross(step, corners)
-
-        resume = {exits[r]: entries[OMEGA_ROTATION[monodromy[r]]] for r in range(6)}
-        seen = bytearray(len(step) - first)
-        through = 0
-        for start in range(first, len(step)):
-            if seen[start - first]:
+        for j, p in enumerate(entries):
+            if gone <= p < end:
                 continue
-            through += 1
-            p = start
-            while True:
-                seen[p - first] = 1
-                p = step[p]
-                if p < first:
-                    if p not in resume:
-                        raise AssertionError(
-                            f"a patch step leaves the patch for host position "
-                            f"{p}, which did not follow slot {removed}")
-                    p = step[resume[p]]
-                if p == start:
+            q = exits[transit[j]]
+            for _turn in range(6):
+                if not gone <= q < end:
                     break
-                if p < first or seen[p - first]:
-                    raise AssertionError("step map failed to be a permutation")
+                q = exits[transit[q - gone]]
+            else:
+                raise AssertionError(f"the arcs through slot {removed} close on its seeds")
+            step[p] = q
+        step[gone:end] = range(gone, end)
+        through, seen = 0, [False] * 6
+        for start in range(6):
+            through += not seen[start]
+            r = start
+            while not seen[r]:
+                seen[r] = True
+                r = transit[OMEGA_ROTATION[monodromy[r]]]
         return through
 
 
@@ -354,7 +347,7 @@ class ZigzagAtlas:
     Built once per triangulation, and the one cached record of its zigzags.
     Position p = 6 f + k is (omega(tri.faces[f])[k], tri.faces[f]); as
     6F = 4E this numbers the positions exactly.  The step map is read off
-    the corner table ``tri.across`` alone by ``_cross``, walked once by
+    the corner table ``tri.across`` alone by ``_step_map``, walked once by
     ``_walk`` and dropped: ``_orbits[o]`` lists the positions of orbit o in
     step order, and ``_orbit_of[p]`` is the orbit of p, both ``array("i")``s,
     so the atlas holds no int object per position.  ``_partners[o]``, the
@@ -373,9 +366,7 @@ class ZigzagAtlas:
     __slots__ = ("_faces", "_orbits", "_orbit_of", "_partners", "_listing")
 
     def __init__(self, tri: Triangulation):
-        step = [0] * (2 * len(tri.across))
-        _cross(step, enumerate(tri.across))
-        self._orbits, orbit_of = _walk(step)
+        self._orbits, orbit_of = _walk(_step_map(tri.across))
         # Packed, like the orbits: as a list it would keep the 4E int
         # objects alive that the packed orbits let go, or 4E pointers.
         self._orbit_of = array.array("i", orbit_of)

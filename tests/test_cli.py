@@ -154,6 +154,17 @@ def test_degenerate_face_argument_is_malformed(bp8_file, capsys):
     assert err["error"]["type"] == "MalformedDocument"
 
 
+def test_validate_refuses_a_non_json_constant(tmp_path, capsys):
+    doc = json.loads(tz.serialize(tz.bipyramid(3)))
+    for constant in ("NaN", "Infinity", "-Infinity"):
+        path = tmp_path / "constant.json"
+        path.write_text(json.dumps(dict(doc, metadata={"x": 1.5})).replace("1.5", constant))
+        assert main(["validate", str(path)]) == 2
+        error = json.loads(capsys.readouterr().err)["error"]
+        assert error["type"] == "MalformedDocument"
+        assert constant in error["message"]
+
+
 def test_deeply_nested_json_is_malformed(tmp_path, capsys):
     depth = 100_000
     nested = tmp_path / "nested.json"

@@ -197,6 +197,24 @@ def test_parse_checks_declared_vertices():
             tz.parse(json.dumps(doc))
 
 
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_documents_and_certificates_holding_a_non_json_constant_are_refused(constant):
+    # The standard decoder takes these three words, which JSON has not.
+    doc = json.loads(tz.serialize(tz.bipyramid(3), metadata={"x": 1.5}))
+    with pytest.raises(MalformedDocument, match=f"{constant} is no JSON number"):
+        tz.parse(json.dumps(doc).replace("1.5", constant))
+    _, certificate = tz.shred(tz.bipyramid(6))
+    doc = dict(json.loads(certificate.to_json()), note=1.5)
+    with pytest.raises(MalformedDocument, match=f"{constant} is no JSON number"):
+        ShredCertificate.from_json(json.dumps(doc).replace("1.5", constant))
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_serialize_refuses_metadata_json_cannot_write(value):
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        tz.serialize(tz.bipyramid(3), metadata={"run": {"x": value}})
+
+
 def test_parse_document_returns_raw_faces():
     doc = parse_document(json.dumps(
         {"format": "tri-json/1", "faces": [["1", "2", "3"], ["1", "2", "3"]]}))

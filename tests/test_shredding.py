@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import json
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import trizig as tz
 from trizig.errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument,
                            NoValidMap, UnclassifiableMonodromy)
-from trizig import monodromy, shredding, zigzag
+from trizig import core, monodromy, shredding, surgery, zigzag
 from trizig.cli import main
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
                               ShredCertificate, ShredStep, _bad_faces)
@@ -516,41 +517,102 @@ def test_reading_the_zigzags_first_leaves_shredding_unchanged(named_corpus):
         assert certificate.to_json() == fresh_certificate.to_json()
 
 
-def _check_splice(state, tri, added=()):
-    """The spliced state against a fresh atlas and classification of ``tri``
-    and a fresh state on the same surface; ``added`` holds the faces the
-    last glue added."""
+def _check_splice(state, tri, inputs, added=()):
+    """The spliced state against a fresh atlas and classification of ``tri``,
+    the glued surface, whose first ``inputs`` slots held the input's faces;
+    ``added`` holds the faces the last glue added."""
     surface = state.surface
     assert sorted(surface.slot) == list(tri.faces)
-    faces = [None] * (len(surface.across) // 3)  # slot -> face, None at a tombstone
+    # The state never grows: it covers the input's positions only.
+    assert len(state.step) == 6 * inputs
+    faces = [None] * inputs  # input slot -> face, None at a tombstone
     for face, s in surface.slot.items():
-        assert faces[s] is None
-        faces[s] = face
-    assert len(faces) == len(state.step) // 6
-    # The step list itself, entry by entry, as (face, k) -> (face, k): each
-    # live position steps to its successor on its fresh orbit, and each
-    # tombstone position to itself.
-    atlas = tz.ZigzagAtlas(tri)
-    for orbit in atlas._orbits:
-        for p, q in zip(orbit, orbit[1:] + orbit[:1]):
-            spliced = state.step[6 * surface.slot[tri.faces[p // 6]] + p % 6]
-            assert (faces[spliced // 6], spliced % 6) == (tri.faces[q // 6], q % 6)
+        if s < inputs:
+            assert faces[s] is None
+            faces[s] = face
+    # Each live input position steps to the next input position on its
+    # fresh orbit, every patch position between skipped.
+    slot_of = [surface.slot[face] for face in tri.faces]
+    live = 0
+    for orbit in tz.ZigzagAtlas(tri)._orbits:
+        here = [6 * slot_of[p // 6] + p % 6 for p in orbit if slot_of[p // 6] < inputs]
+        live += len(here)
+        for p, q in zip(here, here[1:] + here[:1]):
+            assert state.step[p] == q
+    assert live == 6 * sum(face is not None for face in faces)
+    # Each tombstone position steps to itself.
     assert all(state.step[p] == p for p in range(len(state.step)) if faces[p // 6] is None)
-    # A state made fresh on the glued surface steps alike on every live position.
-    fresh = _ZigzagState(surface)
-    assert len(fresh.step) == len(state.step)
-    assert all(fresh.step[p] == state.step[p]
-               for p in range(len(state.step)) if faces[p // 6] is not None)
     types = tz.face_types(tri)
     # The lemma: every patch face is met by one zigzag pair.
     assert all(types[face].tag not in BAD_TAGS for face in added)
-    for face in tri.faces:
-        assert state.monodromy(face) == tz.z_monodromy(tri, face).image
+    for face in faces:
+        if face is not None:
+            assert state.monodromy(face) == tz.z_monodromy(tri, face).image
+
+
+def _successors(tri):
+    """Each position's successor on its orbit, read off a fresh atlas."""
+    after = [0] * (6 * len(tri.faces))
+    for orbit in tz.ZigzagAtlas(tri)._orbits:
+        for p, q in zip(orbit, orbit[1:] + orbit[:1]):
+            after[p] = q
+    return after
+
+
+def _read_transit(tri, before, face, summed):
+    """The transit of the sum ``summed`` of a patch onto ``face`` of ``tri``,
+    read off a fresh atlas of each (``before`` is ``tri``'s successors): the
+    arc that stepped into ``face`` in place of seed j now crosses the patch,
+    and leaves it where seed ``transit[j]`` stepped out."""
+    f = tri.faces.index(face)
+    after = _successors(summed)
+
+    def at(p):  # a position of a face of ``tri`` but ``face`` in ``summed``
+        return 6 * summed.faces.index(tri.faces[p // 6]) + p % 6
+
+    seed_of = {at(before[6 * f + r]): r for r in range(6)}
+    entries = {q - 6 * f: p for p, q in enumerate(before) if q // 6 == f}
+    transit = []
+    for j in range(6):
+        q = after[at(entries[j])]
+        while q not in seed_of:
+            q = after[q]
+        transit.append(seed_of[q])
+    return transit
+
+
+@pytest.mark.parametrize("build", [lambda: tz.torus_grid(4, 5), tz.projective_plane_fig5,
+                                   lambda: tz.random_sphere(1, 12)],
+                         ids=["torus-4-5", "projective-plane", "random-sphere-1-12"])
+def test_transit_is_read_off_a_fresh_atlas_of_the_sum(build):
+    # Every special map of both patches onto every bad face, whether or not
+    # it satisfies the gluing condition: the patch routes the arcs as the
+    # formula says.
+    tri = build()
+    bad, before = _bad_faces(tri), _successors(tri)
+    assert bad
+    for tag in ("M5", "M7"):
+        patch = tz.patch_for(tag)
+        other = tz.z_monodromy(patch.triangulation, patch.designated_face).image
+        for face, _tag in bad:
+            for gluing in tz.enumerate_special_maps(face, patch.designated_face):
+                surface = _Surface(tri)
+                surface.glue(face, patch.triangulation, patch.designated_face, gluing)
+                assert surgery._transit(gluing, other) == _read_transit(
+                    tri, before, face, surface.freeze())
+
+
+def _warm_patches():
+    """Build both patches, so that the glues made to build them are not
+    recorded as repairs."""
+    for tag in ("M5", "M7"):
+        tz.patch_for(tag)
 
 
 def _shred_with_checked_splices(tri):
     """``shred``, checking the zigzag state after every splice against a
     fully validated triangulation of the surface's faces."""
+    _warm_patches()
     glue, splice = _Surface.glue, _ZigzagState.splice
     surfaces, glued, spliced = [], [], []
 
@@ -560,11 +622,11 @@ def _shred_with_checked_splices(tri):
         glued.append(result[0])
         return result
 
-    def checked(state, removed, monodromy):
-        through = splice(state, removed, monodromy)
+    def checked(state, *rest):
+        through = splice(state, *rest)
         assert state.surface is surfaces[-1]
         current = tz.Triangulation(list(surfaces[-1].slot))
-        _check_splice(state, current, glued[-1])
+        _check_splice(state, current, len(tri.faces), glued[-1])
         spliced.append(current)
         return through
 
@@ -580,7 +642,7 @@ def _shred_with_checked_splices(tri):
 
 def test_splices_match_a_fresh_kernel(named_corpus):
     for tri in named_corpus.values():
-        _check_splice(_ZigzagState(_Surface(tri)), tri)
+        _check_splice(_ZigzagState(_Surface(tri)), tri, len(tri.faces))
         out, _certificate = _shred_with_checked_splices(tri)
         assert tz.is_z_knotted(out)
 
@@ -607,6 +669,7 @@ def test_splices_match_a_fresh_kernel_on_sums(surface, data):
 def _check_count_identity(tri):
     """A repair of a face met by k zigzags lowers their count by k - 2, on
     fresh atlases of the surface before and after each sum."""
+    _warm_patches()
     glue, splice = _Surface.glue, _ZigzagState.splice
     drops = []
 
@@ -618,8 +681,8 @@ def _check_count_identity(tri):
                       tz.all_zigzags(before).count - after.count])
         return result
 
-    def counted_splice(state, removed, monodromy):
-        through = splice(state, removed, monodromy)
+    def counted_splice(state, *rest):
+        through = splice(state, *rest)
         drops[-1].append(through)
         return through
 
@@ -642,6 +705,16 @@ def test_each_repair_lowers_the_zigzag_count_by_k_minus_2(named_corpus):
 @given(SURFACES, st.data())
 def test_each_repair_lowers_the_zigzag_count_by_k_minus_2_on_sums(surface, data):
     _check_count_identity(_draw_sum(*surface, data))
+
+
+@pytest.mark.parametrize("check", [_shred_with_checked_splices, _check_count_identity],
+                         ids=["checked-splices", "count-identity"])
+def test_the_splice_recorders_run_on_a_cold_patch_cache(check):
+    # Building the ``sphere-m1`` patch glues, through ``example_sum``, on
+    # surfaces of its own; a recorder installed before the patches are
+    # built would take those glues for repairs.
+    shredding._load_patch.cache_clear()
+    check(tz.bipyramid(8))
 
 
 def _shred_by_reclassifying(tri):
@@ -796,31 +869,66 @@ def test_shred_refuses_a_splice_given_a_wrong_monodromy(monkeypatch, make, args,
     # transposed the arcs rejoin wrongly and the patch count is off.
     splice = _ZigzagState.splice
 
-    def transposed(state, removed, monodromy):
+    def transposed(state, removed, monodromy, *rest):
         image = list(monodromy)
         image[i], image[j] = image[j], image[i]
-        return splice(state, removed, image)
+        return splice(state, removed, image, *rest)
 
     monkeypatch.setattr(_ZigzagState, "splice", transposed)
     with pytest.raises(AssertionError, match="repairing"):
         tz.shred(make(*args))
 
 
-def test_shred_refuses_a_splice_that_breaks_the_patch_pair(monkeypatch):
-    # A splice crosses its new corners from a list, the atlas and a fresh
-    # state all corners from an enumeration; swapping two step entries of
-    # the last added face afterwards keeps a permutation but reroutes orbits.
-    cross = zigzag._cross
+@pytest.mark.parametrize("make, args", [(tz.bipyramid, (8,)), (tz.bipyramid, (6,)),
+                                        (tz.random_sphere, (3, 40)), (tz.torus_grid, (4, 5))],
+                         ids=["bp8", "bp6", "random-sphere-3-40", "torus-4-5"])
+@pytest.mark.parametrize("i, j", [(0, 1), (0, 3), (2, 5), (1, 4)])
+def test_shred_refuses_a_splice_given_a_wrong_transit(monkeypatch, make, args, i, j):
+    # A transit with two entries swapped routes two arcs through the patch
+    # wrongly; the cycles through the patch change by one and the count is off.
+    splice = _ZigzagState.splice
 
-    def swapped(step, corners):
-        cross(step, corners)
-        if isinstance(corners, list):
-            b = len(step) - 6
-            step[b], step[b + 1] = step[b + 1], step[b]
+    def swapped(state, removed, monodromy, transit):
+        transit = list(transit)
+        transit[i], transit[j] = transit[j], transit[i]
+        return splice(state, removed, monodromy, transit)
 
-    monkeypatch.setattr(zigzag, "_cross", swapped)
+    monkeypatch.setattr(_ZigzagState, "splice", swapped)
     with pytest.raises(AssertionError, match="repairing"):
-        tz.shred(tz.bipyramid(8))
+        tz.shred(make(*args))
+
+
+def test_the_splice_check_refuses_a_wrong_transit_of_two_cycles(monkeypatch):
+    # ``_Surface.glue`` builds the output whatever the state says, so a
+    # transit that routes the arcs wrongly but still makes two cycles
+    # through the patch passes ``shred``'s own checks on a one-step
+    # shredding; the fresh-atlas check of the state must refuse it.
+    tri = tz.bipyramid(6)
+    right_out, right = tz.shred(tri)
+    assert len(right.steps) == 1
+    splice = _ZigzagState.splice
+
+    def two_cycles(transit, image):
+        cycles, seen = 0, set()
+        for start in range(6):
+            cycles += start not in seen
+            r = start
+            while r not in seen:
+                seen.add(r)
+                r = transit[core.OMEGA_ROTATION[image[r]]]
+        return cycles == 2
+
+    def rerouted(state, removed, image, transit):
+        wrong = next(list(other) for other in itertools.permutations(range(6))
+                     if list(other) != list(transit) and two_cycles(other, image))
+        return splice(state, removed, image, wrong)
+
+    monkeypatch.setattr(_ZigzagState, "splice", rerouted)
+    out, certificate = tz.shred(tri)
+    assert (tz.serialize(out), certificate) == (tz.serialize(right_out), right)
+    with pytest.raises(AssertionError) as refused:
+        _shred_with_checked_splices(tri)
+    assert any(entry.name == "_check_splice" for entry in refused.traceback)
 
 
 def _projective_plane_plus_bp6():
