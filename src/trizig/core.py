@@ -517,8 +517,9 @@ class _Surface:
     ``Triangulation``, so there are ``len(across) // 3`` slots; a
     tombstone's corners are stale.  Slots never move, and each glue appends
     its patch faces' slots, so a ``zigzag._ZigzagState`` made before the
-    glues keeps numbering its faces' positions by slot: it reads ``across``
-    once and looks its faces up in ``slot``, and no patch slot enters it.
+    glues, with some of the faces, keeps numbering their positions by slot:
+    it reads ``across`` once and looks its faces up in ``slot``, and no
+    patch slot enters it.
     Also holds the set of vertices, the k of every "s<k>." prefix that
     starts a label (``taken``) and the least k not taken (``free``).
 

@@ -15,19 +15,20 @@ host's locally z-knotted faces stay so, hence the count of bad faces strictly
 decreases and the loop terminates in a z-knotted triangulation of the same
 surface.  Every step is logged in a replayable certificate.
 
-The same fact lets ``shred`` classify the input once.  Every later bad face
-is one of the input's bad faces, met by more than one of the input's zigzag
-pairs once those through each repaired face are joined, as a union-find
-(Tarjan, J. ACM 1975) keeps them.  ``_repair``, the one repair step, walks
-the monodromy of only the face it repairs on the step map of the input's
-positions (``zigzag._ZigzagState``) and reads the gluing map off its
-patch's table.  That table is made once per patch: the gluing condition
-depends only on the face's monodromy, one of the 15 valid images, and on
-the slot order of the map, so the first map that satisfies it is a
-function of the image.  The glued map and the patch face's monodromy fix
-how the patch routes the zigzags through the face (``surgery._transit``),
-so the splice rewires six links and walks nothing, and no patch position
-ever enters the state.
+The same fact lets ``shred`` decide every repair before it glues any.
+Every later bad face is one of the input's bad faces, met by more than one
+of the input's zigzag pairs once those through each repaired face are
+joined, as a union-find (Tarjan, J. ACM 1975) keeps them; so the input's
+atlas alone settles the list of faces to repair.  ``_repair``, the one
+repair step, then walks the monodromy of only the face it repairs on the
+step map contracted to the planned faces' positions
+(``zigzag._ZigzagState``) and reads the gluing map off its patch's table.
+That table is made once per patch: the gluing condition depends only on
+the face's monodromy, one of the 15 valid images, and on the slot order of
+the map, so the first map that satisfies it is a function of the image.
+The glued map and the patch face's monodromy fix how the patch routes the
+zigzags through the face (``surgery._transit``), so the splice rewires six
+links and walks nothing, and no patch position ever enters the state.
 """
 
 import functools
@@ -41,7 +42,7 @@ from .errors import InvalidMonodromyType, MalformedDocument, NoValidMap, TrizigE
 from .generators import bipyramid, example_sum
 from .monodromy import _SHAPES, _monodromies, _shape, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, _transit, enumerate_special_maps
-from .zigzag import _atlas, _face_index, _face_pairs, _ZigzagState, is_essential, is_z_knotted
+from .zigzag import _atlas, _face_index, _ZigzagState, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
 from .document import serialize  # noqa: F401
 from .surgery import connected_sum, gluing_condition  # noqa: F401
@@ -223,13 +224,6 @@ class ShredCertificate:
         return cls(steps, length)
 
 
-def _bad_faces(tri: Triangulation) -> typing.List[typing.Tuple[Face, str]]:
-    """Faces classifying M5/M6/M7, in canonical face order."""
-    types = face_types(tri)
-    return [(face, types[face].tag)
-            for face in tri.faces if types[face].tag in BAD_TAGS]
-
-
 def _root(parent: typing.List[int], c: int) -> int:
     """The root of class c in the union-find forest ``parent``, halving its path."""
     while parent[c] != c:
@@ -272,7 +266,7 @@ def _repair(state: _ZigzagState, face: Face) -> ShredStep:
 def shred_step(tri: Triangulation, face: Face) -> Triangulation:
     """Repair one face of type M5/M6/M7 by gluing its patch (``_repair``)."""
     face = tri.faces[_face_index(tri, face)]
-    state = _ZigzagState(_Surface(tri))
+    state = _ZigzagState(_Surface(tri), [face])
     _repair(state, face)
     return state.surface.freeze()
 
@@ -286,35 +280,41 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     one zigzag pair.  A z-knotted input comes back unchanged with an empty
     certificate.
 
-    The input is classified once.  By the module docstring's lemma, which
-    ``_repair`` checks at each step, the least bad face is the first of the
-    input's bad faces whose zigzag pairs are not yet joined into one.  A
-    union-find over the input's pairs is asked once per bad face, in
-    canonical order, and joins the pairs through each repaired face; once
-    they are all one class, no bad face is left and the loop stops.  All
-    patches are glued onto one ``core._Surface``, frozen once at the end;
-    its distinct monodromies, at most 15, are matched against the shape
-    table without building a ``MonodromyType`` per face.
+    It runs in two phases.  The plan comes first: the input is classified
+    once, and by the module docstring's lemma, which ``_repair`` checks at
+    each step, the least bad face is the first of the input's bad faces
+    whose zigzag pairs are not yet joined into one.  So a union-find over
+    the input's zigzag orbits, each starting in its pair's class, is asked
+    once per bad face in canonical order, for the roots of the face's six
+    seeds; a face with more than one root is planned, and its roots are
+    joined.  Once they are all one class, no bad face is left and planning
+    stops.  Then each planned face is repaired in turn on one
+    ``zigzag._ZigzagState`` made with the planned faces, so a monodromy
+    walks only their positions.  A z-knotted input plans nothing and is not
+    copied.  All patches are glued onto one ``core._Surface``, frozen once
+    at the end; its distinct monodromies, at most 15, are matched against
+    the shape table without building a ``MonodromyType`` per face.
     The recorded zigzag length is 2E = 3F, as ``is_z_knotted`` checks that
     the zigzag runs every edge twice.
     """
-    steps = []
-    current = tri
-    bad = _bad_faces(tri)
-    if bad:
-        state = _ZigzagState(_Surface(tri))
-        atlas = _atlas(tri)
-        parent = list(range(atlas.count))
-        classes = atlas.pair_count
-        for face, _tag in bad:
-            roots = {_root(parent, pair) for pair in _face_pairs(tri, face)}
+    atlas, plan = _atlas(tri), []
+    # Each orbit starts in its pair's class, named by the lesser orbit.
+    parent = [min(o, partner) for o, partner in enumerate(atlas._partners)]
+    classes = atlas.pair_count
+    for f, (face, mtype) in enumerate(face_types(tri).items()):
+        if classes == 1:
+            break
+        if mtype.tag in BAD_TAGS:
+            roots = {_root(parent, o) for o in atlas._orbit_of[6 * f:6 * f + 6]}
             if len(roots) > 1:
-                steps.append(_repair(state, face))
+                plan.append(face)
                 for root in roots:
                     parent[root] = min(roots)
                 classes -= len(roots) - 1
-                if classes == 1:
-                    break
+    steps, current = [], tri
+    if plan:
+        state = _ZigzagState(_Surface(tri), plan)
+        steps = [_repair(state, face) for face in plan]
         current = state.surface.freeze()
 
     knotted = is_z_knotted(current)
@@ -353,9 +353,9 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
     matches.  The steps are replayed on one ``core._Surface``.  A step's
     ``bad_type`` is checked against its patch, not against the face's type
     then: an M5 step recorded as M6 (the same patch) still verifies, as the
-    replay keeps no zigzag state.  That check would keep ``shred``'s
-    ``zigzag._ZigzagState`` on the source's positions and splice it at each
-    step.
+    replay keeps no zigzag state.  That check would make ``shred``'s
+    ``zigzag._ZigzagState`` with the certificate's step faces and splice it
+    at each step.
     """
     problems = []
     surface = _Surface(source)

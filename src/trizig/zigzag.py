@@ -161,39 +161,55 @@ _REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
 
 
 class _ZigzagState:
-    """The zigzag step map of a surface under repair, on the positions of
-    the faces it was made with, kept current across sums.
+    """The zigzag step map of a surface under repair, contracted to the
+    positions of the faces it was made with and kept current across sums.
 
-    Made from a ``core._Surface``, glued or not.  Position 6 s + k is dart
-    k of the face in slot s, as in the atlas; the queries take one of those
-    faces and look its slot up in the surface's ``slot``.  The step list is
-    read off the surface's ``across`` once, and no patch position ever
-    enters it: after a sum each live position steps to the next of those
-    positions on its zigzag, every patch position between them skipped, so
-    the list never grows and a face's monodromy walks as before.  A
-    tombstone's positions step to themselves.  Which zigzags make one pair
-    is for ``shredding.shred`` to track.
+    Made from a ``core._Surface``, glued or not, and some of its faces.
+    Position 6 s + k is dart k of the face in slot s, as in the atlas; the
+    queries take one of those faces and look its slot up in the surface's
+    ``slot``.  The step list is read off the surface's ``across`` once and
+    contracted in place: each position of a given face steps to the next
+    such position on its zigzag, every other position between them
+    skipped, and the other positions' entries are never read again.  No
+    patch position ever enters the list either: after a sum each live
+    given position still steps to the next given one on its zigzag, so the
+    list never grows and a face's monodromy walks only the given positions
+    on its orbits.  A tombstone's positions step to themselves.  Which
+    zigzags make one pair is for ``shredding.shred`` to track.
     """
 
     __slots__ = ("surface", "step")
 
-    def __init__(self, surface: _Surface):
+    def __init__(self, surface: _Surface, faces: typing.Iterable[Face]):
         self.surface = surface
-        self.step = _step_map(surface.across)
+        self.step = step = _step_map(surface.across)
+        kept = {6 * surface.slot[face] + k for face in faces for k in range(6)}
+        # Only kept entries are written, each after its one read, so the
+        # walks through the others read the surface's own steps.
+        for p in kept:
+            q = step[p]
+            while q not in kept:
+                q = step[q]
+            step[p] = q
 
     def monodromy(self, face: Face) -> typing.Tuple[int, ...]:
         """The z-monodromy of ``face`` as in ``monodromy._build_monodromies``:
         seed k maps to D^-1 of the dart of the next position in the face.
         Three seeds are walked: the reversed zigzag runs each arc backwards,
-        so M(e) = e' gives M(-e') = -e."""
+        so M(e) = e' gives M(-e') = -e.  A walk longer than the state,
+        which only a broken state makes, raises ``AssertionError``."""
         step, base = self.step, 6 * self.surface.slot[face]
         end = base + 6
         image = [-1] * 6
         for k in range(6):
             if image[k] < 0:
                 p = step[base + k]
-                while not base <= p < end:
+                for _turn in range(len(step)):
+                    if base <= p < end:
+                        break
                     p = step[p]
+                else:
+                    raise AssertionError(f"the zigzag from seed {k} of {face!r} never returns")
                 e = OMEGA_ROTATION_INVERSE[p - base]
                 image[k] = e
                 image[OMEGA_NEGATION[e]] = OMEGA_NEGATION[k]
@@ -476,13 +492,6 @@ def _face_orbit_ids(tri: Triangulation, face: Face) -> typing.Set[int]:
     the neighbouring face steps to a seed."""
     base = 6 * _face_index(tri, face)
     return set(_atlas(tri)._orbit_of[base:base + 6])
-
-
-def _face_pairs(tri: Triangulation, face: Face) -> typing.Set[int]:
-    """The zigzag pairs through ``face``, one of ``tri.faces``, each named by
-    the lesser of its two orbits: each seed's orbit and that orbit's reverse."""
-    atlas, base = _atlas(tri), 6 * bisect.bisect_left(tri.faces, face)
-    return {min(o, atlas._partners[o]) for o in atlas._orbit_of[base:base + 6]}
 
 
 def zigzags_of_face(tri: Triangulation, face: Face) -> typing.FrozenSet[Zigzag]:

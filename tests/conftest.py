@@ -5,6 +5,14 @@ import trizig as tz
 KNOTTED_TAGS = ("M1", "M2", "M3", "M4")
 
 
+def _bad_faces(tri):
+    """The reference list of bad faces: those classifying M5/M6/M7, with
+    their types, in canonical face order."""
+    types = tz.face_types(tri)
+    return [(face, types[face].tag)
+            for face in tri.faces if types[face].tag not in KNOTTED_TAGS]
+
+
 def _named_builders():
     builders = {}
     for n in range(3, 17):

@@ -9,7 +9,7 @@ import itertools
 import time
 
 import trizig as tz
-from trizig.shredding import _bad_faces
+from conftest import _bad_faces
 
 KNOTTED_TAGS = {"M1", "M2", "M3", "M4"}
 

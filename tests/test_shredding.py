@@ -14,10 +14,11 @@ from trizig.errors import (FaceNotFound, InvalidMonodromyType, MalformedDocument
 from trizig import core, monodromy, shredding, surgery, zigzag
 from trizig.cli import main
 from trizig.shredding import (BAD_TAGS, PATCH_BP3_M3, PATCH_SPHERE_M1,
-                              ShredCertificate, ShredStep, _bad_faces)
+                              ShredCertificate, ShredStep)
 from trizig.core import _Surface
 from trizig.surgery import _glues
 from trizig.zigzag import _ZigzagState
+from conftest import _bad_faces
 
 
 def test_patch_for():
@@ -517,9 +518,10 @@ def test_reading_the_zigzags_first_leaves_shredding_unchanged(named_corpus):
         assert certificate.to_json() == fresh_certificate.to_json()
 
 
-def _check_splice(state, tri, inputs, added=()):
+def _check_splice(state, tri, inputs, planned, added=()):
     """The spliced state against a fresh atlas and classification of ``tri``,
     the glued surface, whose first ``inputs`` slots held the input's faces;
+    the state was made with the faces in the slots ``planned``, and
     ``added`` holds the faces the last glue added."""
     surface = state.surface
     assert sorted(surface.slot) == list(tri.faces)
@@ -530,24 +532,25 @@ def _check_splice(state, tri, inputs, added=()):
         if s < inputs:
             assert faces[s] is None
             faces[s] = face
-    # Each live input position steps to the next input position on its
-    # fresh orbit, every patch position between skipped.
+    # Each live planned position steps to the next planned position on its
+    # fresh orbit, every other position between skipped.
     slot_of = [surface.slot[face] for face in tri.faces]
     live = 0
     for orbit in tz.ZigzagAtlas(tri)._orbits:
-        here = [6 * slot_of[p // 6] + p % 6 for p in orbit if slot_of[p // 6] < inputs]
+        here = [6 * slot_of[p // 6] + p % 6 for p in orbit if slot_of[p // 6] in planned]
         live += len(here)
         for p, q in zip(here, here[1:] + here[:1]):
             assert state.step[p] == q
-    assert live == 6 * sum(face is not None for face in faces)
-    # Each tombstone position steps to itself.
-    assert all(state.step[p] == p for p in range(len(state.step)) if faces[p // 6] is None)
+    assert live == 6 * sum(faces[s] is not None for s in planned)
+    # Each planned tombstone position steps to itself.
+    assert all(state.step[p] == p for s in planned if faces[s] is None
+               for p in range(6 * s, 6 * s + 6))
     types = tz.face_types(tri)
     # The lemma: every patch face is met by one zigzag pair.
     assert all(types[face].tag not in BAD_TAGS for face in added)
-    for face in faces:
-        if face is not None:
-            assert state.monodromy(face) == tz.z_monodromy(tri, face).image
+    for s in planned:
+        if faces[s] is not None:
+            assert state.monodromy(faces[s]) == tz.z_monodromy(tri, faces[s]).image
 
 
 def _successors(tri):
@@ -609,11 +612,14 @@ def _warm_patches():
         tz.patch_for(tag)
 
 
-def _shred_with_checked_splices(tri):
-    """``shred``, checking the zigzag state after every splice against a
-    fully validated triangulation of the surface's faces."""
+def _shred_with_checked_splices(tri, splice=_ZigzagState.splice):
+    """``shred`` splicing with ``splice``, checking the zigzag state after
+    every splice against a fully validated triangulation of the surface's
+    faces."""
     _warm_patches()
-    glue, splice = _Surface.glue, _ZigzagState.splice
+    # The input slots of the faces that ``shred`` plans to repair.
+    planned = {tri.faces.index(step.face) for step in tz.shred(tri)[1].steps}
+    glue = _Surface.glue
     surfaces, glued, spliced = [], [], []
 
     def recording(surface, *args, **kwargs):
@@ -626,7 +632,7 @@ def _shred_with_checked_splices(tri):
         through = splice(state, *rest)
         assert state.surface is surfaces[-1]
         current = tz.Triangulation(list(surfaces[-1].slot))
-        _check_splice(state, current, len(tri.faces), glued[-1])
+        _check_splice(state, current, len(tri.faces), planned, glued[-1])
         spliced.append(current)
         return through
 
@@ -642,9 +648,21 @@ def _shred_with_checked_splices(tri):
 
 def test_splices_match_a_fresh_kernel(named_corpus):
     for tri in named_corpus.values():
-        _check_splice(_ZigzagState(_Surface(tri)), tri, len(tri.faces))
+        everything = range(len(tri.faces))
+        _check_splice(_ZigzagState(_Surface(tri), tri.faces), tri, len(tri.faces), everything)
         out, _certificate = _shred_with_checked_splices(tri)
         assert tz.is_z_knotted(out)
+
+
+def test_a_state_on_the_planned_faces_links_them_along_their_orbits():
+    # The state that ``shred`` makes holds only its planned faces' positions:
+    # each steps to the next planned position on its atlas orbit, and each
+    # planned face's monodromy is its z-monodromy on the whole surface.
+    tri = tz.random_sphere(3, 40)
+    plan = [step.face for step in tz.shred(tri)[1].steps]
+    assert 0 < len(plan) < len(tri.faces)
+    state = _ZigzagState(_Surface(tri), plan)
+    _check_splice(state, tri, len(tri.faces), {tri.faces.index(face) for face in plan})
 
 
 def test_splices_match_a_fresh_kernel_on_random_spheres(random_corpus):
@@ -823,19 +841,24 @@ def test_shred_names_the_first_face_of_an_unknown_monodromy(monkeypatch):
 @pytest.mark.parametrize("make, args", [(tz.torus_grid, (4, 5)), (tz.random_sphere, (3, 40))],
                          ids=["torus-4-5", "random-sphere-3-40"])
 def test_shred_asks_no_pairs_after_the_last_repair(monkeypatch, make, args):
-    # Once the repairs have joined every zigzag pair into one class, no bad
-    # face is left, so the loop stops without asking for more pairs.
+    # The plan asks the union-find for the six seeds' classes of each bad
+    # face in canonical order.  Once the planned repairs join every zigzag
+    # pair into one class, no bad face is left, so it stops asking, and
+    # every repair comes after the last question.
     tri = make(*args)
     events = []
-    face_pairs, repair = shredding._face_pairs, shredding._repair
-    monkeypatch.setattr(shredding, "_face_pairs",
-                        lambda surface, face: events.append("pairs") or face_pairs(surface, face))
+    root, repair = shredding._root, shredding._repair
+    monkeypatch.setattr(shredding, "_root",
+                        lambda parent, c: events.append("root") or root(parent, c))
     monkeypatch.setattr(shredding, "_repair",
                         lambda state, face: events.append("repair") or repair(state, face))
     out, certificate = tz.shred(tri)
-    assert events.count("repair") == len(certificate.steps) > 0
-    assert events[-1] == "repair"
-    assert events.count("pairs") < len(_bad_faces(tri))
+    repairs = len(certificate.steps)
+    assert events.count("repair") == repairs > 0
+    assert events[-repairs:] == ["repair"] * repairs
+    bad = [face for face, _tag in _bad_faces(tri)]
+    asked = bad.index(certificate.steps[-1].face) + 1
+    assert events.count("root") == 6 * asked < 6 * len(bad)
     assert tz.verify_certificate(tri, certificate, out).ok
 
 
@@ -898,37 +921,60 @@ def test_shred_refuses_a_splice_given_a_wrong_transit(monkeypatch, make, args, i
         tz.shred(make(*args))
 
 
-def test_the_splice_check_refuses_a_wrong_transit_of_two_cycles(monkeypatch):
+def _two_cycles(transit, image):
+    """Whether the arcs through a patch of transit ``transit``, glued onto a
+    face of z-monodromy ``image``, make two cycles, as the right transit's do."""
+    cycles, seen = 0, set()
+    for start in range(6):
+        cycles += start not in seen
+        r = start
+        while r not in seen:
+            seen.add(r)
+            r = transit[core.OMEGA_ROTATION[image[r]]]
+    return cycles == 2
+
+
+def test_the_splice_check_refuses_a_wrong_transit_of_two_cycles():
     # ``_Surface.glue`` builds the output whatever the state says, so a
     # transit that routes the arcs wrongly but still makes two cycles
-    # through the patch passes ``shred``'s own checks on a one-step
-    # shredding; the fresh-atlas check of the state must refuse it.
-    tri = tz.bipyramid(6)
-    right_out, right = tz.shred(tri)
-    assert len(right.steps) == 1
-    splice = _ZigzagState.splice
-
-    def two_cycles(transit, image):
-        cycles, seen = 0, set()
-        for start in range(6):
-            cycles += start not in seen
-            r = start
-            while r not in seen:
-                seen.add(r)
-                r = transit[core.OMEGA_ROTATION[image[r]]]
-        return cycles == 2
+    # through the patch passes the splice's own count; the fresh-atlas
+    # check of the state must refuse it at that splice, the first of six.
+    tri = tz.torus_grid(3, 4)
+    assert len(tz.shred(tri)[1].steps) == 6
+    splice, spliced = _ZigzagState.splice, []
 
     def rerouted(state, removed, image, transit):
-        wrong = next(list(other) for other in itertools.permutations(range(6))
-                     if list(other) != list(transit) and two_cycles(other, image))
-        return splice(state, removed, image, wrong)
+        if not spliced:
+            transit = next(list(other) for other in itertools.permutations(range(6))
+                           if list(other) != list(transit) and _two_cycles(other, image))
+        spliced.append(transit)
+        through = splice(state, removed, image, transit)
+        assert through == 2
+        return through
+
+    with pytest.raises(AssertionError) as refused:
+        _shred_with_checked_splices(tri, rerouted)
+    assert len(spliced) == 1
+    assert any(entry.name == "_check_splice" for entry in refused.traceback)
+
+
+@pytest.mark.parametrize("make, args, index", [(tz.torus_grid, (3, 4), 24),
+                                               (tz.random_sphere, (3, 20), 43)],
+                         ids=["torus-3-4", "random-sphere-3-20"])
+def test_a_broken_state_raises_instead_of_walking_forever(monkeypatch, make, args, index):
+    # Fed at every splice the same wrong transit of two cycles, the state
+    # soon holds a cycle of planned positions that misses the face being
+    # walked; the walk is bounded by the state's size, so it raises.
+    splice = _ZigzagState.splice
+
+    def rerouted(state, removed, image, transit):
+        wrong = [list(other) for other in itertools.permutations(range(6))
+                 if list(other) != list(transit) and _two_cycles(other, image)]
+        return splice(state, removed, image, wrong[index])
 
     monkeypatch.setattr(_ZigzagState, "splice", rerouted)
-    out, certificate = tz.shred(tri)
-    assert (tz.serialize(out), certificate) == (tz.serialize(right_out), right)
-    with pytest.raises(AssertionError) as refused:
-        _shred_with_checked_splices(tri)
-    assert any(entry.name == "_check_splice" for entry in refused.traceback)
+    with pytest.raises(AssertionError, match="never returns"):
+        tz.shred(make(*args))
 
 
 def _projective_plane_plus_bp6():
