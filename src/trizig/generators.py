@@ -15,7 +15,7 @@ import random
 
 from .core import Triangulation, _Surface, make_face
 from .errors import ParameterOutOfRange
-from .surgery import SpecialMap, connected_sum, enumerate_special_maps
+from .surgery import SpecialMap, _special_map, connected_sum
 
 
 def bipyramid(n: int) -> Triangulation:
@@ -74,16 +74,19 @@ def torus_grid(p: int, q: int) -> Triangulation:
     zigzags are simple when the diagonal lines close early (square grids,
     or p dividing q); for generic p != q the diagonal zigzag has length
     2*lcm(p, q) > p*q and cannot be simple.
+
+    Each label is formatted once, into a table that the cells index, so
+    the faces share their label strings.
     """
     if p < 3 or q < 3:
         raise ParameterOutOfRange(f"torus grid needs p, q >= 3, got ({p}, {q})")
-    def label(i, j):
-        return f"{i % p}.{j % q}"
+    # Row i + 1 and column j + 1 wrap through an extra row and column.
+    labels = [[f"{i % p}.{j % q}" for j in range(q + 1)] for i in range(p + 1)]
     faces = []
     for i in range(p):
+        row, above = labels[i], labels[i + 1]
         for j in range(q):
-            v00, v10 = label(i, j), label(i + 1, j)
-            v01, v11 = label(i, j + 1), label(i + 1, j + 1)
+            v00, v10, v01, v11 = row[j], above[j], row[j + 1], above[j + 1]
             faces.append((v00, v10, v11))
             faces.append((v00, v01, v11))
     return Triangulation(faces)
@@ -149,18 +152,33 @@ def random_sphere(seed: int, steps: int) -> Triangulation:
     Starts from a random BP_n (3 <= n <= 9) and performs ``steps`` connected
     sums with further random bipyramids, choosing faces and special maps
     uniformly.  Deterministic in the seed; always a valid sphere.
+
+    Each bipyramid size drawn is built once per call and shared by the
+    steps that draw it, as gluing only reads a patch; each draw builds only
+    the special map it picks, map k of ``enumerate_special_maps`` from the
+    same permutation table.  Neither touches the random calls, their order
+    or the sorted face list each draw indexes, so a seed gives the same
+    sphere as a fresh bipyramid and all six maps per step would.
     """
     if steps < 0:
         raise ParameterOutOfRange(f"steps must be >= 0, got {steps}")
     rng = random.Random(seed)
-    start = bipyramid(rng.randint(3, 9))
+    pieces = {}  # one bipyramid per size drawn
+
+    def piece() -> Triangulation:
+        n = rng.randint(3, 9)
+        if n not in pieces:
+            pieces[n] = bipyramid(n)
+        return pieces[n]
+
+    start = piece()
     surface = _Surface(start)
     faces = list(start.faces)  # in sorted order, which each draw indexes
     for _ in range(steps):
         face = faces[rng.randrange(len(faces))]
-        patch = bipyramid(rng.randint(3, 9))
+        patch = piece()
         patch_face = patch.faces[rng.randrange(len(patch.faces))]
-        gluing = enumerate_special_maps(face, patch_face)[rng.randrange(6)]
+        gluing = _special_map(face, patch_face, rng.randrange(6))
         added, _fresh = surface.glue(face, patch, patch_face, gluing)
         del faces[bisect.bisect_left(faces, face)]
         for new in added:

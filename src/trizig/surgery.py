@@ -92,12 +92,21 @@ class SumResult:
     relabeling: typing.Tuple[typing.Tuple[str, str], ...]
 
 
+# The six vertex-index permutations, in the order ``enumerate_special_maps``
+# lists its maps: map k sends face[i] to other[_IMAGE_ORDER[k][i]].
+_IMAGE_ORDER = tuple(itertools.permutations(range(3)))
+
+
+def _special_map(face: Face, other: Face, k: int) -> SpecialMap:
+    """Map k of ``enumerate_special_maps(face, other)``, built alone."""
+    return SpecialMap(face, other, tuple(zip(face, [other[i] for i in _IMAGE_ORDER[k]])))
+
+
 def enumerate_special_maps(face: Face, other: Face) -> typing.Tuple[SpecialMap, ...]:
-    """All 6 special maps between two faces, ordered by image triple."""
-    return tuple(
-        SpecialMap(face, other, tuple(zip(face, image)))
-        for image in itertools.permutations(other)
-    )
+    """All 6 special maps between two faces: map k sends face[i] to
+    other[_IMAGE_ORDER[k][i]], so for a sorted ``other`` they are ordered by
+    image triple."""
+    return tuple(_special_map(face, other, k) for k in range(6))
 
 
 def fresh_label_prefix(labels: typing.Iterable[str]) -> str:

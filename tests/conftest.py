@@ -1,6 +1,10 @@
+import bisect
+import random
+
 import pytest
 
 import trizig as tz
+from trizig.core import _Surface
 
 KNOTTED_TAGS = ("M1", "M2", "M3", "M4")
 
@@ -11,6 +15,41 @@ def _bad_faces(tri):
     types = tz.face_types(tri)
     return [(face, types[face].tag)
             for face in tri.faces if types[face].tag not in KNOTTED_TAGS]
+
+
+def reference_random_sphere(seed, steps):
+    """The reference draw loop of ``random_sphere``: a fresh bipyramid per
+    step, all six special maps built to keep one, and a plain list kept
+    sorted, which each draw indexes."""
+    rng = random.Random(seed)
+    start = tz.bipyramid(rng.randint(3, 9))
+    surface = _Surface(start)
+    faces = list(start.faces)
+    for _ in range(steps):
+        face = faces[rng.randrange(len(faces))]
+        patch = tz.bipyramid(rng.randint(3, 9))
+        patch_face = patch.faces[rng.randrange(len(patch.faces))]
+        gluing = tz.enumerate_special_maps(face, patch_face)[rng.randrange(6)]
+        added, _fresh = surface.glue(face, patch, patch_face, gluing)
+        del faces[bisect.bisect_left(faces, face)]
+        for new in added:
+            bisect.insort(faces, new)
+    return surface.freeze()
+
+
+def reference_torus_faces(p, q):
+    """The reference face list of ``torus_grid(p, q)``, each label formatted
+    per cell corner."""
+    def label(i, j):
+        return f"{i % p}.{j % q}"
+    faces = []
+    for i in range(p):
+        for j in range(q):
+            v00, v10 = label(i, j), label(i + 1, j)
+            v01, v11 = label(i, j + 1), label(i + 1, j + 1)
+            faces.append((v00, v10, v11))
+            faces.append((v00, v01, v11))
+    return faces
 
 
 def _named_builders():

@@ -3,6 +3,8 @@
 import pytest
 
 import trizig as tz
+from conftest import reference_random_sphere, reference_torus_faces
+from trizig import generators, surgery
 from trizig.errors import ParameterOutOfRange
 
 
@@ -157,3 +159,48 @@ def test_random_sphere_always_valid_spheres(random_corpus):
 def test_random_sphere_rejects_negative_steps():
     with pytest.raises(ParameterOutOfRange):
         tz.random_sphere(3, -1)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 3, 17, 120])
+def test_random_sphere_matches_the_reference_draw_loop(steps):
+    for seed in range(40):
+        assert tz.serialize(tz.random_sphere(seed, steps)) == tz.serialize(
+            reference_random_sphere(seed, steps)), seed
+
+
+def test_a_larger_random_sphere_matches_the_reference_draw_loop():
+    assert tz.serialize(tz.random_sphere(11, 400)) == tz.serialize(
+        reference_random_sphere(11, 400))
+
+
+def test_random_sphere_builds_each_bipyramid_size_once_and_one_map_per_draw(monkeypatch):
+    counts = {"bipyramid": 0, "SpecialMap": 0}
+
+    def counting(name, build):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return build(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(generators, "bipyramid", counting("bipyramid", tz.bipyramid))
+    counting_map = counting("SpecialMap", surgery.SpecialMap)
+    monkeypatch.setattr(generators, "SpecialMap", counting_map)
+    monkeypatch.setattr(surgery, "SpecialMap", counting_map)
+    generators.random_sphere(3, 120)
+    assert counts["bipyramid"] <= 7
+    assert counts["SpecialMap"] == 120
+
+
+@pytest.mark.parametrize("p, q", [(3, 3), (3, 4), (7, 11), (20, 21)])
+def test_torus_grid_faces_match_the_reference_loop(monkeypatch, p, q):
+    built = []
+
+    def recording(faces):
+        built.append(list(faces))
+        return tz.Triangulation(faces)
+
+    monkeypatch.setattr(generators, "Triangulation", recording)
+    tri = generators.torus_grid(p, q)
+    expected = reference_torus_faces(p, q)
+    assert built == [expected]
+    assert tz.serialize(tri) == tz.serialize(tz.Triangulation(expected))

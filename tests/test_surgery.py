@@ -23,6 +23,18 @@ def test_enumerate_special_maps_order():
     images = [tuple(dict(g.pairs)[v] for v in ("1", "2", "3")) for g in maps]
     assert images == sorted(images)
     assert len(set(images)) == 6
+    # Map k is the one built from entry k of the permutation table that
+    # random_sphere draws from, so the draw order follows this order.
+    assert len(surgery._IMAGE_ORDER) == 6
+    for face, other in ((("1", "2", "3"), ("4", "5", "6")),
+                        (("a", "b", "c"), ("c", "a", "b"))):
+        maps = tz.enumerate_special_maps(face, other)
+        assert [tuple(dict(g.pairs)[v] for v in face) for g in maps] == list(
+            itertools.permutations(other))
+        for k, order in enumerate(surgery._IMAGE_ORDER):
+            image = [other[i] for i in order]
+            assert maps[k] == tz.SpecialMap(face, other, tuple(zip(face, image)))
+            assert maps[k] == surgery._special_map(face, other, k)
 
 
 def test_special_map_dart_action():
