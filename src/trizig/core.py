@@ -515,11 +515,7 @@ class _Surface:
     and a removed face leaves its slot as a tombstone, which no face maps
     to.  ``across`` is the corner table over the slots, as in a
     ``Triangulation``, so there are ``len(across) // 3`` slots; a
-    tombstone's corners are stale.  Slots never move, and each glue appends
-    its patch faces' slots, so a ``zigzag._ZigzagState`` made before the
-    glues, with some of the faces, keeps numbering their positions by slot:
-    it reads ``across`` once and looks its faces up in ``slot``, and no
-    patch slot enters it.
+    tombstone's corners are stale.  Each glue appends its patch faces' slots.
     Also holds the set of vertices, the k of every "s<k>." prefix that
     starts a label (``taken``) and the least k not taken (``free``).
 

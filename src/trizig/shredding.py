@@ -20,9 +20,9 @@ Every later bad face is one of the input's bad faces, met by more than one
 of the input's zigzag pairs once those through each repaired face are
 joined, as a union-find (Tarjan, J. ACM 1975) keeps them; so the input's
 atlas alone settles the list of faces to repair.  ``_repair``, the one
-repair step, then walks the monodromy of only the face it repairs on the
-step map contracted to the planned faces' positions
-(``zigzag._ZigzagState``) and reads the gluing map off its patch's table.
+repair step, then walks the monodromy of only the face it repairs on
+``zigzag._ZigzagState``, six entries per planned face linked along the
+input atlas's orbits, and reads the gluing map off its patch's table.
 That table is made once per patch: the gluing condition depends only on
 the face's monodromy, one of the 15 valid images, and on the slot order of
 the map, so the first map that satisfies it is a function of the image.
@@ -42,7 +42,8 @@ from .errors import InvalidMonodromyType, MalformedDocument, NoValidMap, TrizigE
 from .generators import bipyramid, example_sum
 from .monodromy import _SHAPES, _monodromies, _shape, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, _transit, enumerate_special_maps
-from .zigzag import _atlas, _face_index, _ZigzagState, is_essential, is_z_knotted
+from .zigzag import (_atlas, _face_index, _step_map, _walk, _ZigzagState, is_essential,
+                     is_z_knotted)
 # Unused here, but perfbench/instrument.py wraps these names in this module.
 from .document import serialize  # noqa: F401
 from .surgery import connected_sum, gluing_condition  # noqa: F401
@@ -119,9 +120,12 @@ def patch_for(bad_type: str) -> Patch:
 def find_gluing_map(tri: Triangulation, face: Face, patch: Patch) -> SpecialMap:
     """The first special map (enumeration order) satisfying the gluing condition.
 
-    A valid map always exists for the patches above; failure to find one is
-    an implementation bug and raises NoValidMap.
+    ``face`` may list its vertices in any order; the map's source face is
+    the sorted one, as ``shred_step`` glues it.  A valid map always exists
+    for the patches above; failure to find one is an implementation bug
+    and raises NoValidMap.
     """
+    face = tri.faces[_face_index(tri, face)]
     gluing = _first_of(enumerate_special_maps(face, patch.designated_face),
                        z_monodromy(tri, face).image,
                        z_monodromy(patch.triangulation, patch.designated_face).image)
@@ -231,8 +235,9 @@ def _root(parent: typing.List[int], c: int) -> int:
     return c
 
 
-def _repair(state: _ZigzagState, face: Face) -> ShredStep:
-    """Repair ``face`` on ``state`` and its surface with the patch of its type.
+def _repair(surface: _Surface, state: _ZigzagState, i: int, face: Face) -> ShredStep:
+    """Repair ``face`` on ``surface`` with the patch of its type, and follow
+    the sum on ``state``, where ``face`` is listed face i.
 
     The face's monodromy is walked on ``state``, and its type and the first
     gluing map are read off it; a face of type M1..M4 has no patch and
@@ -248,14 +253,13 @@ def _repair(state: _ZigzagState, face: Face) -> ShredStep:
     decreases.  Nothing else checks the state against the glued surface;
     ``shred``'s closing checks verify the glue.
     """
-    gone = state.surface.slot[face]
-    monodromy = state.monodromy(face)
+    monodromy = state.monodromy(i)
     bad_type = _shape(face, monodromy)[0]
     patch = patch_for(bad_type)
     gluing = _first_gluing(face, monodromy, patch)
-    _added, fresh = state.surface.glue(face, patch.triangulation, patch.designated_face, gluing)
+    _added, fresh = surface.glue(face, patch.triangulation, patch.designated_face, gluing)
     other = z_monodromy(patch.triangulation, patch.designated_face).image
-    through = state.splice(gone, monodromy, _transit(gluing, other))
+    through = state.splice(i, monodromy, _transit(gluing, other))
     if through != 2:
         raise AssertionError(
             f"repairing {face!r} left {through} zigzags through the patch, "
@@ -265,10 +269,9 @@ def _repair(state: _ZigzagState, face: Face) -> ShredStep:
 
 def shred_step(tri: Triangulation, face: Face) -> Triangulation:
     """Repair one face of type M5/M6/M7 by gluing its patch (``_repair``)."""
-    face = tri.faces[_face_index(tri, face)]
-    state = _ZigzagState(_Surface(tri), [face])
-    _repair(state, face)
-    return state.surface.freeze()
+    f, surface = _face_index(tri, face), _Surface(tri)
+    _repair(surface, _ZigzagState(_walk(_step_map(tri.across))[0], [f]), 0, tri.faces[f])
+    return surface.freeze()
 
 
 def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
@@ -289,9 +292,10 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     seeds; a face with more than one root is planned, and its roots are
     joined.  Once they are all one class, no bad face is left and planning
     stops.  Then each planned face is repaired in turn on one
-    ``zigzag._ZigzagState`` made with the planned faces, so a monodromy
-    walks only their positions.  A z-knotted input plans nothing and is not
-    copied.  All patches are glued onto one ``core._Surface``, frozen once
+    ``zigzag._ZigzagState`` linked off the atlas's orbits with the planned
+    faces' indices, so a monodromy walks only their positions and no step
+    map of the input is read again.  A z-knotted input plans nothing and is
+    not copied.  All patches are glued onto one ``core._Surface``, frozen once
     at the end; its distinct monodromies, at most 15, are matched against
     the shape table without building a ``MonodromyType`` per face.
     The recorded zigzag length is 2E = 3F, as ``is_z_knotted`` checks that
@@ -301,21 +305,21 @@ def shred(tri: Triangulation) -> typing.Tuple[Triangulation, ShredCertificate]:
     # Each orbit starts in its pair's class, named by the lesser orbit.
     parent = [min(o, partner) for o, partner in enumerate(atlas._partners)]
     classes = atlas.pair_count
-    for f, (face, mtype) in enumerate(face_types(tri).items()):
+    for f, mtype in enumerate(face_types(tri).values()):
         if classes == 1:
             break
         if mtype.tag in BAD_TAGS:
             roots = {_root(parent, o) for o in atlas._orbit_of[6 * f:6 * f + 6]}
             if len(roots) > 1:
-                plan.append(face)
+                plan.append(f)
                 for root in roots:
                     parent[root] = min(roots)
                 classes -= len(roots) - 1
     steps, current = [], tri
     if plan:
-        state = _ZigzagState(_Surface(tri), plan)
-        steps = [_repair(state, face) for face in plan]
-        current = state.surface.freeze()
+        surface, state = _Surface(tri), _ZigzagState(atlas._orbits, plan)
+        steps = [_repair(surface, state, i, tri.faces[f]) for i, f in enumerate(plan)]
+        current = surface.freeze()
 
     knotted = is_z_knotted(current)
     images = _monodromies(current)
@@ -353,9 +357,9 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
     matches.  The steps are replayed on one ``core._Surface``.  A step's
     ``bad_type`` is checked against its patch, not against the face's type
     then: an M5 step recorded as M6 (the same patch) still verifies, as the
-    replay keeps no zigzag state.  That check would make ``shred``'s
-    ``zigzag._ZigzagState`` with the certificate's step faces and splice it
-    at each step.
+    replay keeps no zigzag state.  That check would link ``shred``'s
+    ``zigzag._ZigzagState`` off the source's atlas orbits with the indices
+    of the certificate's step faces, and splice it at each step.
     """
     problems = []
     surface = _Surface(source)

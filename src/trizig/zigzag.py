@@ -22,7 +22,7 @@ import collections
 import typing
 
 from .core import (EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
-                   OMEGA_SLOTS, Dart, Face, Triangulation, _Surface, make_face, omega)
+                   OMEGA_SLOTS, Dart, Face, Triangulation, make_face, omega)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
 
 
@@ -161,44 +161,38 @@ _REVERSAL = tuple(OMEGA_NEGATION[k] for k in OMEGA_ROTATION_INVERSE)
 
 
 class _ZigzagState:
-    """The zigzag step map of a surface under repair, contracted to the
-    positions of the faces it was made with and kept current across sums.
+    """The zigzag step map of a surface under repair, on the positions of
+    the faces planned for repair and kept current across sums.
 
-    Made from a ``core._Surface``, glued or not, and some of its faces.
-    Position 6 s + k is dart k of the face in slot s, as in the atlas; the
-    queries take one of those faces and look its slot up in the surface's
-    ``slot``.  The step list is read off the surface's ``across`` once and
-    contracted in place: each position of a given face steps to the next
-    such position on its zigzag, every other position between them
-    skipped, and the other positions' entries are never read again.  No
+    Made from a surface's orbits, of positions 6 f + k as in the atlas, and
+    a list of its face indices: position 6 i + k is dart k of the i-th
+    listed face, so the state holds six entries per listed face and the
+    queries take that index i.  Each position steps to the next listed
+    position on its zigzag, every other position between them skipped.  No
     patch position ever enters the list either: after a sum each live
-    given position still steps to the next given one on its zigzag, so the
-    list never grows and a face's monodromy walks only the given positions
-    on its orbits.  A tombstone's positions step to themselves.  Which
-    zigzags make one pair is for ``shredding.shred`` to track.
+    listed position still steps to the next listed one on its zigzag, so
+    the list never grows and a face's monodromy walks only the listed
+    positions on its orbits.  A tombstone's positions step to themselves.
+    Which zigzags make one pair is for ``shredding.shred`` to track.
     """
 
-    __slots__ = ("surface", "step")
+    __slots__ = ("step",)
 
-    def __init__(self, surface: _Surface, faces: typing.Iterable[Face]):
-        self.surface = surface
-        self.step = step = _step_map(surface.across)
-        kept = {6 * surface.slot[face] + k for face in faces for k in range(6)}
-        # Only kept entries are written, each after its one read, so the
-        # walks through the others read the surface's own steps.
-        for p in kept:
-            q = step[p]
-            while q not in kept:
-                q = step[q]
-            step[p] = q
+    def __init__(self, orbits: typing.Iterable[typing.Sequence[int]], faces: typing.Sequence[int]):
+        at = {f: 6 * i for i, f in enumerate(faces)}
+        self.step = step = [0] * (6 * len(at))
+        for orbit in orbits:
+            kept = [at[p // 6] + p % 6 for p in orbit if p // 6 in at]
+            for p, q in zip(kept, kept[1:] + kept[:1]):
+                step[p] = q
 
-    def monodromy(self, face: Face) -> typing.Tuple[int, ...]:
-        """The z-monodromy of ``face`` as in ``monodromy._build_monodromies``:
+    def monodromy(self, i: int) -> typing.Tuple[int, ...]:
+        """The z-monodromy of listed face i as in ``monodromy._build_monodromies``:
         seed k maps to D^-1 of the dart of the next position in the face.
         Three seeds are walked: the reversed zigzag runs each arc backwards,
         so M(e) = e' gives M(-e') = -e.  A walk longer than the state,
         which only a broken state makes, raises ``AssertionError``."""
-        step, base = self.step, 6 * self.surface.slot[face]
+        step, base = self.step, 6 * i
         end = base + 6
         image = [-1] * 6
         for k in range(6):
@@ -209,7 +203,7 @@ class _ZigzagState:
                         break
                     p = step[p]
                 else:
-                    raise AssertionError(f"the zigzag from seed {k} of {face!r} never returns")
+                    raise AssertionError(f"the zigzag from seed {k} of face {i} never returns")
                 e = OMEGA_ROTATION_INVERSE[p - base]
                 image[k] = e
                 image[OMEGA_NEGATION[e]] = OMEGA_NEGATION[k]
@@ -217,7 +211,7 @@ class _ZigzagState:
 
     def splice(self, removed: int, monodromy: typing.Sequence[int],
                transit: typing.Sequence[int]) -> int:
-        """Follow the sum that replaced the face in slot ``removed``, of
+        """Follow the sum that replaced listed face ``removed``, of
         z-monodromy ``monodromy``, by a patch, in six links.
 
         Every host arc between two visits of a zigzag to the removed face is
@@ -245,7 +239,7 @@ class _ZigzagState:
                     break
                 q = exits[transit[q - gone]]
             else:
-                raise AssertionError(f"the arcs through slot {removed} close on its seeds")
+                raise AssertionError(f"the arcs through listed face {removed} close on its seeds")
             step[p] = q
         step[gone:end] = range(gone, end)
         through, seen = 0, [False] * 6

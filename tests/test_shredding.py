@@ -71,6 +71,23 @@ def test_find_gluing_map_m7_face():
     assert found == working[0]
 
 
+@pytest.mark.parametrize("build", [lambda: tz.bipyramid(8), lambda: tz.torus_grid(3, 3),
+                                   lambda: tz.random_sphere(3, 20)],
+                         ids=["bp8", "torus-3-3", "random-sphere-3-20"])
+def test_find_gluing_map_takes_a_face_in_any_vertex_order(build):
+    # The map glues the face itself, not one order of its vertices: every
+    # order gives the map of the sorted face, the one ``shred_step`` glues.
+    tri = build()
+    bad = _bad_faces(tri)
+    assert bad
+    for face, tag in bad:
+        patch = tz.patch_for(tag)
+        found = tz.find_gluing_map(tri, face, patch)
+        assert found.source_face == face
+        for order in itertools.permutations(face):
+            assert tz.find_gluing_map(tri, order, patch) == found
+
+
 @pytest.mark.parametrize("tag", ["M5", "M7"])
 @pytest.mark.parametrize("face", [("1", "2", "a"), ("p", "q", "r"), ("s0.9", "x", "y")])
 def test_gluing_table_is_the_search_over_special_maps(tag, face):
@@ -168,9 +185,43 @@ def test_shred_step_is_the_connected_sum_of_the_first_gluing(build):
                                gluing.pairs, result.relabeling)
 
 
+@pytest.mark.parametrize("build, step, reads", [
+    (lambda: tz.random_sphere(3, 40), False, 2),
+    (lambda: tz.bipyramid(3), False, 1),
+    (lambda: tz.random_sphere(3, 40), True, 1)],
+    ids=["shred-random-sphere-3-40", "shred-bp3", "shred-step-random-sphere-3-40"])
+def test_shredding_reads_one_step_map_per_surface(monkeypatch, build, step, reads):
+    # The zigzag state is linked off the orbits of the input's atlas, so
+    # ``shred`` reads the step map of its input once, for that atlas, and
+    # that of its output once, for the closing knottedness check; a
+    # knotted input is its own output.  ``shred_step`` reads its input's.
+    _warm_patches()
+    face = _bad_faces(build())[0][0] if step else None
+    tri = tz.parse(tz.serialize(build()))
+    step_map, read = zigzag._step_map, []
+
+    def counted(across):
+        read.append(len(across))
+        return step_map(across)
+
+    for module in (zigzag, shredding):
+        monkeypatch.setattr(module, "_step_map", counted)
+    out = tz.shred_step(tri, face) if step else tz.shred(tri)[0]
+    assert read == [len(tri.across), len(out.across)][:reads]
+
+
+def test_a_state_on_every_face_is_the_step_map(named_corpus):
+    # Linked along the atlas's orbits over every face, the state steps each
+    # position as the corner table does.
+    for tri in list(named_corpus.values()) + [tz.random_sphere(seed, seed % 7)
+                                              for seed in range(20)]:
+        state = _ZigzagState(tz.ZigzagAtlas(tri)._orbits, range(len(tri.faces)))
+        assert state.step == zigzag._step_map(tri.across)
+
+
 def test_shred_step_builds_no_atlas_of_its_input(named_corpus):
-    # A step walks only the repaired face's monodromy on the step map of
-    # the surface, so the input's zigzags are never listed.
+    # A step walks the orbits of its input's step map without caching them,
+    # so no atlas of the input is left behind.
     stepped = 0
     for tri in named_corpus.values():
         bad = _bad_faces(tri)
@@ -520,37 +571,32 @@ def test_reading_the_zigzags_first_leaves_shredding_unchanged(named_corpus):
 
 def _check_splice(state, tri, inputs, planned, added=()):
     """The spliced state against a fresh atlas and classification of ``tri``,
-    the glued surface, whose first ``inputs`` slots held the input's faces;
-    the state was made with the faces in the slots ``planned``, and
+    the glued surface, whose input had the face tuple ``inputs``; the state
+    was made with the input faces of the indices listed in ``planned``, and
     ``added`` holds the faces the last glue added."""
-    surface = state.surface
-    assert sorted(surface.slot) == list(tri.faces)
-    # The state never grows: it covers the input's positions only.
-    assert len(state.step) == 6 * inputs
-    faces = [None] * inputs  # input slot -> face, None at a tombstone
-    for face, s in surface.slot.items():
-        if s < inputs:
-            assert faces[s] is None
-            faces[s] = face
+    # The state never grows: it covers the planned positions only.
+    assert len(state.step) == 6 * len(planned)
+    listed = [inputs[f] for f in planned]
+    live = [tri.has_face(face) for face in listed]
+    base = {face: 6 * i for i, face in enumerate(listed)}
     # Each live planned position steps to the next planned position on its
     # fresh orbit, every other position between skipped.
-    slot_of = [surface.slot[face] for face in tri.faces]
-    live = 0
+    seen = 0
     for orbit in tz.ZigzagAtlas(tri)._orbits:
-        here = [6 * slot_of[p // 6] + p % 6 for p in orbit if slot_of[p // 6] in planned]
-        live += len(here)
+        here = [base[tri.faces[p // 6]] + p % 6 for p in orbit if tri.faces[p // 6] in base]
+        seen += len(here)
         for p, q in zip(here, here[1:] + here[:1]):
             assert state.step[p] == q
-    assert live == 6 * sum(faces[s] is not None for s in planned)
+    assert seen == 6 * sum(live)
     # Each planned tombstone position steps to itself.
-    assert all(state.step[p] == p for s in planned if faces[s] is None
-               for p in range(6 * s, 6 * s + 6))
+    assert all(state.step[p] == p for i, alive in enumerate(live) if not alive
+               for p in range(6 * i, 6 * i + 6))
     types = tz.face_types(tri)
     # The lemma: every patch face is met by one zigzag pair.
     assert all(types[face].tag not in BAD_TAGS for face in added)
-    for s in planned:
-        if faces[s] is not None:
-            assert state.monodromy(faces[s]) == tz.z_monodromy(tri, faces[s]).image
+    for i, face in enumerate(listed):
+        if live[i]:
+            assert state.monodromy(i) == tz.z_monodromy(tri, face).image
 
 
 def _successors(tri):
@@ -617,8 +663,8 @@ def _shred_with_checked_splices(tri, splice=_ZigzagState.splice):
     every splice against a fully validated triangulation of the surface's
     faces."""
     _warm_patches()
-    # The input slots of the faces that ``shred`` plans to repair.
-    planned = {tri.faces.index(step.face) for step in tz.shred(tri)[1].steps}
+    # The input indices of the faces that ``shred`` plans to repair, in order.
+    planned = [tri.faces.index(step.face) for step in tz.shred(tri)[1].steps]
     glue = _Surface.glue
     surfaces, glued, spliced = [], [], []
 
@@ -630,9 +676,8 @@ def _shred_with_checked_splices(tri, splice=_ZigzagState.splice):
 
     def checked(state, *rest):
         through = splice(state, *rest)
-        assert state.surface is surfaces[-1]
         current = tz.Triangulation(list(surfaces[-1].slot))
-        _check_splice(state, current, len(tri.faces), planned, glued[-1])
+        _check_splice(state, current, tri.faces, planned, glued[-1])
         spliced.append(current)
         return through
 
@@ -649,7 +694,8 @@ def _shred_with_checked_splices(tri, splice=_ZigzagState.splice):
 def test_splices_match_a_fresh_kernel(named_corpus):
     for tri in named_corpus.values():
         everything = range(len(tri.faces))
-        _check_splice(_ZigzagState(_Surface(tri), tri.faces), tri, len(tri.faces), everything)
+        state = _ZigzagState(tz.ZigzagAtlas(tri)._orbits, everything)
+        _check_splice(state, tri, tri.faces, everything)
         out, _certificate = _shred_with_checked_splices(tri)
         assert tz.is_z_knotted(out)
 
@@ -661,8 +707,9 @@ def test_a_state_on_the_planned_faces_links_them_along_their_orbits():
     tri = tz.random_sphere(3, 40)
     plan = [step.face for step in tz.shred(tri)[1].steps]
     assert 0 < len(plan) < len(tri.faces)
-    state = _ZigzagState(_Surface(tri), plan)
-    _check_splice(state, tri, len(tri.faces), {tri.faces.index(face) for face in plan})
+    planned = [tri.faces.index(face) for face in plan]
+    state = _ZigzagState(tz.ZigzagAtlas(tri)._orbits, planned)
+    _check_splice(state, tri, tri.faces, planned)
 
 
 def test_splices_match_a_fresh_kernel_on_random_spheres(random_corpus):
@@ -851,7 +898,7 @@ def test_shred_asks_no_pairs_after_the_last_repair(monkeypatch, make, args):
     monkeypatch.setattr(shredding, "_root",
                         lambda parent, c: events.append("root") or root(parent, c))
     monkeypatch.setattr(shredding, "_repair",
-                        lambda state, face: events.append("repair") or repair(state, face))
+                        lambda *args: events.append("repair") or repair(*args))
     out, certificate = tz.shred(tri)
     repairs = len(certificate.steps)
     assert events.count("repair") == repairs > 0
