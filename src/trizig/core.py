@@ -121,24 +121,27 @@ def omega(face: Face) -> typing.Tuple[Dart, ...]:
     return tuple(Dart(face[tail], face[head]) for tail, head in OMEGA_SLOTS)
 
 
+def _rotated(face: Face, dart: Dart, table: typing.Tuple[int, ...]) -> Dart:
+    """The dart of ``face`` that ``table``, a permutation of omega indices,
+    sends ``dart`` to."""
+    darts = omega(face)
+    if dart not in darts:
+        raise EdgeNotInFace(f"dart {dart!r} is not on face {face!r}")
+    return darts[table[darts.index(dart)]]
+
+
 def face_rotation(face: Face, dart: Dart) -> Dart:
     """The in-face rotation: xy -> yz for distinct vertices x, y, z of the face.
 
     A product of two 3-cycles on the six darts of the face; applying it three
     times is the identity, and rotation(e) = e' implies rotation(-e') = -e.
     """
-    darts = omega(face)
-    if dart not in darts:
-        raise EdgeNotInFace(f"dart {dart!r} is not on face {face!r}")
-    return darts[OMEGA_ROTATION[darts.index(dart)]]
+    return _rotated(face, dart, OMEGA_ROTATION)
 
 
 def face_rotation_inverse(face: Face, dart: Dart) -> Dart:
     """The dart e0 with rotation(e0) = dart."""
-    darts = omega(face)
-    if dart not in darts:
-        raise EdgeNotInFace(f"dart {dart!r} is not on face {face!r}")
-    return darts[OMEGA_ROTATION_INVERSE[darts.index(dart)]]
+    return _rotated(face, dart, OMEGA_ROTATION_INVERSE)
 
 
 class Violation(typing.NamedTuple):

@@ -15,7 +15,7 @@ import random
 
 from .core import Triangulation, _Surface, make_face
 from .errors import ParameterOutOfRange
-from .surgery import SpecialMap, _special_map, connected_sum
+from .surgery import _TETRAHEDRON_FACES, SpecialMap, _special_map, connected_sum
 
 
 def bipyramid(n: int) -> Triangulation:
@@ -34,9 +34,7 @@ def bipyramid(n: int) -> Triangulation:
 
 
 _PLATONIC_FACES = {
-    "tetrahedron": (
-        (1, 2, 3), (1, 2, 4), (1, 3, 4), (2, 3, 4),
-    ),
+    "tetrahedron": _TETRAHEDRON_FACES,
     "octahedron": (
         (1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 2),
         (6, 2, 3), (6, 3, 4), (6, 4, 5), (6, 5, 2),

@@ -71,11 +71,11 @@ class DartPermutation:
     def cycles(self) -> typing.Tuple[typing.Tuple[Dart, ...], ...]:
         """Disjoint cycles (fixed points included), in canonical dart order."""
         darts = omega(self.face)
-        return tuple(tuple(darts[k] for k in cycle) for cycle in _index_cycles(self.image))
+        return tuple(tuple(darts[k] for k in cycle) for cycle in _zz._walk(self.image)[0])
 
     def cycle_type(self) -> typing.Tuple[int, ...]:
         """Cycle lengths, longest first, fixed points counted as 1."""
-        return tuple(sorted(map(len, _index_cycles(self.image)), reverse=True))
+        return tuple(sorted(map(len, _zz._walk(self.image)[0]), reverse=True))
 
     @property
     def is_identity(self) -> bool:
@@ -94,19 +94,6 @@ class DartPermutation:
             if len(cycle) > 1:
                 parts.append("(" + ",".join(map(repr, cycle)) + ")")
         return "DartPermutation[" + ("".join(parts) or "id") + "]"
-
-
-def _index_cycles(image: typing.Tuple[int, ...]) -> typing.List[typing.List[int]]:
-    """The disjoint cycles of ``image``, a permutation of range(6), each
-    listed from its least index, in order of those."""
-    cycles = []
-    for start in range(6):
-        if not any(start in cycle for cycle in cycles):
-            cycle = [start]
-            while image[cycle[-1]] != start:
-                cycle.append(image[cycle[-1]])
-            cycles.append(cycle)
-    return cycles
 
 
 Witness = typing.Tuple[Dart, Dart, Dart]

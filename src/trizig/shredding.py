@@ -75,18 +75,9 @@ _PATCHES = {"M5": _SPHERE_M1, "M6": _SPHERE_M1,
             "M7": (PATCH_BP3_M3, functools.partial(bipyramid, 3), ("1", "2", "a"), "M3")}
 
 
-# Each loaded patch's gluing table, by patch id: the first special map
-# (``enumerate_special_maps`` order) gluing its designated face onto a face
-# of each valid monodromy image in ``_SHAPES``, as the designated-face
-# vertices that the face's sorted vertices map to.  Images that no map
-# glues have no entry.
-_GLUINGS: typing.Dict[str, typing.Dict[typing.Tuple[int, ...], Face]] = {}
-
-
 @functools.lru_cache(maxsize=None)
 def _load_patch(entry) -> Patch:
-    """The ``Patch`` of a ``_PATCHES`` entry, built and checked once, and its
-    ``_GLUINGS`` table."""
+    """The ``Patch`` of a ``_PATCHES`` entry, built and checked once."""
     patch_id, build, face, tag = entry
     tri = build()
     if not is_z_knotted(tri):
@@ -99,13 +90,6 @@ def _load_patch(entry) -> Patch:
                              f"{found}, expected {tag}")
     if not all(is_essential(tri, other) for other in tri.faces):
         raise AssertionError(f"patch {patch_id} has a non-essential face")
-    # ``_glues`` reads a map by vertex slots only, and a canonical face's
-    # sort order is its slot order, so any canonical source face gives every
-    # face's table; the designated face is one.
-    maps, other = enumerate_special_maps(face, face), z_monodromy(tri, face).image
-    _GLUINGS[patch_id] = {
-        image: tuple(target for _source, target in gluing.pairs)
-        for image in _SHAPES if (gluing := _first_of(maps, image, other))}
     return Patch(patch_id, tri, face, tag)
 
 
@@ -117,44 +101,48 @@ def patch_for(bad_type: str) -> Patch:
     return _load_patch(_PATCHES[bad_type])
 
 
+@functools.lru_cache(maxsize=None)
+def _gluings(patch: Patch) -> typing.Dict[typing.Tuple[int, ...], Face]:
+    """The patch's gluing table: for each valid monodromy image in
+    ``_SHAPES``, the designated-face vertices that a canonical face's sorted
+    vertices go to under the first special map (``enumerate_special_maps``
+    order) that satisfies the gluing condition.  Images that no map glues
+    have no entry.
+
+    ``_glues`` reads a map by vertex slots only, and a canonical face's sort
+    order is its slot order, so the sorted designated face, as the source,
+    gives every face's table."""
+    face = patch.designated_face
+    maps = enumerate_special_maps(make_face(*face), face)
+    other = z_monodromy(patch.triangulation, face).image
+    return {image: tuple(target for _source, target in gluing.pairs)
+            for image in _SHAPES
+            if (gluing := next((candidate for candidate in maps
+                                if _glues(image, other, candidate)), None))}
+
+
 def find_gluing_map(tri: Triangulation, face: Face, patch: Patch) -> SpecialMap:
     """The first special map (enumeration order) satisfying the gluing condition.
 
     ``face`` may list its vertices in any order; the map's source face is
-    the sorted one, as ``shred_step`` glues it.  A valid map always exists
-    for the patches above; failure to find one is an implementation bug
-    and raises NoValidMap.
+    the sorted one, as ``shred_step`` glues it.  It is read off the patch's
+    gluing table, as ``shred`` reads it.  A valid map always exists for the
+    patches above; failure to find one is an implementation bug and raises
+    NoValidMap.
     """
-    face = tri.faces[_face_index(tri, face)]
-    gluing = _first_of(enumerate_special_maps(face, patch.designated_face),
-                       z_monodromy(tri, face).image,
-                       z_monodromy(patch.triangulation, patch.designated_face).image)
-    if gluing is None:
-        raise _no_map(face, patch)
-    return gluing
-
-
-def _first_of(maps: typing.Iterable[SpecialMap], monodromy: typing.Tuple[int, ...],
-              other_monodromy: typing.Tuple[int, ...]) -> typing.Optional[SpecialMap]:
-    """The first of ``maps`` satisfying the gluing condition for the
-    z-monodromies of its source and target face, or None."""
-    return next((gluing for gluing in maps
-                 if _glues(monodromy, other_monodromy, gluing)), None)
+    f = _face_index(tri, face)
+    return _first_gluing(tri.faces[f], _monodromies(tri)[f], patch)
 
 
 def _first_gluing(face: Face, monodromy: typing.Tuple[int, ...],
                   patch: Patch) -> SpecialMap:
     """``find_gluing_map`` for a canonical face of z-monodromy ``monodromy``,
-    read off the patch's ``_GLUINGS`` table."""
-    targets = _GLUINGS[patch.patch_id].get(monodromy)
+    read off the patch's gluing table."""
+    targets = _gluings(patch).get(monodromy)
     if targets is None:
-        raise _no_map(face, patch)
+        raise NoValidMap(f"no special map glues patch {patch.patch_id} onto face "
+                         f"{face!r}; this should be impossible")
     return SpecialMap(face, patch.designated_face, tuple(zip(face, targets)))
-
-
-def _no_map(face: Face, patch: Patch) -> NoValidMap:
-    return NoValidMap(f"no special map glues patch {patch.patch_id} onto face {face!r}; "
-                      f"this should be impossible")
 
 
 @dataclass(frozen=True)
@@ -357,9 +345,7 @@ def verify_certificate(source: Triangulation, certificate: ShredCertificate,
     matches.  The steps are replayed on one ``core._Surface``.  A step's
     ``bad_type`` is checked against its patch, not against the face's type
     then: an M5 step recorded as M6 (the same patch) still verifies, as the
-    replay keeps no zigzag state.  That check would link ``shred``'s
-    ``zigzag._ZigzagState`` off the source's atlas orbits with the indices
-    of the certificate's step faces, and splice it at each step.
+    replay keeps no zigzag state.
     """
     problems = []
     surface = _Surface(source)

@@ -127,15 +127,17 @@ def _step_map(across: typing.Sequence[int]) -> typing.List[int]:
     return step
 
 
-def _walk(step: typing.List[int]
+def _walk(step: typing.Sequence[int]
           ) -> typing.Tuple[typing.List[array.array], typing.List[int]]:
-    """The orbits of the permutation ``step``, and the orbit of each position.
+    """The orbits of the permutation ``step``, and the orbit of each position:
+    the library's one cycle walker, for zigzags, dart permutations and the
+    arcs through a patch alike.
 
     Positions are taken in increasing order, so each orbit is listed in step
     order from its least position, and orbit o holds the least position on
     none of orbits 0..o-1.  Each orbit is packed into an ``array("i")`` as it
-    closes, so it keeps no int object alive; ``step`` is read as a list,
-    whose subscripts are faster than an array's.
+    closes, so it keeps no int object alive; ``step`` is read as a list or
+    tuple, whose subscripts are faster than an array's.
     """
     orbit_of = [-1] * len(step)
     orbits: typing.List[array.array] = []
@@ -242,14 +244,7 @@ class _ZigzagState:
                 raise AssertionError(f"the arcs through listed face {removed} close on its seeds")
             step[p] = q
         step[gone:end] = range(gone, end)
-        through, seen = 0, [False] * 6
-        for start in range(6):
-            through += not seen[start]
-            r = start
-            while not seen[r]:
-                seen[r] = True
-                r = transit[OMEGA_ROTATION[monodromy[r]]]
-        return through
+        return len(_walk([transit[OMEGA_ROTATION[monodromy[r]]] for r in range(6)])[0])
 
 
 def _cached(tri: Triangulation, key: str, build):

@@ -1,5 +1,6 @@
 """Z-monodromy values, the seven-shape classification, and its laws."""
 
+import itertools
 import re
 
 import pytest
@@ -245,3 +246,36 @@ def test_dart_permutation_algebra():
     other = DartPermutation.rotation(("1", "2", "b"))
     with pytest.raises(ValueError):
         rotation.compose(other)
+
+
+def _naive_cycles(mapping, darts):
+    """The cycles of a dart mapping, each from its first dart in ``darts``
+    order, in the order of those, walked one dart at a time."""
+    cycles, seen = [], set()
+    for start in darts:
+        if start not in seen:
+            cycle = [start]
+            while mapping[cycle[-1]] != start:
+                cycle.append(mapping[cycle[-1]])
+            seen.update(cycle)
+            cycles.append(tuple(cycle))
+    return tuple(cycles)
+
+
+def test_cycles_match_a_naive_walk_over_all_permutations():
+    # Every permutation of one face's darts, given as a dart mapping, against
+    # a walk of the mapping itself; 6! / (3 * 3 * 2) = 40 of them are two
+    # disjoint 3-cycles.
+    face = ("1", "2", "a")
+    darts = tz.omega(face)
+    two_3cycles = 0
+    for images in itertools.permutations(darts):
+        mapping = dict(zip(darts, images))
+        permutation = DartPermutation(face, mapping)
+        cycles = _naive_cycles(mapping, darts)
+        lengths = tuple(sorted(map(len, cycles), reverse=True))
+        assert permutation.cycles() == cycles
+        assert permutation.cycle_type() == lengths
+        assert tz.is_two_disjoint_3cycles(permutation) == (lengths == (3, 3))
+        two_3cycles += lengths == (3, 3)
+    assert two_3cycles == 40

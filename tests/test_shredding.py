@@ -76,16 +76,27 @@ def test_find_gluing_map_m7_face():
                          ids=["bp8", "torus-3-3", "random-sphere-3-20"])
 def test_find_gluing_map_takes_a_face_in_any_vertex_order(build):
     # The map glues the face itself, not one order of its vertices: every
-    # order gives the map of the sorted face, the one ``shred_step`` glues.
+    # order gives the map of the sorted face, the one ``shred_step`` glues,
+    # and that map is the first special map that passes the gluing
+    # condition.  A patch made by hand, its designated face listed unsorted,
+    # reads its own table the same way, and raises where no map glues.
     tri = build()
     bad = _bad_faces(tri)
     assert bad
+    unsorted = tz.Patch("bp3-unsorted", tz.bipyramid(3), ("a", "2", "1"), "M3")
     for face, tag in bad:
-        patch = tz.patch_for(tag)
-        found = tz.find_gluing_map(tri, face, patch)
-        assert found.source_face == face
-        for order in itertools.permutations(face):
-            assert tz.find_gluing_map(tri, order, patch) == found
+        for patch in (tz.patch_for(tag), unsorted):
+            searched = next((gluing for gluing in tz.enumerate_special_maps(
+                face, patch.designated_face) if tz.gluing_condition(
+                    tri, face, patch.triangulation, patch.designated_face, gluing)), None)
+            assert searched is not None or patch is unsorted
+            for order in itertools.permutations(face):
+                if searched is None:
+                    with pytest.raises(NoValidMap, match="bp3-unsorted"):
+                        tz.find_gluing_map(tri, order, patch)
+                else:
+                    found = tz.find_gluing_map(tri, order, patch)
+                    assert found == searched and found.source_face == face
 
 
 @pytest.mark.parametrize("tag", ["M5", "M7"])
