@@ -9,6 +9,7 @@ with nothing on stderr.
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -77,23 +78,19 @@ def _parse_face(text: str):
     return make_face(*parts)
 
 
+# Each family's builder, the family name its documents record, and the
+# names of its integer parameters, which its metadata records too.
 _GENERATORS = {
-    "bp": (1, lambda n: (bipyramid(n), {"family": "bipyramid", "n": n})),
-    "tetrahedron": (0, lambda: (platonic("tetrahedron"), {"family": "tetrahedron"})),
-    "octahedron": (0, lambda: (platonic("octahedron"), {"family": "octahedron"})),
-    "icosahedron": (0, lambda: (platonic("icosahedron"), {"family": "icosahedron"})),
-    "torus": (2, lambda p, q: (torus_grid(p, q), {"family": "torus-grid", "p": p, "q": q})),
-    "projective-plane": (0, lambda: (projective_plane_fig5(),
-                                     {"family": "projective-plane"})),
-    "m1": (2, lambda k, k2: (example_sum("m1", k, k2),
-                             {"family": "m1-sum", "k": k, "k2": k2})),
-    "m2": (2, lambda k, k2: (example_sum("m2", k, k2),
-                             {"family": "m2-sum", "k": k, "k2": k2})),
-    "m6": (2, lambda k, k2: (example_sum("m6", k, k2),
-                             {"family": "m6-sum", "k": k, "k2": k2})),
-    "random": (2, lambda seed, steps: (random_sphere(seed, steps),
-                                       {"family": "random-sphere",
-                                        "seed": seed, "steps": steps})),
+    "bp": (bipyramid, "bipyramid", ("n",)),
+    "tetrahedron": (functools.partial(platonic, "tetrahedron"), "tetrahedron", ()),
+    "octahedron": (functools.partial(platonic, "octahedron"), "octahedron", ()),
+    "icosahedron": (functools.partial(platonic, "icosahedron"), "icosahedron", ()),
+    "torus": (torus_grid, "torus-grid", ("p", "q")),
+    "projective-plane": (projective_plane_fig5, "projective-plane", ()),
+    "m1": (functools.partial(example_sum, "m1"), "m1-sum", ("k", "k2")),
+    "m2": (functools.partial(example_sum, "m2"), "m2-sum", ("k", "k2")),
+    "m6": (functools.partial(example_sum, "m6"), "m6-sum", ("k", "k2")),
+    "random": (random_sphere, "random-sphere", ("seed", "steps")),
 }
 
 
@@ -101,18 +98,18 @@ def _cmd_gen(args) -> int:
     if args.family not in _GENERATORS:
         raise MalformedDocument(
             f"unknown family {args.family!r}; choose from {sorted(_GENERATORS)}")
-    arity, builder = _GENERATORS[args.family]
-    if len(args.params) != arity:
+    builder, family, names = _GENERATORS[args.family]
+    if len(args.params) != len(names):
         raise MalformedDocument(
-            f"family {args.family} wants {arity} integer parameter(s), "
+            f"family {args.family} wants {len(names)} integer parameter(s), "
             f"got {len(args.params)}")
     try:
         params = [int(x) for x in args.params]
     except ValueError:
         raise MalformedDocument(
             f"parameters must be integers, got {args.params}") from None
-    tri, metadata = builder(*params)
-    _write_outputs((serialize(tri, metadata=metadata), args.output))
+    metadata = {"family": family, **dict(zip(names, params))}
+    _write_outputs((serialize(builder(*params), metadata=metadata), args.output))
     return 0
 
 
@@ -165,7 +162,7 @@ def _cmd_monodromy(args) -> int:
     if args.face is not None:
         face = tri.faces[_face_index(tri, _parse_face(args.face))]
         types = {face: types[face]}
-    for face, mtype in sorted(types.items()):
+    for face, mtype in types.items():
         print(f"{','.join(face)}\t{mtype.tag}")
     return 0
 
@@ -218,52 +215,35 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Zigzags, z-monodromy and z-knotted shreddings of "
                     "surface triangulations.")
     sub = parser.add_subparsers(dest="command", required=True)
+    reads = argparse.ArgumentParser(add_help=False)  # the one document most commands read
+    reads.add_argument("file")
 
-    p = sub.add_parser("gen", help="generate a named triangulation family")
+    def command(name, func, text, parents=(reads,)):
+        p = sub.add_parser(name, parents=parents, help=text)
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _cmd_gen, "generate a named triangulation family", ())
     p.add_argument("family")
     p.add_argument("params", nargs="*")
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_gen)
-
-    p = sub.add_parser("validate", help="report validation violations")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_validate)
-
-    p = sub.add_parser("euler", help="print the Euler characteristic")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_euler)
-
-    p = sub.add_parser("zigzags", help="list every directed zigzag")
-    p.add_argument("file")
+    command("validate", _cmd_validate, "report validation violations")
+    command("euler", _cmd_euler, "print the Euler characteristic")
+    p = command("zigzags", _cmd_zigzags, "list every directed zigzag")
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_zigzags)
-
-    p = sub.add_parser("knotted", help="exit 0 iff z-knotted")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_knotted)
-
-    p = sub.add_parser("monodromy", help="per-face z-monodromy type table")
-    p.add_argument("file")
+    command("knotted", _cmd_knotted, "exit 0 iff z-knotted")
+    p = command("monodromy", _cmd_monodromy, "per-face z-monodromy type table")
     p.add_argument("--face")
-    p.set_defaults(func=_cmd_monodromy)
-
-    p = sub.add_parser("consum", help="connected sum of two triangulations")
+    p = command("consum", _cmd_consum, "connected sum of two triangulations", ())
     p.add_argument("first")
     p.add_argument("second")
     p.add_argument("--face", action="append", required=True)
     p.add_argument("--map", required=True)
     p.add_argument("-o", "--output")
-    p.set_defaults(func=_cmd_consum)
-
-    p = sub.add_parser("shred", help="construct a z-knotted shredding")
-    p.add_argument("file")
+    p = command("shred", _cmd_shred, "construct a z-knotted shredding")
     p.add_argument("-o", "--output")
     p.add_argument("--certificate")
-    p.set_defaults(func=_cmd_shred)
-
-    p = sub.add_parser("gauss", help="Gauss code of a z-knotted triangulation")
-    p.add_argument("file")
-    p.set_defaults(func=_cmd_gauss)
+    command("gauss", _cmd_gauss, "Gauss code of a z-knotted triangulation")
     return parser
 
 

@@ -453,13 +453,7 @@ class Triangulation:
     @property
     def edge_faces(self) -> typing.Mapping[Edge, typing.Tuple[Face, Face]]:
         """Each edge's two faces, in face order."""
-        edge_faces = self._cache.get("edge_faces")
-        if edge_faces is None:
-            faces = self.faces
-            edge_faces = self._cache["edge_faces"] = types.MappingProxyType({
-                face_edges(faces[c // 3])[c % 3]: (faces[c // 3], faces[d // 3])
-                for c, d in enumerate(self.across) if c < d})
-        return edge_faces
+        return _cached(self, "edge_faces", _edge_faces)
 
     def has_face(self, face: Face) -> bool:
         faces = self.faces
@@ -650,6 +644,22 @@ class _Surface:
                                        for c in (3 * s, 3 * s + 1, 3 * s + 2)])
         tri._cache = {}
         return tri
+
+
+def _cached(tri: Triangulation, key: str, build):
+    """``build(tri)``, computed once per triangulation: the one writer of
+    ``tri._cache``."""
+    value = tri._cache.get(key)
+    if value is None:
+        value = tri._cache[key] = build(tri)
+    return value
+
+
+def _edge_faces(tri: Triangulation) -> typing.Mapping[Edge, typing.Tuple[Face, Face]]:
+    faces = tri.faces
+    return types.MappingProxyType({
+        face_edges(faces[c // 3])[c % 3]: (faces[c // 3], faces[d // 3])
+        for c, d in enumerate(tri.across) if c < d})
 
 
 def euler_characteristic(tri: Triangulation) -> int:

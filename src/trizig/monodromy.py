@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import zigzag as _zz
 from .core import (OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE, Dart,
-                   Face, Triangulation, make_face, omega)
+                   Face, Triangulation, _cached, make_face, omega)
 from .errors import UnclassifiableMonodromy
 
 _IDENTITY = (0, 1, 2, 3, 4, 5)
@@ -226,7 +226,7 @@ def _build_monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]
 
 def _monodromies(tri: Triangulation) -> typing.List[typing.Tuple[int, ...]]:
     """``_build_monodromies(tri)``, computed once per triangulation."""
-    return _zz._cached(tri, "monodromies", _build_monodromies)
+    return _cached(tri, "monodromies", _build_monodromies)
 
 
 def z_monodromy(tri: Triangulation, face: Face) -> DartPermutation:
@@ -264,4 +264,4 @@ def face_types(tri: Triangulation) -> typing.Mapping[Face, MonodromyType]:
     Computed once per triangulation; the mapping is read-only because every
     caller shares it.
     """
-    return _zz._cached(tri, "face_types", _build_face_types)
+    return _cached(tri, "face_types", _build_face_types)

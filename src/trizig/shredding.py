@@ -42,8 +42,7 @@ from .errors import InvalidMonodromyType, MalformedDocument, NoValidMap, TrizigE
 from .generators import bipyramid, example_sum
 from .monodromy import _SHAPES, _monodromies, _shape, face_types, z_monodromy
 from .surgery import SpecialMap, _glues, _transit, enumerate_special_maps
-from .zigzag import (_atlas, _face_index, _step_map, _walk, _ZigzagState, is_essential,
-                     is_z_knotted)
+from .zigzag import _atlas, _face_index, _ZigzagState, is_essential, is_z_knotted
 # Unused here, but perfbench/instrument.py wraps these names in this module.
 from .document import serialize  # noqa: F401
 from .surgery import connected_sum, gluing_condition  # noqa: F401
@@ -256,9 +255,10 @@ def _repair(surface: _Surface, state: _ZigzagState, i: int, face: Face) -> Shred
 
 
 def shred_step(tri: Triangulation, face: Face) -> Triangulation:
-    """Repair one face of type M5/M6/M7 by gluing its patch (``_repair``)."""
+    """Repair one face of type M5/M6/M7 by gluing its patch (``_repair``),
+    on a state linked off the orbits of its input's cached atlas."""
     f, surface = _face_index(tri, face), _Surface(tri)
-    _repair(surface, _ZigzagState(_walk(_step_map(tri.across))[0], [f]), 0, tri.faces[f])
+    _repair(surface, _ZigzagState(_atlas(tri)._orbits, [f]), 0, tri.faces[f])
     return surface.freeze()
 
 

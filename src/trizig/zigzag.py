@@ -19,10 +19,11 @@ positions are built only where the public API returns them.
 import array
 import bisect
 import collections
+import functools
 import typing
 
 from .core import (EDGE_SLOTS, OMEGA_NEGATION, OMEGA_ROTATION, OMEGA_ROTATION_INVERSE,
-                   OMEGA_SLOTS, Dart, Face, Triangulation, make_face, omega)
+                   OMEGA_SLOTS, Dart, Face, Triangulation, _cached, make_face, omega)
 from .errors import FaceNotFound, InvalidPosition, NotZKnotted
 
 
@@ -247,14 +248,6 @@ class _ZigzagState:
         return len(_walk([transit[OMEGA_ROTATION[monodromy[r]]] for r in range(6)])[0])
 
 
-def _cached(tri: Triangulation, key: str, build):
-    """``build(tri)``, computed once per triangulation."""
-    value = tri._cache.get(key)
-    if value is None:
-        value = tri._cache[key] = build(tri)
-    return value
-
-
 def _atlas(tri: Triangulation) -> "ZigzagAtlas":
     """``all_zigzags(tri)`` for the library's own reads, which a wrapper
     of ``all_zigzags`` must not see."""
@@ -368,8 +361,6 @@ class ZigzagAtlas:
     ``pairing``, then kept.
     """
 
-    __slots__ = ("_faces", "_orbits", "_orbit_of", "_partners", "_listing")
-
     def __init__(self, tri: Triangulation):
         self._orbits, orbit_of = _walk(_step_map(tri.across))
         # Packed, like the orbits: as a list it would keep the 4E int
@@ -382,21 +373,18 @@ class ZigzagAtlas:
             raise AssertionError("reversal pairing is not a fixed-point-free "
                                  "involution on the orbit set")
         self._faces = tri.faces
-        self._listing: typing.Optional[
-            typing.Tuple[typing.Tuple[Zigzag, ...], typing.Dict[Zigzag, Zigzag]]] = None
 
-    def _listed(self) -> typing.Tuple[typing.Tuple[Zigzag, ...], typing.Dict[Zigzag, Zigzag]]:
-        if self._listing is None:
-            self._listing = _in_canonical_order(self._faces, self._orbits, self._partners)
-        return self._listing
+    @functools.cached_property
+    def _listing(self) -> typing.Tuple[typing.Tuple[Zigzag, ...], typing.Dict[Zigzag, Zigzag]]:
+        return _in_canonical_order(self._faces, self._orbits, self._partners)
 
     @property
     def zigzags(self) -> typing.Tuple[Zigzag, ...]:
-        return self._listed()[0]
+        return self._listing[0]
 
     @property
     def pairing(self) -> typing.Dict[Zigzag, Zigzag]:
-        return self._listed()[1]
+        return self._listing[1]
 
     @property
     def count(self) -> int:

@@ -1,10 +1,13 @@
 import bisect
+import collections
 import random
 
 import pytest
 
 import trizig as tz
-from trizig.core import _Surface
+from trizig.core import Dart, _Surface
+from trizig.monodromy import DartPermutation
+from trizig.zigzag import Position
 
 KNOTTED_TAGS = ("M1", "M2", "M3", "M4")
 
@@ -15,6 +18,47 @@ def _bad_faces(tri):
     types = tz.face_types(tri)
     return [(face, types[face].tag)
             for face in tri.faces if types[face].tag not in KNOTTED_TAGS]
+
+
+def face_type(tri, face):
+    """The classified z-monodromy of one face, through the public calls."""
+    return tz.classify(tz.z_monodromy(tri, face))
+
+
+def face_built_step(tri):
+    """The step map built from the faces alone, without ``across``, the
+    table the atlas reads: from ((u, v), F), on to v and the third vertex
+    of the other face on uv."""
+    edge_faces = collections.defaultdict(list)
+    for face in tri.faces:
+        for edge in tz.face_edges(face):
+            edge_faces[edge].append(face)
+
+    def step(position):
+        (u, v), face = position
+        first, second = edge_faces[min(u, v), max(u, v)]
+        after = second if first == face else first
+        (w,) = set(after) - {u, v}
+        return Position(Dart(v, w), after)
+    return step
+
+
+def naive_monodromy(tri, face):
+    """The z-monodromy of a face straight from the definition, on the step
+    built from the faces alone: from each dart of the face, walk the zigzag
+    until a dart lands on an edge of the face again."""
+    step, edges = face_built_step(tri), set(tz.face_edges(face))
+    mapping = {}
+    for dart in tz.omega(face):
+        position = Position(dart, face)
+        for _ in range(6 * len(tri.faces)):
+            position = step(position)
+            if position.dart.edge in edges:
+                mapping[dart] = position.dart
+                break
+        else:
+            raise AssertionError("zigzag failed to return to the face")
+    return DartPermutation(face, mapping)
 
 
 def reference_random_sphere(seed, steps):

@@ -9,17 +9,13 @@ import itertools
 import time
 
 import trizig as tz
-from conftest import _bad_faces
+from conftest import _bad_faces, face_type
 
 KNOTTED_TAGS = {"M1", "M2", "M3", "M4"}
 
 
 def _passed(number, text):
     print(f"criterion {number:2d}: PASS - {text}")
-
-
-def _tag(tri, face):
-    return tz.classify(tz.z_monodromy(tri, face)).tag
 
 
 def test_criterion_01_golden_monodromy_table():
@@ -34,7 +30,7 @@ def test_criterion_01_golden_monodromy_table():
     ]
     realized = set()
     for tri, face, expected in cases:
-        got = _tag(tri, face)
+        got = face_type(tri, face).tag
         assert got == expected, (face, got, expected)
         realized.add(got)
     assert realized == {"M1", "M2", "M3", "M4", "M5", "M6", "M7"}
@@ -132,7 +128,7 @@ def test_criterion_08_sum_decision_table():
         "M4": (tz.bipyramid(5), ("1", "2", "a")),
     }
     for tag, (tri, face) in representatives.items():
-        assert _tag(tri, face) == tag and tz.is_z_knotted(tri)
+        assert face_type(tri, face).tag == tag and tz.is_z_knotted(tri)
     for tag_a, tag_b in itertools.combinations_with_replacement(
             sorted(KNOTTED_TAGS), 2):
         tri_a, face_a = representatives[tag_a]

@@ -2,6 +2,9 @@
 
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
@@ -9,6 +12,14 @@ import trizig as tz
 from trizig.cli import main
 from trizig.errors import MalformedDocument
 from trizig.shredding import ShredCertificate
+
+
+def _child_env(**extra):
+    """The environment of a child ``python -m trizig.cli``, which imports
+    the same trizig as this process."""
+    source = str(pathlib.Path(tz.__file__).resolve().parent.parent)
+    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
+    return dict(os.environ, PYTHONPATH=path, **extra)
 
 
 @pytest.fixture()
@@ -230,23 +241,14 @@ def test_shred_cli(octa_file, tmp_path, capsys):
 
 def test_shred_deterministic_across_processes(octa_file, tmp_path):
     # Hash randomization must not leak into any output bytes.
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    # The child processes import the same trizig as this one.
-    source = str(pathlib.Path(tz.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     outputs = []
     for hashseed in ("1", "99"):
         out = tmp_path / f"out{hashseed}.json"
         cert = tmp_path / f"cert{hashseed}.json"
-        env = dict(os.environ, PYTHONHASHSEED=hashseed, PYTHONPATH=path)
         subprocess.run(
             [sys.executable, "-m", "trizig.cli", "shred", octa_file,
              "-o", str(out), "--certificate", str(cert)],
-            check=True, env=env, capture_output=True)
+            check=True, env=_child_env(PYTHONHASHSEED=hashseed), capture_output=True)
         outputs.append(out.read_bytes() + cert.read_bytes())
     assert outputs[0] == outputs[1]
 
@@ -264,17 +266,28 @@ def test_gauss_cli(bp3_file, octa_file, capsys):
 def test_closed_stdout_ends_quietly(bp8_file):
     # ``trizig zigzags F | head -1``: the reader goes away before the output
     # is written; the command must end without a traceback.
-    import os
-    import pathlib
-    import subprocess
-    import sys
-
-    source = str(pathlib.Path(tz.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     child = subprocess.Popen(
         [sys.executable, "-m", "trizig.cli", "zigzags", bp8_file],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
-        env=dict(os.environ, PYTHONPATH=path))
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    child.stdout.close()
+    err = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 1
+    assert err == b""
+
+
+def test_a_reader_gone_after_the_first_line_ends_quietly(tmp_path, capsys):
+    # ``trizig zigzags F | head -1`` on a listing larger than a 64 KiB pipe
+    # buffer, so the child is still writing when the pipe closes.
+    torus = tmp_path / "torus.json"
+    torus.write_text(tz.serialize(tz.torus_grid(60, 61)))
+    assert main(["zigzags", str(torus)]) == 0
+    listing = capsys.readouterr().out
+    assert len(listing.encode()) > 65536
+    child = subprocess.Popen(
+        [sys.executable, "-m", "trizig.cli", "zigzags", str(torus)],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=_child_env())
+    assert child.stdout.readline().decode() == listing.splitlines(keepends=True)[0]
     child.stdout.close()
     err = child.stderr.read()
     child.stderr.close()
@@ -286,26 +299,22 @@ def test_closed_stdout_ends_quietly(bp8_file):
 @pytest.mark.parametrize("argv, to_stdout", [
     (["gen", "bp", "5"], True),
     (["gen", "torus", "20", "21"], True),  # more than one stdout buffer
+    (["zigzags", "{octa}"], True),
     (["gen", "bp", "5", "-o", "/dev/full"], False),
     (["shred", "{octa}", "-o", "/dev/full", "--certificate", "{cert}"], False),
     (["shred", "{octa}", "--certificate", "{cert}"], True),
-], ids=["gen-stdout", "gen-stdout-large", "gen-file", "shred-file", "shred-stdout"])
+], ids=["gen-stdout", "gen-stdout-large", "zigzags-stdout", "gen-file", "shred-file",
+        "shred-stdout"])
 def test_a_full_device_is_a_clean_error(octa_file, tmp_path, argv, to_stdout):
     # The write fails only after its file opened: a JSON error and exit 2,
     # with no traceback and nothing from the interpreter's last flush.
-    import pathlib
-    import subprocess
-    import sys
-
     cert = tmp_path / "c.json"
     argv = [arg.format(octa=octa_file, cert=cert) for arg in argv]
-    source = str(pathlib.Path(tz.__file__).resolve().parent.parent)
-    path = os.pathsep.join(filter(None, (source, os.environ.get("PYTHONPATH"))))
     with open("/dev/full", "w") as full:
         child = subprocess.run(
             [sys.executable, "-m", "trizig.cli", *argv],
             stdout=full if to_stdout else subprocess.PIPE, stderr=subprocess.PIPE,
-            env=dict(os.environ, PYTHONPATH=path))
+            env=_child_env())
     assert child.returncode == 2
     error = json.loads(child.stderr)["error"]
     assert error["type"] == "MalformedDocument"

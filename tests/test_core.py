@@ -166,6 +166,8 @@ def test_dart_negation():
     assert (-dart).tail == "y" and (-dart).head == "x"
     assert -(-dart) == dart
     assert dart.edge == ("x", "y") == (-dart).edge
+    with pytest.raises(ValueError, match="degenerate edge"):
+        Dart("1", "1").edge
 
 
 def test_euler_characteristic():
@@ -219,6 +221,7 @@ def test_triangulation_value_semantics():
     assert one != tz.bipyramid(5)
     copy = tz.Triangulation(one)
     assert copy == one and copy is not one
+    assert repr(tz.bipyramid(3)) == "Triangulation(5 vertices, 9 edges, 6 faces)"
 
 
 def test_has_face_finds_every_face(full_corpus):

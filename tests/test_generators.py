@@ -1,5 +1,7 @@
 """Named triangulation families and the random sphere generator."""
 
+import math
+
 import pytest
 
 import trizig as tz
@@ -28,6 +30,21 @@ def test_bipyramid_rejects_small_n():
 def test_bipyramid_knotted_iff_odd():
     for n in range(3, 17):
         assert tz.is_z_knotted(tz.bipyramid(n)) == (n % 2 == 1)
+
+
+def test_bipyramid_pair_count_is_gcd_with_4():
+    # One zigzag pair for odd n, two for n = 2 and four for n = 0 (mod 4),
+    # so a bipyramid is z-knotted iff n is odd.
+    for n in range(3, 25):
+        tri = tz.bipyramid(n)
+        assert tz.all_zigzags(tri).pair_count == math.gcd(n, 4)
+        assert tz.is_z_knotted(tri) == (n % 2 == 1)
+
+
+def test_torus_grid_pair_count_is_p_plus_q_plus_gcd():
+    for p in range(3, 13):
+        for q in range(3, 13):
+            assert tz.all_zigzags(tz.torus_grid(p, q)).pair_count == p + q + math.gcd(p, q)
 
 
 def test_platonic_counts_and_types():

@@ -1,23 +1,25 @@
 """The corner table, the integer zigzag orbits and the shape table against
 step-by-step references.
 
-Every reference here walks the public ``step()``, which reads the corner
-table but none of the cached int tables.  ``step()`` and the successor of
-every position on the atlas's orbits are in turn checked against a step
-built from the faces alone, and the corner table against the faces' edges.
+The orbit reference walks the public ``step()``, which reads the corner
+table but none of the cached int tables; the monodromy reference walks a
+step built from the faces alone (``conftest.naive_monodromy``).  ``step()``
+and the successor of every position on the atlas's orbits are in turn
+checked against that face-built step, and the corner table against the
+faces' edges.
 The surfaces cover tori, projective planes with random bipyramids summed on,
 random spheres and two z-knotted shredding outputs, so non-sphere surfaces
 are checked too.
 """
 
 import array
-import collections
 import dataclasses
 import random
 
 import pytest
 
 import trizig as tz
+from conftest import face_built_step, naive_monodromy
 from trizig import zigzag
 from trizig.core import Dart
 from trizig.monodromy import _SHAPES, DartPermutation, MonodromyType, _monodromies
@@ -87,18 +89,6 @@ def _walked_zigzags(tri):
     return zigzags
 
 
-def _walked_monodromy(tri, face):
-    """From each seed, step until the next dart on an edge of the face."""
-    edges = set(tz.face_edges(face))
-    mapping = {}
-    for dart in tz.omega(face):
-        position = tz.step(tri, Position(dart, face))
-        while position.dart.edge not in edges:
-            position = tz.step(tri, position)
-        mapping[dart] = position.dart
-    return DartPermutation(face, mapping)
-
-
 def _three_cycle_pair(e1, e2, e3):
     return {-e1: e2, e2: e3, e3: -e1, -e3: -e2, -e2: e1, e1: -e3}
 
@@ -147,7 +137,7 @@ def test_orbits_match_a_step_walk(build):
 def test_monodromy_matches_a_step_walk(build):
     tri = build()
     for face in tri.faces:
-        assert tz.z_monodromy(tri, face) == _walked_monodromy(tri, face)
+        assert tz.z_monodromy(tri, face) == naive_monodromy(tri, face)
 
 
 @SURFACES
@@ -234,37 +224,20 @@ def _check_corner_table(tri):
     assert tz.parse(tz.serialize(tri)).across == across
 
 
-def _face_built_step(tri):
-    """The step map built from the faces alone, without ``across``: from
-    ((u, v), F), on to v and the third vertex of the other face on uv."""
-    edge_faces = collections.defaultdict(list)
-    for face in tri.faces:
-        for edge in tz.face_edges(face):
-            edge_faces[edge].append(face)
-
-    def step(position):
-        (u, v), face = position
-        first, second = edge_faces[min(u, v), max(u, v)]
-        after = second if first == face else first
-        (w,) = set(after) - {u, v}
-        return Position(Dart(v, w), after)
-    return step
-
-
 def _check_step_table(tri):
     """The step map the atlas walked, read off its orbits: each position's
     successor on its orbit, against ``step()`` and against a step built
     from the faces alone.  The orbits hold every position once."""
     faces, orbits = tri.faces, zigzag._atlas(tri)._orbits
     assert sorted(p for orbit in orbits for p in orbit) == list(range(6 * len(faces)))
-    face_built_step = _face_built_step(tri)
+    built_step = face_built_step(tri)
 
     def position(p):
         return Position(tz.omega(faces[p // 6])[p % 6], faces[p // 6])
     for orbit in orbits:
         for p, q in zip(orbit, orbit[1:] + orbit[:1]):
             here = position(p)
-            assert tz.step(tri, here) == position(q) == face_built_step(here)
+            assert tz.step(tri, here) == position(q) == built_step(here)
 
 
 def test_corner_and_step_tables_on_the_corpus(full_corpus):

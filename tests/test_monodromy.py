@@ -6,15 +6,12 @@ import re
 import pytest
 
 import trizig as tz
+from conftest import face_type, naive_monodromy
 from trizig.core import OMEGA_NEGATION, Dart
 from trizig.errors import FaceNotFound, UnclassifiableMonodromy
 from trizig.monodromy import DartPermutation, MonodromyType
 
 KNOTTED_TAGS = ("M1", "M2", "M3", "M4")
-
-
-def _type_of(tri, face):
-    return tz.classify(tz.z_monodromy(tri, face))
 
 
 def test_bp3_monodromy_dart_map():
@@ -51,7 +48,7 @@ def test_classification_goldens():
         (tz.example_sum("m6", 1, 1), ("1", "2", "b"), "M6"),
     ]
     for tri, face, expected in cases:
-        assert _type_of(tri, face).tag == expected
+        assert face_type(tri, face).tag == expected
 
 
 def test_witness_reproduces_the_monodromy(full_corpus):
@@ -74,7 +71,7 @@ def test_witness_is_a_rotation_cycle():
         (tz.bipyramid(6), ("1", "2", "a"), "rotation"),
         (tz.example_sum("m6", 1, 1), ("1", "2", "b"), "inverse"),
     ]:
-        mtype = _type_of(tri, face)
+        mtype = face_type(tri, face)
         e1, e2, e3 = mtype.witness
         if cycle_source == "rotation":
             assert tz.face_rotation(face, e1) == e2
@@ -95,31 +92,11 @@ def test_lemma3_properties(full_corpus):
             assert max(len(c) for c in m.cycles()) <= 3
 
 
-def _naive_monodromy(tri, face):
-    # Straight from the definition: walk the zigzag one public step at a
-    # time until a dart lands on an edge of the face.
-    from trizig.zigzag import Position
-
-    face_edges = set(tz.face_edges(face))
-    limit = 4 * len(tri.edges)
-    mapping = {}
-    for dart in tz.omega(face):
-        position = Position(dart, face)
-        for _ in range(limit):
-            position = tz.step(tri, position)
-            if position.dart.edge in face_edges:
-                mapping[dart] = position.dart
-                break
-        else:
-            raise AssertionError("zigzag failed to return to the face")
-    return DartPermutation(face, mapping)
-
-
 def test_monodromy_matches_naive_stepping(named_corpus, random_corpus):
     triangulations = list(named_corpus.values()) + random_corpus[:20]
     for tri in triangulations:
         for face in tri.faces:
-            assert tz.z_monodromy(tri, face) == _naive_monodromy(tri, face)
+            assert tz.z_monodromy(tri, face) == naive_monodromy(tri, face)
 
 
 def test_monodromy_face_not_found():
@@ -260,6 +237,24 @@ def _naive_cycles(mapping, darts):
             seen.update(cycle)
             cycles.append(tuple(cycle))
     return tuple(cycles)
+
+
+def test_expand_refuses_an_unknown_tag_and_a_missing_witness():
+    face = ("1", "2", "a")
+    with pytest.raises(ValueError, match="unknown monodromy tag 'M8'"):
+        MonodromyType("M8").expand(face)
+    with pytest.raises(ValueError, match="type M3 requires a witness"):
+        MonodromyType("M3").expand(face)
+
+
+def test_identity_permutation_repr_and_hash():
+    face = ("1", "2", "a")
+    identity = DartPermutation.identity(face)
+    assert repr(identity) == "DartPermutation[id]"
+    same = DartPermutation(face, {dart: dart for dart in tz.omega(face)})
+    assert identity == same and hash(identity) == hash(same)
+    assert identity != DartPermutation.rotation(face)
+    assert len({identity, same, DartPermutation.rotation(face)}) == 2
 
 
 def test_cycles_match_a_naive_walk_over_all_permutations():

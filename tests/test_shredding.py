@@ -205,7 +205,8 @@ def test_shredding_reads_one_step_map_per_surface(monkeypatch, build, step, read
     # The zigzag state is linked off the orbits of the input's atlas, so
     # ``shred`` reads the step map of its input once, for that atlas, and
     # that of its output once, for the closing knottedness check; a
-    # knotted input is its own output.  ``shred_step`` reads its input's.
+    # knotted input is its own output.  ``shred_step`` reads its input's,
+    # for that atlas too.  Only the atlas reads a step map.
     _warm_patches()
     face = _bad_faces(build())[0][0] if step else None
     tri = tz.parse(tz.serialize(build()))
@@ -215,8 +216,7 @@ def test_shredding_reads_one_step_map_per_surface(monkeypatch, build, step, read
         read.append(len(across))
         return step_map(across)
 
-    for module in (zigzag, shredding):
-        monkeypatch.setattr(module, "_step_map", counted)
+    monkeypatch.setattr(zigzag, "_step_map", counted)
     out = tz.shred_step(tri, face) if step else tz.shred(tri)[0]
     assert read == [len(tri.across), len(out.across)][:reads]
 
@@ -230,17 +230,29 @@ def test_a_state_on_every_face_is_the_step_map(named_corpus):
         assert state.step == zigzag._step_map(tri.across)
 
 
-def test_shred_step_builds_no_atlas_of_its_input(named_corpus):
-    # A step walks the orbits of its input's step map without caching them,
-    # so no atlas of the input is left behind.
+def test_shred_step_reads_no_step_map_once_its_input_has_an_atlas(monkeypatch,
+                                                                 named_corpus):
+    # A step links its state off the orbits of its input's cached atlas, so
+    # once that atlas is built, no step map is read again, and the step
+    # repairs as it does on a fresh parse.
+    step_map, read = zigzag._step_map, []
+
+    def counted(across):
+        read.append(len(across))
+        return step_map(across)
+
+    monkeypatch.setattr(zigzag, "_step_map", counted)
     stepped = 0
     for tri in named_corpus.values():
         bad = _bad_faces(tri)
         if not bad:
             continue
-        fresh = tz.parse(tz.serialize(tri))
-        tz.shred_step(fresh, bad[0][0])
-        assert "atlas" not in fresh._cache
+        fresh, atlased = tz.parse(tz.serialize(tri)), tz.parse(tz.serialize(tri))
+        expected = tz.shred_step(fresh, bad[0][0])
+        atlas = tz.all_zigzags(atlased)
+        del read[:]
+        assert tz.shred_step(atlased, bad[0][0]) == expected
+        assert read == [] and zigzag._atlas(atlased) is atlas
         stepped += 1
     assert stepped
 

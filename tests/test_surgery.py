@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import trizig as tz
+from conftest import face_type
 from trizig import core, surgery
 from trizig.errors import (FaceNotFound, InvalidMonodromyType, InvalidSpecialMap,
                            LabelCollision, MonodromyNotIdentity, NotZKnotted,
@@ -64,6 +65,13 @@ def test_special_map_rejects_non_bijections():
     with pytest.raises(InvalidSpecialMap):
         tz.SpecialMap(("1", "2", "3"), ("4", "5", "6"),
                       (("1", "5"), ("2", "5"), ("3", "6"), ("1", "4")))
+
+
+def test_vertex_inverse_refuses_a_vertex_off_the_target_face():
+    g = tz.enumerate_special_maps(("1", "2", "3"), ("4", "5", "6"))[0]
+    assert [g.vertex_inverse(w) for w in ("4", "5", "6")] == ["1", "2", "3"]
+    with pytest.raises(InvalidSpecialMap, match="'zz' not in target face"):
+        g.vertex_inverse("zz")
 
 
 def test_special_map_keeps_its_pairs_as_tuples():
@@ -333,10 +341,6 @@ def test_glued_product_cycle_type_is_order_independent():
         assert forward == backward
 
 
-def _type_tag(tri, face):
-    return tz.classify(tz.z_monodromy(tri, face)).tag
-
-
 def test_th4_decide_matches_exhaustive_gluing():
     representatives = {
         "M1": (tz.example_sum("m1", 3, 3), ("2", "3", "a")),
@@ -345,7 +349,7 @@ def test_th4_decide_matches_exhaustive_gluing():
         "M4": (tz.bipyramid(5), ("1", "2", "a")),
     }
     for tag, (tri, face) in representatives.items():
-        assert _type_tag(tri, face) == tag and tz.is_z_knotted(tri)
+        assert face_type(tri, face).tag == tag and tz.is_z_knotted(tri)
     for tag_a, tag_b in itertools.combinations_with_replacement(
             ("M1", "M2", "M3", "M4"), 2):
         tri_a, face_a = representatives[tag_a]

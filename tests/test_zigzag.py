@@ -164,6 +164,7 @@ def test_atlas_tetrahedron():
     assert atlas.count == 6
     assert atlas.pair_count == 3
     assert all(z.length == 4 and z.is_simple for z in atlas)
+    assert repr(atlas.zigzags[0]) == "Zigzag(1>2,2>4,4>3,3>1)"
 
 
 def test_atlas_bp3():
